@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any
+from typing import Any, Optional
 
 from . import corpus, flatness, jsonio, pingpong, spectrum
 from .effective import going_down_run, trace_verify
@@ -35,7 +35,7 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(jsonio.dumps(doc) + "\n")
 
 
-def _budget(args, default: int = 64) -> int:
+def _budget(args, default: Optional[int] = 64) -> Optional[int]:
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get("FLATGEOM_BUDGET")
@@ -130,6 +130,9 @@ def cmd_flatness(args) -> int:
         doc["witness"] = [list(f.elements) for f in verdict.witness.flats]
         doc["delta"] = verdict.delta
         doc["union_dim"] = verdict.union_dim
+    if verdict.samples is not None:
+        doc["samples"] = verdict.samples
+        doc["seed"] = verdict.seed
     _emit(doc)
     if args.expect_flat and verdict.kind not in ("flat-up-to", "flat-exhaustive"):
         return 1
@@ -195,7 +198,7 @@ def cmd_pps_search_cycle(args) -> int:
 
 def cmd_lambda_closure(args) -> int:
     g = _load_structure(args.structure)
-    res = lambda_closure(g, _ids(args.x), args.budget)
+    res = lambda_closure(g, _ids(args.x), _budget(args, None))
     _emit(
         {
             "command": "lambda-closure",
@@ -223,7 +226,7 @@ def cmd_lambda_acl(args) -> int:
 
 def cmd_ild(args) -> int:
     enum = _load_scenario(args.scenario)
-    res = ild_estimate(enum, args.budget)
+    res = ild_estimate(enum, _budget(args, None))
     _emit({"command": "ild", "value": res.value, "certainty": res.certainty})
     return 0
 
@@ -282,12 +285,9 @@ def cmd_effective_going_down(args) -> int:
 
 
 def _parse_spectrum_set(text: str, horizon: int) -> spectrum.SpectrumSet:
-    members: list = []
-    if text:
-        for piece in text.split(","):
-            piece = piece.strip()
-            members.append(piece if piece == "omega" else int(piece))
+    pieces = [piece.strip() for piece in text.split(",")] if text else []
     try:
+        members = [piece if piece == "omega" else int(piece) for piece in pieces]
         return spectrum.SpectrumSet.of(members, horizon)
     except ValueError:
         raise InputError(f"bad spectrum set {text!r}") from None

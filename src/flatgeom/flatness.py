@@ -4,13 +4,33 @@
 of a collection of flats.  ``check_flat`` searches collections for a
 violation of delta >= dim(union); because the search is bounded, a clean
 result is reported as "flat up to the bound" unless every collection of
-every flat was enumerated, in which case it is "flat (exhaustive)".
+every flat was enumerated, in which case it is "flat (exhaustive)".  A
+search that had to sample collections reports "flat-sampled".
+
+The search works on the flat lattice, not on element sets.  The flats are
+indexed once, in canonical order, with a meet table (the intersection of
+two flats is a flat) and lazily looked-up joins (the closure of a union).
+Collections are visited depth first, in ``combinations`` order with sizes
+ascending, and each carries its delta down by
+
+    delta(S + {F}) = delta(S) + dim F - delta({G & F : G in S}),
+
+where the right-hand delta is over a collection of meets, memoised on its
+reduced form.  Reduction is sound because delta depends only on the set
+of distinct flats and is unchanged by dropping a flat contained in
+another: the terms holding A cancel in pairs against the same terms with
+B added when A is a subset of B.  For the same reason a collection with
+two comparable flats is a violation only if a smaller collection with the
+same union already is one, so the least (size, lex) violation is always
+an antichain and the search skips every collection that is not one.  The
+first violation it meets is therefore the least one over all collections.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -68,9 +88,11 @@ class FlatnessVerdict:
     """Outcome of the bounded flatness search.
 
     kind is one of "disintegrated", "not-flat", "flat-up-to",
-    "flat-exhaustive".  For "not-flat" the witness collection and its
-    delta / union dimension are included; for the flat verdicts ``bound``
-    records how large the searched collections were.
+    "flat-exhaustive", "flat-sampled".  For "not-flat" the witness
+    collection and its delta / union dimension are included; for the flat
+    verdicts ``bound`` records how large the searched collections were.
+    "flat-sampled" means only ``samples`` random collections, drawn with
+    ``seed``, were checked: it is no claim about the collections left out.
     """
 
     kind: str
@@ -78,6 +100,8 @@ class FlatnessVerdict:
     witness: Optional[FlatCollection] = None
     delta: Optional[int] = None
     union_dim: Optional[int] = None
+    samples: Optional[int] = None
+    seed: Optional[int] = None
 
 
 def delta(m: Matroid, sigma: Iterable) -> int:
@@ -102,6 +126,130 @@ def delta(m: Matroid, sigma: Iterable) -> int:
 
     rec(0, None, 0)
     return total
+
+
+class _Rows(dict):
+    """Rows of a table, each made by ``make(i)`` on first use."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, i):
+        row = self[i] = self._make(i)
+        return row
+
+
+class _MeetTable:
+    """The flats of one matroid, indexed in the given order.
+
+    ``dims[i]`` is the dimension of ``sets[i]`` and ``meet[i][j]`` the
+    index of ``sets[i] & sets[j]``.  Rows of ``meet`` are built on first
+    use, so a sampled search over many flats pays only for the rows it
+    reads.  The matroid must be a pregeometry, so that meets and joins of
+    flats are flats again; MatroidContractError is raised where one is not.
+    """
+
+    def __init__(self, m: Matroid, flats: Sequence[Flat]):
+        self.m = m
+        self.sets = [f.as_set() for f in flats]
+        self.dims = [f.dim for f in flats]
+        self.index = {s: i for i, s in enumerate(self.sets)}
+        self.meet = _Rows(self._meet_row)
+        self._joins: dict[tuple[int, int], int] = {}
+        self._deltas: dict[tuple[int, ...], int] = {}
+
+    def _meet_row(self, i: int) -> list[int]:
+        a = self.sets[i]
+        try:
+            return [self.index[a & b] for b in self.sets]
+        except KeyError:
+            raise MatroidContractError("an intersection of two flats is not closed") from None
+
+    def join(self, a: int, b: int) -> int:
+        """Index of the closure of ``sets[a] | sets[b]``."""
+        key = (a, b) if a < b else (b, a)
+        j = self._joins.get(key)
+        if j is None:
+            cl = self.m.closure(self.sets[a] | self.sets[b])
+            j = self.index.get(cl)
+            if j is None:
+                raise MatroidContractError(f"closure {sorted(cl)} is not among the flats")
+            self._joins[key] = j
+        return j
+
+    def delta(self, indices: Iterable[int]) -> int:
+        """``delta`` of the flats at ``indices``; repeats and comparable
+        flats are allowed."""
+        members = set(indices)
+        if not members:
+            raise EmptyCollection("delta needs at least one flat")
+        return self._delta(self._maximal(members))
+
+    def _maximal(self, members: set[int]) -> tuple[int, ...]:
+        """The members contained in no other member, ascending."""
+        meet = self.meet
+        if len(members) < 3:
+            if len(members) == 1:
+                return tuple(members)
+            a, b = sorted(members)
+            x = meet[a][b]
+            return (b,) if x == a else (a,) if x == b else (a, b)
+        return tuple(sorted(
+            g for g in members if not any(h != g and meet[g][h] == g for h in members)
+        ))
+
+    def _delta(self, key: tuple[int, ...]) -> int:
+        # key is a sorted antichain; so is every prefix of it.
+        if len(key) == 1:
+            return self.dims[key[0]]
+        hit = self._deltas.get(key)
+        if hit is None:
+            rest, f = key[:-1], key[-1]
+            row = self.meet[f]
+            hit = (
+                self._delta(rest)
+                + self.dims[f]
+                - self._delta(self._maximal({row[g] for g in rest}))
+            )
+            self._deltas[key] = hit
+        return hit
+
+    def least_violation(self, top: int) -> Optional[tuple[tuple[int, ...], int, int]]:
+        """The least (size, lex) collection of at most ``top`` flats with
+        delta < dim(union), as (indices, delta, union_dim), or None."""
+        n, dims, meet = len(self.sets), self.dims, self.meet
+        # No union has a larger dimension than the whole ground set.
+        full = max(dims)
+
+        def extend(prefix, d, j, cands, size):
+            # cands: the flats after prefix[-1] comparable with no member
+            # of prefix, ascending.
+            depth = len(prefix) + 1
+            for pos in range(len(cands) - size + depth):
+                f = cands[pos]
+                row = meet[f]
+                df = d + dims[f]
+                if prefix:
+                    df -= self._delta(self._maximal({row[g] for g in prefix}))
+                if depth < size:
+                    sub = [h for h in cands[pos + 1:] if row[h] != h and row[h] != f]
+                    jf = self.join(j, f) if prefix else f
+                    hit = extend(prefix + (f,), df, jf, sub, size)
+                    if hit:
+                        return hit
+                elif df < full:
+                    u = dims[self.join(j, f)]
+                    if df < u:
+                        return prefix + (f,), df, u
+            return None
+
+        # One flat F has delta = dim F = dim(union): sizes start at two.
+        for size in range(2, top + 1):
+            hit = extend((), 0, None, range(n), size)
+            if hit:
+                return hit
+        return None
 
 
 def is_disintegrated(
@@ -165,58 +313,53 @@ def check_flat(
     Returns "disintegrated" when the geometry is disintegrated, otherwise
     the lexicographically least violating collection (sizes ascending,
     flats in canonical order) or a flat verdict.  ``exhaustive`` widens the
-    search to every collection of every flat; if the estimated work
-    exceeds ``work_cap`` and no ``sample`` count is given, GroundTooLarge
-    is raised.
+    search to every collection of every flat.  If the estimated work
+    exceeds ``work_cap``, ``sample`` random collections drawn with ``seed``
+    are checked instead, and a clean result is "flat-sampled"; without a
+    ``sample`` count GroundTooLarge is raised.  The estimate is the number
+    of subset terms in scoring every collection from scratch, the sum over
+    sizes s of C(n, s) * 2**s for n flats.
     """
     if max_collection_size < 1:
         raise EmptyCollection("max_collection_size must be >= 1")
     if is_disintegrated(m, max_ground=max_ground, sample=sample, seed=seed):
         return FlatnessVerdict("disintegrated")
 
-    flats = [f.as_set() for f in m.flats()]
-    flats.sort(key=lambda s: tuple(sorted(s)))
+    flats = sorted(m.flats(), key=lambda f: f.elements)
     nflats = len(flats)
     top = nflats if exhaustive else min(max_collection_size, nflats)
 
     work = sum(comb(nflats, s) * (1 << s) for s in range(1, top + 1))
-    if work > work_cap and sample is None:
+    sampled = work > work_cap
+    if sampled and sample is None:
         raise GroundTooLarge(
             f"{nflats} flats -> ~{work} subset terms exceeds work cap; "
             "pass sample= or lower the bound"
         )
+    table = _MeetTable(m, flats)
 
-    def violation(sigma: Sequence[frozenset[int]]) -> Optional[tuple[int, int]]:
-        d = delta(m, sigma)
-        u = m.rank(frozenset().union(*sigma))
-        return (d, u) if d < u else None
-
-    if work > work_cap:
+    if not sampled:
+        hit = table.least_violation(top)
+    else:
         rng = random.Random(seed)
+        hit = None
         for _ in range(sample):
             size = rng.randint(1, top)
-            sigma = rng.sample(flats, min(size, nflats))
-            hit = violation(sigma)
-            if hit:
-                return FlatnessVerdict(
-                    "not-flat",
-                    bound=top,
-                    witness=FlatCollection.of(m, sigma),
-                    delta=hit[0],
-                    union_dim=hit[1],
-                )
-        return FlatnessVerdict("flat-up-to", bound=top)
-
-    for size in range(1, top + 1):
-        for sigma in combinations(flats, size):
-            hit = violation(sigma)
-            if hit:
-                return FlatnessVerdict(
-                    "not-flat",
-                    bound=top,
-                    witness=FlatCollection.of(m, sigma),
-                    delta=hit[0],
-                    union_dim=hit[1],
-                )
+            picked = rng.sample(range(nflats), size)
+            d, u = table.delta(picked), table.dims[reduce(table.join, picked)]
+            if d < u:
+                hit = picked, d, u
+                break
+    if hit:
+        picked, d, u = hit
+        return FlatnessVerdict(
+            "not-flat",
+            bound=top,
+            witness=FlatCollection.of(m, [table.sets[i] for i in picked]),
+            delta=d,
+            union_dim=u,
+        )
+    if sampled:
+        return FlatnessVerdict("flat-sampled", bound=top, samples=sample, seed=seed)
     kind = "flat-exhaustive" if exhaustive else "flat-up-to"
     return FlatnessVerdict(kind, bound=top)

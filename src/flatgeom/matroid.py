@@ -11,8 +11,9 @@ oracle families:
   closures.  Rank is recovered greedily from the closure operator.
 
 All set-valued results are canonical (sorted tuples); "least" always means
-least element id.  Every operation is a pure function of immutable inputs,
-so instances are safe to share across threads.
+least element id.  Results are pure functions of the immutable oracle, but
+a ``Matroid`` memoises them in unbounded dict caches that every query may
+grow.
 """
 
 from __future__ import annotations

@@ -1,8 +1,18 @@
+import hashlib
 import json
+from itertools import product
+from pathlib import Path
+
+import pytest
 
 from flatgeom import corpus, jsonio
 from flatgeom.cli import run_command
-from flatgeom.matroid import uniform_matroid
+from flatgeom.matroid import linear_matroid, uniform_matroid
+
+#: Exact stdout and exit code of every README CLI example, and the digest
+#: of the going-down trace file.  Change an entry only when that command's
+#: output is meant to change.
+GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -40,6 +50,17 @@ class TestRoundTrips:
         assert jsonio.effective_scenario_to_json(*loaded) == doc
 
 
+class TestGolden:
+    @pytest.mark.parametrize("case", GOLDEN["commands"], ids=lambda c: c["argv"])
+    def test_readme_command_bytes(self, case, capsys, tmp_path):
+        trace = tmp_path / "out.json"
+        code, out = run(capsys, *case["argv"].format(trace=trace).split())
+        assert (code, out) == (case["exit"], case["stdout"])
+        if "{trace}" in case["argv"]:
+            digest = hashlib.sha256(trace.read_bytes()).hexdigest()
+            assert digest == GOLDEN["trace_sha256"]
+
+
 class TestCommands:
     def test_flatness_emits_reparsable_json(self, capsys, tmp_path):
         path = tmp_path / "m.json"
@@ -60,6 +81,19 @@ class TestCommands:
         assert code == 1
         code, _ = run(capsys, "flatness", "--matroid", "corpus:uniform_2_3", "--expect-flat")
         assert code == 0
+
+    def test_expect_flat_rejects_sampled_verdict(self, capsys, tmp_path):
+        path = tmp_path / "pg32.json"
+        pg32 = linear_matroid(2, [v for v in product((0, 1), repeat=4) if any(v)])
+        path.write_text(jsonio.dumps(jsonio.matroid_to_json(pg32)))
+        code, out = run(
+            capsys,
+            "flatness", "--matroid", str(path), "--max-ground", "15",
+            "--sample", "20", "--expect-flat",
+        )
+        (doc,) = parse_lines(out)
+        assert code == 1
+        assert (doc["verdict"], doc["samples"], doc["seed"]) == ("flat-sampled", 20, 0)
 
     def test_malformed_json_exits_two_with_position(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -139,6 +173,12 @@ class TestCommands:
         (doc,) = parse_lines(out)
         assert doc["verdict"] == "excluded" and doc["rules"] == ["omega-downward"]
 
+    def test_spectrum_check_bad_member_exits_two(self, capsys):
+        code = run_command(["spectrum", "check", "--n", "2", "--set", "1,foo"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: bad spectrum set '1,foo'\n"
+
     def test_spectrum_cases_command(self, capsys):
         code, out = run(capsys, "spectrum", "cases", "--n", "2")
         (doc,) = parse_lines(out)
@@ -165,3 +205,14 @@ class TestCommands:
         (doc,) = parse_lines(out)
         assert doc["runs"][0]["status"] == "budget"
         assert doc["runs"][0]["ts"] == [0, 4]
+
+    def test_budget_env_applies_to_lambda_closure_and_ild(self, capsys, monkeypatch):
+        monkeypatch.setenv("FLATGEOM_BUDGET", "1")
+        code, out = run(
+            capsys, "lambda", "closure", "--structure", "corpus:phi_demo", "--x", "0,1"
+        )
+        (doc,) = parse_lines(out)
+        assert doc["status"] == "diverging" and doc["growth"] == [2, 3]
+        code, out = run(capsys, "ild", "--scenario", "corpus:ild_pps")
+        (doc,) = parse_lines(out)
+        assert doc["value"] == 2 and doc["certainty"] == "lower-bound-only"

@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from conftest import GF2_COLS, brute_span, powerset
 from flatgeom import corpus
 from flatgeom.errors import EmptyCollection, GroundTooLarge
-from flatgeom.flatness import check_flat, delta, is_disintegrated
-from flatgeom.matroid import free_matroid, uniform_matroid
+from flatgeom.flatness import _MeetTable, check_flat, delta, is_disintegrated
+from flatgeom.matroid import free_matroid, linear_matroid, uniform_matroid
 
 
 def paper_example_flats(gf2):
@@ -66,6 +68,43 @@ class TestDelta:
         assert delta(gf2, flats) == expected
 
 
+class TestMeetTableDelta:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_index_delta_matches_recursive_delta(self, data, small_corpus):
+        # Lists are drawn with replacement, so they hold repeats and, through
+        # the bottom and top flats and points on lines, comparable pairs.
+        m = small_corpus[data.draw(st.sampled_from(sorted(small_corpus)))]
+        flats = m.flats()
+        table = _MeetTable(m, flats)
+        picked = data.draw(
+            st.lists(st.integers(0, len(flats) - 1), min_size=1, max_size=6)
+        )
+        sets = [flats[i].as_set() for i in picked]
+        assert table.delta(picked) == delta(m, sets)
+
+    def test_empty_collection_rejected(self, gf2):
+        with pytest.raises(EmptyCollection):
+            _MeetTable(gf2, gf2.flats()).delta([])
+
+
+def least_witness(m, top):
+    """Reference flatness search: every collection of the canonically
+    sorted flats, in combinations order with sizes ascending, scored with
+    the recursive ``delta`` and ``rank``; no pruning."""
+    if is_disintegrated(m, max_ground=len(m.ground)):
+        return "disintegrated", None, None, None, None
+    flats = sorted((f.as_set() for f in m.flats()), key=lambda s: tuple(sorted(s)))
+    top = min(top, len(flats))
+    for size in range(1, top + 1):
+        for sigma in combinations(flats, size):
+            d = delta(m, sigma)
+            u = m.rank(frozenset().union(*sigma))
+            if d < u:
+                return "not-flat", top, set(sigma), d, u
+    return "flat-up-to", top, None, None, None
+
+
 class TestDisintegration:
     def test_free_matroid(self):
         assert is_disintegrated(free_matroid(3))
@@ -120,6 +159,20 @@ class TestCheckFlat:
         v1 = check_flat(gf2, 4)
         v2 = check_flat(gf2, 4)
         assert v1 == v2
+
+    @pytest.mark.parametrize("sigma", [1, 2, 3, 4])
+    def test_least_witness_matches_reference(self, sigma, small_corpus, gf3):
+        for m in [*small_corpus.values(), gf3]:
+            v = check_flat(m, sigma, max_ground=len(m.ground))
+            witness = set(v.witness.sets()) if v.witness else None
+            got = (v.kind, v.bound, witness, v.delta, v.union_dim)
+            assert got == least_witness(m, sigma)
+
+    def test_sampled_verdict_is_labelled_sampled(self):
+        # PG(3,2) is not flat, and 20 samples miss every violation.
+        pg32 = linear_matroid(2, [v for v in product((0, 1), repeat=4) if any(v)])
+        v = check_flat(pg32, 4, max_ground=15, sample=20)
+        assert (v.kind, v.bound, v.samples, v.seed) == ("flat-sampled", 4, 20, 0)
 
     def test_work_cap_guard(self, gf2):
         with pytest.raises(GroundTooLarge):
