@@ -9,7 +9,7 @@ search that had to sample collections reports "flat-sampled".
 
 The search works on the flat lattice, not on element sets.  The flats are
 indexed once, in canonical order, with a meet table (the intersection of
-two flats is a flat) and lazily looked-up joins (the closure of a union).
+two flats is a flat) and memoised joins (the closure of a union).
 Collections are visited depth first, in ``combinations`` order with sizes
 ascending, and each carries its delta down by
 
@@ -128,26 +128,13 @@ def delta(m: Matroid, sigma: Iterable) -> int:
     return total
 
 
-class _Rows(dict):
-    """Rows of a table, each made by ``make(i)`` on first use."""
-
-    def __init__(self, make):
-        super().__init__()
-        self._make = make
-
-    def __missing__(self, i):
-        row = self[i] = self._make(i)
-        return row
-
-
 class _MeetTable:
     """The flats of one matroid, indexed in the given order.
 
     ``dims[i]`` is the dimension of ``sets[i]`` and ``meet[i][j]`` the
-    index of ``sets[i] & sets[j]``.  Rows of ``meet`` are built on first
-    use, so a sampled search over many flats pays only for the rows it
-    reads.  The matroid must be a pregeometry, so that meets and joins of
-    flats are flats again; MatroidContractError is raised where one is not.
+    index of ``sets[i] & sets[j]``.  The matroid must be a pregeometry, so
+    that meets and joins of flats are flats again; MatroidContractError is
+    raised where one is not.
     """
 
     def __init__(self, m: Matroid, flats: Sequence[Flat]):
@@ -155,7 +142,7 @@ class _MeetTable:
         self.sets = [f.as_set() for f in flats]
         self.dims = [f.dim for f in flats]
         self.index = {s: i for i, s in enumerate(self.sets)}
-        self.meet = _Rows(self._meet_row)
+        self.meet = [self._meet_row(i) for i in range(len(self.sets))]
         self._joins: dict[tuple[int, int], int] = {}
         self._deltas: dict[tuple[int, ...], int] = {}
 
@@ -189,12 +176,6 @@ class _MeetTable:
     def _maximal(self, members: set[int]) -> tuple[int, ...]:
         """The members contained in no other member, ascending."""
         meet = self.meet
-        if len(members) < 3:
-            if len(members) == 1:
-                return tuple(members)
-            a, b = sorted(members)
-            x = meet[a][b]
-            return (b,) if x == a else (a,) if x == b else (a, b)
         return tuple(sorted(
             g for g in members if not any(h != g and meet[g][h] == g for h in members)
         ))

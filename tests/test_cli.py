@@ -1,12 +1,14 @@
 import hashlib
 import json
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 
 from flatgeom import corpus, jsonio
 from flatgeom.cli import run_command
+from flatgeom.errors import MatroidContractError
+from flatgeom.flatness import check_flat
 from flatgeom.matroid import linear_matroid, uniform_matroid
 
 #: Exact stdout and exit code of every README CLI example, and the digest
@@ -102,6 +104,37 @@ class TestCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert "line 1" in err and "column" in err
+
+    @pytest.mark.parametrize(
+        "ground, changed, reason",
+        [
+            # Not monotone: {2} lies in {0, 2} but cl {2} = {1, 2} does not,
+            # so the meet {2} of the flats {0, 2} and {1, 2} is not closed.
+            (3, {(2,): (1, 2), (0, 1): (0, 1, 2)}, "intersection of two flats"),
+            # Not idempotent: cl {1} = {1, 3} but cl {1, 3} is the whole
+            # ground, and the join {0, 1, 3} of {0} and {1, 3} is no flat.
+            (4, {(1,): (1, 3), (0, 1): (0, 1, 2, 3), (1, 2): (0, 1, 2, 3),
+                 (1, 3): (0, 1, 2, 3), (2, 3): (1, 2, 3)}, "not among the flats"),
+        ],
+        ids=["meet", "join"],
+    )
+    def test_flatness_on_non_pregeometry_exits_two(
+        self, capsys, tmp_path, ground, changed, reason
+    ):
+        closure = [
+            {"set": list(s), "cl": list(changed.get(s, s))}
+            for k in range(ground + 1)
+            for s in combinations(range(ground), k)
+        ]
+        doc = {"type": "closure-table", "ground": ground, "closure": closure}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(MatroidContractError, match=reason):
+            check_flat(jsonio.matroid_from_json(doc))
+        code = run_command(["flatness", "--matroid", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_unknown_flag_exits_two(self, capsys):
         code, _ = run(capsys, "flatness", "--matroid", "corpus:gf2_3", "--bogus")
