@@ -56,40 +56,35 @@ def _ids(text: str) -> tuple[int, ...]:
         raise InputError(f"expected comma-separated ids, got {text!r}") from None
 
 
-def _load_matroid(source: str) -> Matroid:
+def _load(source: str, members: dict, from_json, what: str):
+    """Build a corpus member for ``corpus:<name>``, else parse a JSON file."""
     if source.startswith("corpus:"):
         name = source.split(":", 1)[1]
-        if name not in corpus.MATROIDS:
-            raise InputError(f"no corpus matroid named {name!r}")
-        return corpus.MATROIDS[name]()
-    return jsonio.matroid_from_json(jsonio.load_file(source))
+        if name not in members:
+            raise InputError(f"no corpus {what} named {name!r}")
+        return members[name]()
+    return from_json(jsonio.load_file(source))
+
+
+def _load_matroid(source: str) -> Matroid:
+    return _load(source, corpus.MATROIDS, jsonio.matroid_from_json, "matroid")
 
 
 def _load_scenario(source: str) -> EnumeratedStructure:
-    if source.startswith("corpus:"):
-        name = source.split(":", 1)[1]
-        if name not in corpus.SCENARIOS:
-            raise InputError(f"no corpus scenario named {name!r}")
-        return corpus.SCENARIOS[name]()
-    return jsonio.scenario_from_json(jsonio.load_file(source))
+    return _load(source, corpus.SCENARIOS, jsonio.scenario_from_json, "scenario")
 
 
 def _load_structure(source: str):
-    if source.startswith("corpus:"):
-        name = source.split(":", 1)[1]
-        if name not in corpus.STRUCTURES:
-            raise InputError(f"no corpus structure named {name!r}")
-        return corpus.STRUCTURES[name]()
-    return jsonio.structure_from_json(jsonio.load_file(source))
+    return _load(source, corpus.STRUCTURES, jsonio.structure_from_json, "structure")
 
 
 def _load_effective(source: str):
-    if source.startswith("corpus:"):
-        name = source.split(":", 1)[1]
-        if name not in corpus.EFFECTIVE_SCENARIOS:
-            raise InputError(f"no corpus effective scenario named {name!r}")
-        return corpus.EFFECTIVE_SCENARIOS[name]()
-    return jsonio.effective_scenario_from_json(jsonio.load_file(source))
+    return _load(
+        source,
+        corpus.EFFECTIVE_SCENARIOS,
+        jsonio.effective_scenario_from_json,
+        "effective scenario",
+    )
 
 
 # -- command handlers ---------------------------------------------------------
@@ -297,16 +292,10 @@ def cmd_spectrum_check(args) -> int:
     profile = spectrum.TheoryProfile(args.n, args.p, args.ild)
     report = spectrum.validate_profile(profile)
     if not report.ok:
-        _emit(
-            {
-                "command": "spectrum-check",
-                "profile_ok": False,
-                "violations": [
-                    {"rule": v.rule, "message": v.message} for v in report.violations
-                ],
-            }
+        raise InputError(
+            "invalid profile: "
+            + "; ".join(f"{v.rule} ({v.message})" for v in report.violations)
         )
-        return 1
     s = _parse_spectrum_set(args.set, args.horizon)
     verdict = spectrum.classify(s, profile)
     _emit(

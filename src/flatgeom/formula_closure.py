@@ -7,6 +7,12 @@ uniform bound K.  The closure of a set X under phi is built by repeatedly
 adding every element completing an (m-1)-tuple from the current set to a
 phi-tuple, in any coordinate position.
 
+Every closure runs on one *fiber index*, mapping each fiber key
+``(position, rest)`` to the elements completing ``rest`` to a phi-tuple at
+that position.  One step adds the completions of every fiber whose rest
+lies in the current set, and every closure below iterates that step.  A
+structure indexes phi once, and a staged structure each stage once.
+
 ``EnumeratedStructure`` is the staged view: phi-tuples are revealed
 monotonically stage by stage, and an exact count oracle says how many
 members each fiber has in the limit.  A closure is *certified finite* at a
@@ -22,6 +28,7 @@ closure covers a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -29,10 +36,29 @@ from .errors import InvalidStructure, NotIndependent
 from .matroid import Matroid
 
 FiberKey = tuple[int, tuple[int, ...]]
+Fibers = dict[FiberKey, list[int]]
 
 
 def fiber_key(position: int, rest: Sequence[int]) -> FiberKey:
     return (position, tuple(rest))
+
+
+def _fibers(tuples: Iterable[tuple[int, ...]], arity: int) -> Fibers:
+    """Fiber index of the tuples: each key's completions, one per tuple."""
+    index: Fibers = {}
+    for t in tuples:
+        for j in range(arity):
+            index.setdefault(fiber_key(j, t[:j] + t[j + 1 :]), []).append(t[j])
+    return index
+
+
+def _step(index: Fibers, cur: frozenset[int]) -> frozenset[int]:
+    """Add the completions of every fiber whose rest lies in ``cur``."""
+    out = set(cur)
+    for (_, rest), completions in index.items():
+        if cur.issuperset(rest):
+            out.update(completions)
+    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -91,17 +117,13 @@ class GeometricStructure:
                     f"fiber {key} has {count} members, not below K={self.fiber_bound}"
                 )
 
+    @cached_property
+    def fibers(self) -> Fibers:
+        """Fiber index of phi."""
+        return _fibers(self.phi, self.arity)
+
     def fiber_sizes(self) -> dict[FiberKey, int]:
-        cached = getattr(self, "_fiber_sizes", None)
-        if cached is not None:
-            return cached
-        sizes: dict[FiberKey, int] = {}
-        for t in self.phi:
-            for j in range(self.arity):
-                key = fiber_key(j, t[:j] + t[j + 1 :])
-                sizes[key] = sizes.get(key, 0) + 1
-        object.__setattr__(self, "_fiber_sizes", sizes)
-        return sizes
+        return {key: len(completions) for key, completions in self.fibers.items()}
 
 
 @dataclass(frozen=True)
@@ -131,13 +153,7 @@ class LambdaResult:
 def lambda_step(g: GeometricStructure, xi: Iterable[int]) -> frozenset[int]:
     """One closure step: add every phi-fiber member whose remaining
     coordinates all lie in ``xi``."""
-    cur = frozenset(xi)
-    out = set(cur)
-    for t in g.phi:
-        for j in range(g.arity):
-            if all(t[l] in cur for l in range(g.arity) if l != j):
-                out.add(t[j])
-    return frozenset(out)
+    return _step(g.fibers, frozenset(xi))
 
 
 def lambda_closure(
@@ -223,9 +239,13 @@ class EnumeratedStructure:
                 raise InvalidStructure("stage reveals must be monotone")
         if self.stages[-1] != self.structure.phi:
             raise InvalidStructure("final stage must reveal exactly phi")
-        final_sizes = self.structure.fiber_sizes()
+        arity = self.structure.arity
         for key, count in self.counts.items():
-            revealed = final_sizes.get(key, 0)
+            if key[0] not in range(arity) or len(key[1]) != arity - 1:
+                raise InvalidStructure(
+                    f"count override {key} is not a fiber key of arity {arity}"
+                )
+            revealed = len(self.structure.fibers.get(key, ()))
             if count < revealed:
                 raise InvalidStructure(
                     f"count override {key} below its revealed size"
@@ -240,12 +260,22 @@ class EnumeratedStructure:
             raise InvalidStructure(f"stage {stage} out of range")
         return self.stages[stage - 1]
 
+    @cached_property
+    def _stage_fibers(self) -> tuple[Fibers, ...]:
+        earlier = (_fibers(s, self.structure.arity) for s in self.stages[:-1])
+        return (*earlier, self.structure.fibers)
+
+    def fibers(self, stage: int) -> Fibers:
+        """Fiber index of the tuples revealed by the stage."""
+        self.revealed(stage)  # rejects a stage out of range
+        return self._stage_fibers[stage - 1]
+
     def fiber_count(self, key: FiberKey) -> int:
         """Exact limit size of the fiber, per the count oracle."""
         override = self.counts.get(key)
         if override is not None:
             return override
-        return self.structure.fiber_sizes().get(key, 0)
+        return len(self.structure.fibers.get(key, ()))
 
     def declared_infinite(self, x: Iterable[int]) -> bool:
         if not self.infinite_seeds:
@@ -259,16 +289,10 @@ def revealed_closure(
 ) -> frozenset[int]:
     """Plain fixpoint over the tuples revealed by the stage, with no
     completeness certification."""
-    g = enum.structure
-    revealed = enum.revealed(stage)
+    index = enum.fibers(stage)
     cur = frozenset(x)
     while True:
-        nxt = set(cur)
-        for t in revealed:
-            for j in range(g.arity):
-                if all(t[l] in cur for l in range(g.arity) if l != j):
-                    nxt.add(t[j])
-        nxt = frozenset(nxt)
+        nxt = _step(index, cur)
         if nxt == cur:
             return cur
         cur = nxt
@@ -293,36 +317,21 @@ class CertifiedLambda:
 def certified_lambda(
     enum: EnumeratedStructure, x: Iterable[int], stage: int, budget: int
 ) -> CertifiedLambda:
-    g = enum.structure
-    revealed = enum.revealed(stage)
-    rev_sizes: dict[FiberKey, int] = {}
-    for t in revealed:
-        for j in range(g.arity):
-            key = fiber_key(j, t[:j] + t[j + 1 :])
-            rev_sizes[key] = rev_sizes.get(key, 0) + 1
-    limit_sizes = g.fiber_sizes()
-
-    def limit_count(key: FiberKey) -> int:
-        override = enum.counts.get(key)
-        return override if override is not None else limit_sizes.get(key, 0)
-
+    index = enum.fibers(stage)
+    # A key in neither the final index nor the overrides has revealed and
+    # limit count 0, so only these keys can ever block.
+    incomplete = sorted(
+        key
+        for key in enum.structure.fibers.keys() | enum.counts.keys()
+        if len(index.get(key, ())) != enum.fiber_count(key)
+    )
     chain = [frozenset(x)]
     for _ in range(budget):
         cur = chain[-1]
-        blocking = []
-        for rest in product(sorted(cur), repeat=g.arity - 1):
-            for j in range(g.arity):
-                key = fiber_key(j, rest)
-                if rev_sizes.get(key, 0) != limit_count(key):
-                    blocking.append(key)
+        blocking = tuple(key for key in incomplete if cur.issuperset(key[1]))
         if blocking:
-            return CertifiedLambda("pending", tuple(chain), tuple(sorted(set(blocking))))
-        nxt = set(cur)
-        for t in revealed:
-            for j in range(g.arity):
-                if all(t[l] in cur for l in range(g.arity) if l != j):
-                    nxt.add(t[j])
-        nxt = frozenset(nxt)
+            return CertifiedLambda("pending", tuple(chain), blocking)
+        nxt = _step(index, cur)
         if nxt == cur:
             return CertifiedLambda("finite", tuple(chain))
         chain.append(nxt)

@@ -103,10 +103,19 @@ def matroid_from_json(doc: Any) -> Matroid:
             return uniform_matroid(int(doc["rank"]), int(doc["size"]))
         if kind == "closure-table":
             n = int(doc["ground"])
+            if n < 0:
+                raise InputError(f"closure table ground must be non-negative, got {n}")
             table = {
                 frozenset(entry["set"]): frozenset(entry["cl"])
                 for entry in doc["closure"]
             }
+            ground = frozenset(range(n))
+            for key, cl in table.items():
+                if not key | cl <= ground:
+                    raise InputError(
+                        f"closure table entry {sorted(key)} -> {sorted(cl)} "
+                        f"leaves the ground set 0..{n - 1}"
+                    )
             return Matroid(GroundSet(tuple(range(n))), ClosureTableOracle(table))
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad matroid document: {e}") from None

@@ -452,6 +452,8 @@ def linear_matroid(
 
 
 def uniform_matroid(rank: int, size: int) -> Matroid:
+    if size < 0:
+        raise InvalidStructure(f"uniform size must be non-negative, got {size}")
     return Matroid(GroundSet(tuple(range(size))), UniformOracle(rank))
 
 

@@ -86,3 +86,64 @@ def small_corpus():
         "gf3_2",
     ]
     return {name: corpus.MATROIDS[name]() for name in names}
+
+
+# -- formula-closure references ---------------------------------------------
+#
+# Per-tuple loops over phi, written without the fiber index: the closure
+# engine in flatgeom.formula_closure is checked against these.
+
+
+def ref_step(tuples, arity, cur) -> frozenset[int]:
+    """Add every tuple coordinate whose other coordinates all lie in cur."""
+    out = set(cur)
+    for t in tuples:
+        for j in range(arity):
+            if all(t[l] in cur for l in range(arity) if l != j):
+                out.add(t[j])
+    return frozenset(out)
+
+
+def ref_revealed_closure(enum, x, stage) -> frozenset[int]:
+    tuples, arity = enum.stages[stage - 1], enum.structure.arity
+    cur = frozenset(x)
+    while True:
+        nxt = ref_step(tuples, arity, cur)
+        if nxt == cur:
+            return cur
+        cur = nxt
+
+
+def _ref_fiber_counts(tuples, arity) -> dict:
+    counts: dict = {}
+    for t in tuples:
+        for j in range(arity):
+            key = (j, t[:j] + t[j + 1 :])
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def ref_certified_lambda(enum, x, stage, budget):
+    """(status, chain, blocking), probing every (m-1)-tuple over the
+    current set in every position."""
+    arity = enum.structure.arity
+    revealed = enum.stages[stage - 1]
+    rev = _ref_fiber_counts(revealed, arity)
+    limit = _ref_fiber_counts(enum.structure.phi, arity)
+    limit.update(enum.counts)
+    chain = [frozenset(x)]
+    for _ in range(budget):
+        cur = chain[-1]
+        blocking = {
+            (j, rest)
+            for rest in product(sorted(cur), repeat=arity - 1)
+            for j in range(arity)
+            if rev.get((j, rest), 0) != limit.get((j, rest), 0)
+        }
+        if blocking:
+            return "pending", tuple(chain), tuple(sorted(blocking))
+        nxt = ref_step(revealed, arity, cur)
+        if nxt == cur:
+            return "finite", tuple(chain), ()
+        chain.append(nxt)
+    return "budget", tuple(chain), ()

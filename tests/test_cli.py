@@ -212,6 +212,67 @@ class TestCommands:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: bad spectrum set '1,foo'\n"
 
+    def test_invalid_profile_exits_two_naming_every_rule(self, capsys):
+        code = run_command(
+            ["spectrum", "check", "--n", "3", "--p", "1", "--ild", "9", "--set", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: invalid profile: p-ge-n-when-n-eq-3 (n=3 requires p >= 3, got p=1); "
+            "ild-le-n-plus-1 (ild=9 exceeds n+1=4)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, doc, fault",
+        [
+            (
+                "circuits --max-size 3 --matroid",
+                {"type": "uniform", "rank": 2, "size": -1},
+                "uniform size must be non-negative, got -1",
+            ),
+            (
+                "circuits --max-size 3 --matroid",
+                {
+                    "type": "closure-table",
+                    "ground": 2,
+                    "closure": [
+                        {"set": s, "cl": s} for s in ([], [1], [2], [1, 2])
+                    ],
+                },
+                "closure table entry [2] -> [2] leaves the ground set 0..1",
+            ),
+            (
+                "circuits --max-size 3 --matroid",
+                {"type": "closure-table", "ground": -1, "closure": [{"set": [], "cl": []}]},
+                "closure table ground must be non-negative, got -1",
+            ),
+            (
+                "lambda acl --bbar 0,1 --scenario",
+                {
+                    **jsonio.scenario_to_json(corpus.sigma1_chain()),
+                    "counts": {"5|0,3": 1},
+                },
+                "count override (5, (0, 3)) is not a fiber key of arity 3",
+            ),
+        ],
+        ids=[
+            "negative-uniform-size",
+            "table-key-off-ground",
+            "negative-table-ground",
+            "count-key-position",
+        ],
+    )
+    def test_bad_input_file_exits_two_naming_the_fault(
+        self, capsys, tmp_path, argv, doc, fault
+    ):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        code = run_command(argv.split() + [str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {fault}\n"
+
     def test_spectrum_cases_command(self, capsys):
         code, out = run(capsys, "spectrum", "cases", "--n", "2")
         (doc,) = parse_lines(out)

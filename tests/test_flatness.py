@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import GF2_COLS, brute_span, powerset
 from flatgeom import corpus
-from flatgeom.errors import EmptyCollection, GroundTooLarge
+from flatgeom.errors import EmptyCollection, GroundTooLarge, MatroidContractError
 from flatgeom.flatness import _MeetTable, check_flat, delta, is_disintegrated
 from flatgeom.matroid import free_matroid, linear_matroid, uniform_matroid
 
@@ -118,6 +118,24 @@ class TestDisintegration:
     def test_large_ground_needs_sampling(self):
         with pytest.raises(GroundTooLarge):
             is_disintegrated(uniform_matroid(3, 14))
+
+    def test_sampled_scan_answers_by_circuits(self):
+        # 15 unit vectors plus e0+e1: one 3-circuit {0, 1, 15}, which two
+        # random subsets of 16 elements are unlikely to expose.
+        cols = [tuple(int(i == j) for j in range(15)) for i in range(15)]
+        m = linear_matroid(2, cols + [(1, 1) + (0,) * 13])
+        assert [c.elements for c in m.circuits(3)] == [(0, 1, 15)]
+        assert not is_disintegrated(m, sample=2, seed=0)
+
+    @pytest.mark.parametrize("max_ground", [2, 12], ids=["sampled", "exhaustive"])
+    def test_counterexample_against_circuits_is_an_error(self, monkeypatch, max_ground):
+        # A broken circuit enumeration says uniform(2,3) has no 3-circuit,
+        # but cl {0,1} is the whole line.  Passing sample= on a small
+        # ground still runs the exhaustive cross-check.
+        m = uniform_matroid(2, 3)
+        monkeypatch.setattr(m, "circuits", lambda max_size: [])
+        with pytest.raises(MatroidContractError):
+            is_disintegrated(m, max_ground=max_ground, sample=20, seed=0)
 
 
 class TestCheckFlat:

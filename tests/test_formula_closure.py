@@ -1,7 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
 
+from conftest import ref_certified_lambda, ref_revealed_closure, ref_step
 from flatgeom import corpus
 from flatgeom.errors import InvalidStructure, NotIndependent
 from flatgeom.formula_closure import (
@@ -14,6 +16,7 @@ from flatgeom.formula_closure import (
     lambda_closure,
     lambda_step,
     psi_witness_check,
+    revealed_closure,
 )
 from flatgeom.matroid import uniform_matroid
 
@@ -88,6 +91,14 @@ class TestStructureValidation:
             GeometricStructure.of(m, [(0, 1, 2), (0, 1, 3)], 2)
         g = GeometricStructure.of(m, [(0, 1, 2), (0, 1, 3)], 3)
         assert max(g.fiber_sizes().values()) == 2
+
+    @pytest.mark.parametrize(
+        "key", [(3, (0, 1)), (-1, (0, 1)), (0, (1,)), (0, (1, 2, 3))]
+    )
+    def test_malformed_count_key_rejected(self, demo, key):
+        # Position outside range(arity), or a rest without arity-1 members.
+        with pytest.raises(InvalidStructure, match="not a fiber key of arity 3"):
+            EnumeratedStructure.of(demo, [sorted(demo.phi)], {key: 1})
 
     def test_empty_phi_rejected(self):
         with pytest.raises(InvalidStructure):
@@ -237,3 +248,48 @@ class TestRandomizedStructures:
             g = corpus.random_geometric_structure(rng)
             for key, size in g.fiber_sizes().items():
                 assert size < g.fiber_bound
+
+
+def random_staged_scenario(rng: random.Random) -> EnumeratedStructure:
+    """A random structure revealed in up to four batches, with count
+    overrides on some revealed fibers and on one fiber phi never fills."""
+    g = corpus.random_geometric_structure(rng, arity=rng.choice((2, 3)))
+    tuples = sorted(g.phi)
+    rng.shuffle(tuples)
+    n = len(tuples)
+    cuts = sorted(rng.sample(range(1, n), min(rng.randint(0, 3), n - 1))) + [n]
+    batches = [tuples[a:b] for a, b in zip([0] + cuts, cuts)]
+    sizes = g.fiber_sizes()
+    counts = {
+        key: rng.randint(sizes[key], g.fiber_bound - 1)
+        for key in rng.sample(sorted(sizes), min(3, len(sizes)))
+    }
+    key = (rng.randrange(g.arity), tuple(rng.sample(g.universe, g.arity - 1)))
+    if key not in sizes:
+        counts[key] = rng.randint(0, g.fiber_bound - 1)
+    return EnumeratedStructure.of(g, batches, counts)
+
+
+def staged_cases():
+    for name, make in corpus.SCENARIOS.items():
+        yield pytest.param(make(), id=name)
+    rng = random.Random(2024)
+    for i in range(25):
+        yield pytest.param(random_staged_scenario(rng), id=f"random#{i}")
+
+
+class TestEngineAgainstReference:
+    """The fiber-index engine against per-tuple loops over phi."""
+
+    @pytest.mark.parametrize("enum", staged_cases())
+    def test_every_stage_and_small_set(self, enum):
+        g = enum.structure
+        sets = [c for size in range(4) for c in combinations(g.universe, size)]
+        for x in sets:
+            assert lambda_step(g, x) == ref_step(g.phi, g.arity, frozenset(x))
+            for stage in range(1, enum.final_stage + 1):
+                assert revealed_closure(enum, x, stage) == ref_revealed_closure(enum, x, stage)
+                for budget in (1, len(g.universe)):
+                    res = certified_lambda(enum, x, stage, budget)
+                    want = ref_certified_lambda(enum, x, stage, budget)
+                    assert (res.status, res.chain, res.blocking) == want, (x, stage)
