@@ -3,7 +3,8 @@
 Every command prints line-oriented JSON with sorted keys and a schema
 version field, so identical inputs give byte-identical outputs.  Exit
 codes: 0 on success, 1 when an --expect-* assertion fails, 2 on input
-errors (including malformed JSON, reported with line/column).
+or usage errors (including malformed JSON, reported with line/column),
+each reported as one ``error:`` line on stderr.
 
 Inputs are file paths; ``corpus:<name>`` loads a bundled member instead.
 The FLATGEOM_BUDGET environment variable overrides default search budgets.
@@ -272,8 +273,11 @@ def cmd_effective_going_down(args) -> int:
                 for r in trace.records
             ],
         }
-        with open(args.trace, "w") as fh:
-            fh.write(jsonio.dumps(full) + "\n")
+        try:
+            with open(args.trace, "w") as fh:
+                fh.write(jsonio.dumps(full) + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write {args.trace}: {e}") from None
     if args.expect_iso and not report.ok:
         return 1
     return 0
@@ -368,10 +372,15 @@ def cmd_corpus_check(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one InputError line, not the usage text."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="flatgeom", description="finite pregeometry toolkit"
-    )
+    parser = _Parser(prog="flatgeom", description="finite pregeometry toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_matroid(p):
@@ -474,13 +483,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
+    except SystemExit as e:
+        # --help prints to stdout and exits 0.
+        return 2 if e.code else 0
     except FlatgeomError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

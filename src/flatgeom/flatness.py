@@ -31,12 +31,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptyCollection, GroundTooLarge, MatroidContractError
-from .matroid import DEFAULT_VERIFY_BOUND, Flat, Matroid, canon
+from .errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
+from .matroid import DEFAULT_VERIFY_BOUND, Flat, Matroid, canon, size_lex, subset_universe
 
 #: Default cap on |Sigma| in the violation search; the classic violations
 #: need four flats.
@@ -55,7 +54,7 @@ def _as_flat_sets(m: Matroid, sigma: Iterable) -> list[frozenset[int]]:
             sets.add(member.as_set())
         else:
             sets.add(frozenset(member))
-    return sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+    return sorted(sets, key=size_lex)
 
 
 @dataclass(frozen=True)
@@ -251,30 +250,17 @@ def is_disintegrated(
     """True iff closure of every set is the union of singleton closures.
 
     Computed both from the definition and from the absence of circuits of
-    size >= 3; the two must agree on a valid matroid.  Above ``max_ground``
-    the definition is checked only on ``sample`` random subsets, which can
-    miss a counterexample but not invent one: the answer is then the
-    circuit criterion, and a sampled counterexample it denies is an error.
+    size >= 3; the two must agree on a valid matroid.  The circuit
+    criterion is ``smallest_circuit_param``, which stops at the first
+    circuit of size >= 3.  Above ``max_ground`` the definition is checked
+    only on ``sample`` random subsets, which can miss a counterexample but
+    not invent one: the answer is then the circuit criterion, and a
+    sampled counterexample it denies is an error.
     """
-    n = len(m.ground)
     elems = m.ground.elements
     cl_empty = m.closure(())
     singles = {e: m.closure((e,)) for e in elems}
-
-    sampled = n > max_ground
-    if sampled:
-        if sample is None:
-            raise GroundTooLarge(f"ground has {n} elements; pass sample=")
-        rng = random.Random(seed)
-        universe = [
-            frozenset(e for e in elems if rng.random() < 0.5) for _ in range(sample)
-        ]
-    else:
-        universe = [
-            frozenset(c)
-            for size in range(n + 1)
-            for c in combinations(elems, size)
-        ]
+    universe, sampled = subset_universe(elems, max_ground, sample, seed)
 
     by_definition = True
     for a_set in universe:
@@ -283,9 +269,11 @@ def is_disintegrated(
             by_definition = False
             break
 
-    by_circuits = not any(
-        c.size >= 3 for c in m.circuits(min(len(elems), m.full_rank + 1))
-    )
+    try:
+        m.smallest_circuit_param()
+        by_circuits = False
+    except NoLargeCircuit:
+        by_circuits = True
     if by_definition != by_circuits and not (sampled and by_definition):
         raise MatroidContractError(
             "disintegration by definition and by circuit criterion disagree"

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidStructure, NotIndependent
-from .matroid import Matroid
+from .matroid import Matroid, subsets
 
 FiberKey = tuple[int, tuple[int, ...]]
 Fibers = dict[FiberKey, list[int]]
@@ -417,9 +417,8 @@ def ild_estimate(
     cap = max_tuple_size if max_tuple_size is not None else g.arity
 
     buckets: dict[int, list[tuple[int, ...]]] = {}
-    for size in range(cap + 1):
-        for combo in combinations(g.universe, size):
-            buckets.setdefault(matroid.rank(combo), []).append(combo)
+    for combo in subsets(g.universe, cap):
+        buckets.setdefault(matroid.rank(combo), []).append(combo)
 
     for dim in sorted(buckets):
         saw_budget = False

@@ -27,10 +27,14 @@ from .matroid import (
     Matroid,
     UniformOracle,
     linear_matroid,
+    size_lex,
     uniform_matroid,
 )
 
 SCHEMA_VERSION = 1
+
+#: What reading a missing key or a value of the wrong type or size raises.
+_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def dumps(obj: Any) -> str:
@@ -82,9 +86,7 @@ def matroid_to_json(m: Matroid) -> dict:
         "ground": len(m.ground),
         "closure": [
             {"set": sorted(k), "cl": sorted(v)}
-            for k, v in sorted(
-                oracle.table.items(), key=lambda kv: (len(kv[0]), sorted(kv[0]))
-            )
+            for k, v in sorted(oracle.table.items(), key=lambda kv: size_lex(kv[0]))
         ],
     }
 
@@ -117,7 +119,7 @@ def matroid_from_json(doc: Any) -> Matroid:
                         f"leaves the ground set 0..{n - 1}"
                     )
             return Matroid(GroundSet(tuple(range(n))), ClosureTableOracle(table))
-    except (KeyError, TypeError, ValueError) as e:
+    except _BAD_VALUE as e:
         raise InputError(f"bad matroid document: {e}") from None
     raise InputError(f"unknown matroid type {kind!r}")
 
@@ -144,7 +146,7 @@ def structure_from_json(doc: Any) -> GeometricStructure:
         if g.arity != int(doc["phi"]["arity"]):
             raise InputError("declared arity disagrees with the tuples")
         return g
-    except (KeyError, TypeError, ValueError) as e:
+    except _BAD_VALUE as e:
         raise InputError(f"bad structure document: {e}") from None
 
 
@@ -178,18 +180,17 @@ def scenario_to_json(enum: EnumeratedStructure) -> dict:
 def scenario_from_json(doc: Any) -> EnumeratedStructure:
     g = structure_from_json(doc)
     try:
+        # Without stages, phi is revealed in one stage.
         reveal = [
             [tuple(t) for t in stage["reveal"]] for stage in doc.get("stages", [])
-        ]
+        ] or [sorted(g.phi)]
         counts = {
             _fiber_key_parse(k): int(v) for k, v in doc.get("counts", {}).items()
         }
         seeds = [frozenset(s) for s in doc.get("infinite_seeds", [])]
-    except (KeyError, TypeError, ValueError) as e:
+        return EnumeratedStructure.of(g, reveal, counts, seeds)
+    except _BAD_VALUE as e:
         raise InputError(f"bad scenario document: {e}") from None
-    if not reveal:
-        return EnumeratedStructure.complete(g)
-    return EnumeratedStructure.of(g, reveal, counts, seeds)
 
 
 # -- effective scenarios ------------------------------------------------------
@@ -213,7 +214,7 @@ def relational_from_json(doc: Any) -> RelationalStructure:
             for name, spec in doc["relations"].items()
         }
         return RelationalStructure.of(range(n), rels)
-    except (KeyError, TypeError, ValueError) as e:
+    except _BAD_VALUE as e:
         raise InputError(f"bad relational structure: {e}") from None
 
 
@@ -280,5 +281,5 @@ def effective_scenario_from_json(
             raise InputError("A and A_stages disagree")
         horizon = int(doc["horizon"])
         return presentation, membership, enumeration, horizon
-    except (KeyError, TypeError, ValueError) as e:
+    except _BAD_VALUE as e:
         raise InputError(f"bad effective scenario: {e}") from None

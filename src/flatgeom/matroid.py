@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     GroundTooLarge,
@@ -39,6 +39,37 @@ DEFAULT_VERIFY_BOUND = 12
 def canon(elements: Iterable[int]) -> tuple[int, ...]:
     """Canonical form of a subset: strictly increasing tuple of ids."""
     return tuple(sorted(set(elements)))
+
+
+def size_lex(subset: Iterable[int]) -> tuple[int, tuple[int, ...]]:
+    """Sort key of the (size, lex) order in which every scan reports."""
+    elems = tuple(sorted(subset))
+    return len(elems), elems
+
+
+def subsets(
+    elements: Sequence[int], max_size: Optional[int] = None, min_size: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Subsets of ``elements`` with ``min_size`` to ``max_size`` (default:
+    all) members, lazily, in (size, lex) order if ``elements`` ascends."""
+    top = len(elements) if max_size is None else max_size
+    for size in range(min_size, top + 1):
+        yield from combinations(elements, size)
+
+
+def subset_universe(
+    elements: Sequence[int], max_ground: int, sample: Optional[int], seed: int
+) -> tuple[Iterator[frozenset[int]], bool]:
+    """The subsets an axiom scan checks, and whether they are sampled: all
+    of them up to ``max_ground`` elements, else ``sample`` random ones
+    drawn with ``seed`` (GroundTooLarge without ``sample``)."""
+    n = len(elements)
+    if n <= max_ground:
+        return (frozenset(c) for c in subsets(elements)), False
+    if sample is None:
+        raise GroundTooLarge(f"ground has {n} elements (> {max_ground}); pass sample=")
+    rng = random.Random(seed)
+    return (frozenset(e for e in elements if rng.random() < 0.5) for _ in range(sample)), True
 
 
 def _rank_mod_p(vectors: Sequence[Sequence[int]], q: int) -> int:
@@ -116,6 +147,8 @@ class LinearOracle:
     def __post_init__(self):
         if not _is_prime(self.field):
             raise InvalidStructure(f"field order {self.field} is not prime")
+        if not all(isinstance(c, int) for col in self.columns for c in col):
+            raise InvalidStructure("column entries must be integers")
         cols = tuple(tuple(c % self.field for c in col) for col in self.columns)
         if cols and len({len(c) for c in cols}) != 1:
             raise InvalidStructure("all columns must have the same length")
@@ -300,47 +333,46 @@ class Matroid:
     # -- flats and circuits ----------------------------------------------
 
     def flats(self) -> list[Flat]:
-        """All closed subsets, as closures of independent sets.
+        """All closed subsets, sorted by (size, elements); deterministic."""
+        return [Flat(canon(s), self.rank(s)) for s in self._closed_sets(self.full_rank)]
 
-        Sorted by (size, elements); deterministic.
-        """
-        seen: set[frozenset[int]] = set()
-        r = self.full_rank
-        for size in range(r + 1):
-            for combo in combinations(self.ground.elements, size):
-                if self.is_independent(combo):
-                    seen.add(self.closure(combo))
-        flats = [Flat(canon(s), self.rank(s)) for s in seen]
-        flats.sort(key=lambda f: (len(f.elements), f.elements))
-        return flats
+    def _closed_sets(self, max_rank: int) -> list[frozenset[int]]:
+        """The flats of rank <= ``max_rank`` in (size, lex) order, as the
+        closures of the independent sets of at most ``max_rank`` elements.
+        The one flat enumerator: ``pps_find_cycle`` takes its nets from it."""
+        seen = {
+            self.closure(combo)
+            for combo in subsets(self.ground.elements, max_rank)
+            if self.is_independent(combo)
+        }
+        return sorted(seen, key=size_lex)
+
+    def _circuits(self, min_size: int, max_size: int) -> Iterator[Circuit]:
+        """Circuits with ``min_size`` to ``max_size`` elements, lazily, in
+        (size, lex) order."""
+        for combo in subsets(self.ground.elements, max_size, min_size):
+            s = frozenset(combo)
+            if not self.is_independent(s) and all(
+                self.is_independent(s - {e}) for e in combo
+            ):
+                yield Circuit(combo)
 
     def circuits(self, max_size: int) -> list[Circuit]:
         """All circuits of size <= max_size, in (size, lex) order."""
         if max_size < 1:
             raise InvalidStructure("max_size must be >= 1")
-        found: list[Circuit] = []
-        for size in range(1, max_size + 1):
-            for combo in combinations(self.ground.elements, size):
-                s = frozenset(combo)
-                if self.is_independent(s):
-                    continue
-                if all(
-                    self.is_independent(s - {e}) for e in combo
-                ):
-                    found.append(Circuit(canon(combo)))
-        return found
+        return list(self._circuits(1, max_size))
 
     def smallest_circuit_param(self) -> tuple[int, int]:
         """(m, n) with m the size of the smallest circuit of size > 2 and
-        n = m - 1.  Raises NoLargeCircuit when no such circuit exists."""
+        n = m - 1.  Raises NoLargeCircuit when no such circuit exists.
+
+        The search stops at the first such circuit; none is larger than
+        rank + 1.
+        """
         limit = min(len(self.ground), self.full_rank + 1)
-        for size in range(3, limit + 1):
-            for combo in combinations(self.ground.elements, size):
-                s = frozenset(combo)
-                if not self.is_independent(s) and all(
-                    self.is_independent(s - {e}) for e in combo
-                ):
-                    return size, size - 1
+        for c in self._circuits(3, limit):
+            return c.size, c.size - 1
         raise NoLargeCircuit("all circuits have size <= 2")
 
     def carousel_check(
@@ -383,27 +415,8 @@ class Matroid:
         random subsets to test) or GroundTooLarge is raised.  Returns the
         first violation found, in a deterministic scan order.
         """
-        n = len(self.ground)
         elems = self.ground.elements
-        sampled = False
-        if n > max_ground:
-            if sample is None:
-                raise GroundTooLarge(
-                    f"ground has {n} elements (> {max_ground}); pass sample="
-                )
-            rng = random.Random(seed)
-            universe = [
-                frozenset(e for e in elems if rng.random() < 0.5)
-                for _ in range(sample)
-            ]
-            sampled = True
-        else:
-            universe = [
-                frozenset(c)
-                for size in range(n + 1)
-                for c in combinations(elems, size)
-            ]
-
+        universe, sampled = subset_universe(elems, max_ground, sample, seed)
         checked = 0
         for a_set in universe:
             checked += 1
@@ -475,12 +488,7 @@ def table_from_matroid(m: Matroid) -> dict[frozenset[int], frozenset[int]]:
     n = len(m.ground)
     if n > DEFAULT_VERIFY_BOUND:
         raise GroundTooLarge(f"refusing to tabulate 2**{n} subsets")
-    out: dict[frozenset[int], frozenset[int]] = {}
-    for size in range(n + 1):
-        for combo in combinations(m.ground.elements, size):
-            s = frozenset(combo)
-            out[s] = m.closure(s)
-    return out
+    return {frozenset(c): m.closure(c) for c in subsets(m.ground.elements)}
 
 
 def sparse_paving_matroid(
@@ -512,9 +520,8 @@ def sparse_paving_matroid(
         return rank
 
     table: dict[frozenset[int], frozenset[int]] = {}
-    for sz in range(size + 1):
-        for combo in combinations(ground, sz):
-            s = frozenset(combo)
-            r = rk(s)
-            table[s] = frozenset(e for e in ground if rk(s | {e}) == r)
+    for combo in subsets(ground):
+        s = frozenset(combo)
+        r = rk(s)
+        table[s] = frozenset(e for e in ground if rk(s | {e}) == r)
     return closure_table_matroid(size, table)

@@ -14,7 +14,6 @@ takes the smallest candidate id, "all-branches" explores the whole tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import InvalidConfig, InvalidElement, InvalidSequence
@@ -213,33 +212,20 @@ def pps_verify(m: Matroid, seq: PPSSequence) -> PPSReport:
     return PPSReport(config_valid, steps_valid, outside, injective, detail)
 
 
-def _candidate_nets(m: Matroid) -> list[frozenset[int]]:
-    """Nets worth searching: closed sets of rank <= rank(ground) - 3.
-
-    A configuration depends on its net only through the net's closure, and
-    any valid configuration forces rank(net) + 3 <= rank(ground), so
-    searching these flats covers every configuration up to equivalence.
-    """
-    budget_rank = m.full_rank - 3
-    if budget_rank < 0:
-        return []
-    seen: set[frozenset[int]] = set()
-    for size in range(budget_rank + 1):
-        for combo in combinations(m.ground.elements, size):
-            if m.is_independent(combo):
-                seen.add(m.closure(combo))
-    return sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
-
-
 def pps_find_cycle(m: Matroid, budget: int = 64) -> CycleSearch:
-    """Search every configuration (nets as in ``_candidate_nets``, ordered
-    paddle pairs and starts ascending) and every branch for a cyclic PPS.
+    """Search every configuration and every branch for a cyclic PPS.
 
-    The first cycle in this fixed order is returned as the least witness.
+    Configurations come net by net, then ordered paddle pairs and starts
+    ascending.  The nets are the flats of rank <= rank(ground) - 3 in
+    (size, lex) order: a configuration depends on its net only through the
+    net's closure, and any valid configuration forces rank(net) + 3 <=
+    rank(ground), so these flats cover every configuration up to
+    equivalence.  The first cycle in this fixed order is returned as the
+    least witness.
     """
     exhausted = True
     searched = 0
-    for net in _candidate_nets(m):
+    for net in m._closed_sets(m.full_rank - 3):
         for a1 in m.ground.elements:
             for a2 in m.ground.elements:
                 if a1 == a2:

@@ -88,6 +88,24 @@ def small_corpus():
     return {name: corpus.MATROIDS[name]() for name in names}
 
 
+@pytest.fixture(scope="session")
+def scan_corpus(small_corpus, gf3):
+    """``small_corpus`` plus gf3_3, whose 13 points need max_ground=13."""
+    return {**small_corpus, "gf3_3": gf3}
+
+
+def ref_flats(m) -> list[frozenset[int]]:
+    """Every subset equal to its brute closure, {e : rank(S + e) = rank(S)},
+    in (size, lex) order.  Reads the rank oracle only, never the flat
+    enumerator."""
+    ground = m.ground.elements
+    return [
+        frozenset(s)
+        for s in powerset(ground)
+        if all(m.rank(s + (e,)) > m.rank(s) for e in ground if e not in s)
+    ]
+
+
 # -- formula-closure references ---------------------------------------------
 #
 # Per-tuple loops over phi, written without the fiber index: the closure

@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
+import re
 from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatgeom import corpus, jsonio
 from flatgeom.cli import run_command
 from flatgeom.errors import MatroidContractError
 from flatgeom.flatness import check_flat
+from flatgeom.formula_closure import ild_estimate
 from flatgeom.matroid import linear_matroid, uniform_matroid
 
 #: Exact stdout and exit code of every README CLI example, and the digest
@@ -44,6 +50,15 @@ class TestRoundTrips:
         doc = jsonio.scenario_to_json(enum)
         again = jsonio.scenario_from_json(json.loads(jsonio.dumps(doc)))
         assert jsonio.scenario_to_json(again) == doc
+
+    def test_scenario_without_stages_keeps_counts_and_seeds(self):
+        enum = corpus.ild_pps()
+        doc = jsonio.scenario_to_json(enum)
+        del doc["stages"]
+        again = jsonio.scenario_from_json(doc)
+        assert (again.counts, again.infinite_seeds) == (enum.counts, enum.infinite_seeds)
+        assert again.stages == (enum.structure.phi,)
+        assert ild_estimate(again).value == 3
 
     def test_effective_scenario_round_trip(self):
         pres, mem, enum, horizon = corpus.going_down_demo()
@@ -139,6 +154,31 @@ class TestCommands:
     def test_unknown_flag_exits_two(self, capsys):
         code, _ = run(capsys, "flatness", "--matroid", "corpus:gf2_3", "--bogus")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, fault",
+        [
+            ("flatness --matroid corpus:gf2_3 --bogus", "flatgeom: unrecognized arguments: --bogus"),
+            ("lambda acl --scenario corpus:sigma1_chain --bbar -2,1",
+             "flatgeom lambda acl: argument --bbar: expected one argument"),
+            ("pps", "flatgeom pps: the following arguments are required: sub"),
+        ],
+        ids=["unknown-flag", "option-like-value", "missing-subcommand"],
+    )
+    def test_usage_error_exits_two_with_one_line(self, capsys, argv, fault):
+        code = run_command(argv.split())
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: {fault}\n"
+
+    def test_unwritable_trace_exits_two_with_one_line(self, capsys, tmp_path):
+        trace = tmp_path / "missing" / "out.json"
+        code = run_command(
+            ["effective", "going-down", "--scenario", "corpus:going_down_demo", "--trace", str(trace)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {trace}: ") and err.count("\n") == 1
 
     def test_pps_run_command(self, capsys):
         code, out = run(
@@ -255,19 +295,46 @@ class TestCommands:
                 },
                 "count override (5, (0, 3)) is not a fiber key of arity 3",
             ),
+            (
+                "circuits --max-size 3 --matroid",
+                '{"type":"linear","field":1e400,"columns":[[1]]}',
+                "bad matroid document: cannot convert float infinity to integer",
+            ),
+            (
+                "flatness --matroid",
+                '{"type":"uniform","rank":1e400,"size":3}',
+                "bad matroid document: cannot convert float infinity to integer",
+            ),
+            (
+                "circuits --max-size 3 --matroid",
+                {"type": "linear", "field": 2, "columns": [[0.5]]},
+                "column entries must be integers",
+            ),
+            (
+                "ild --scenario",
+                {
+                    **jsonio.scenario_to_json(corpus.sigma1_chain()),
+                    "stages": [{"reveal": [[0, [1], 2]]}],
+                },
+                "bad scenario document: unhashable type: 'list'",
+            ),
         ],
         ids=[
             "negative-uniform-size",
             "table-key-off-ground",
             "negative-table-ground",
             "count-key-position",
+            "overflowing-field",
+            "overflowing-rank",
+            "fractional-column-entry",
+            "list-in-revealed-tuple",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(
         self, capsys, tmp_path, argv, doc, fault
     ):
         path = tmp_path / "in.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         code = run_command(argv.split() + [str(path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -310,3 +377,109 @@ class TestCommands:
         code, out = run(capsys, "ild", "--scenario", "corpus:ild_pps")
         (doc,) = parse_lines(out)
         assert doc["value"] == 2 and doc["certainty"] == "lower-bound-only"
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+#: One command per corpus JSON kind, reading the file named last.
+FUZZ_FILE_COMMANDS = {
+    "matroid": [
+        "circuits --max-size 3 --matroid",
+        "flatness --matroid",
+        "pregeom verify --matroid",
+    ],
+    "structure": ["lambda closure --x 0,1 --structure"],
+    "scenario": ["ild --scenario", "lambda acl --bbar 0,1 --scenario"],
+    "effective": ["effective going-down --scenario"],
+}
+
+
+def _corpus_documents():
+    docs = [("matroid", jsonio.matroid_to_json(make())) for make in corpus.MATROIDS.values()]
+    docs += [("structure", jsonio.structure_to_json(make())) for make in corpus.STRUCTURES.values()]
+    docs += [("scenario", jsonio.scenario_to_json(make())) for make in corpus.SCENARIOS.values()]
+    docs += [
+        ("effective", jsonio.effective_scenario_to_json(*make()))
+        for make in corpus.EFFECTIVE_SCENARIOS.values()
+    ]
+    return docs
+
+
+CORPUS_DOCUMENTS = _corpus_documents()
+
+
+def _leaf_paths(doc, path=()):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+def _replace_leaf(doc, path, value):
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    out[head] = _replace_leaf(doc[head], rest, value)
+    return out
+
+
+#: Values a scalar leaf can take: small ints, floats up to overflow, short
+#: strings, null and short lists, so no document asks for a large search.
+FUZZ_LEAF = st.one_of(
+    st.integers(-2, 20),
+    st.floats(-2, 20),
+    st.sampled_from([1e400, -1e400, float("nan")]),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(-2, 20), max_size=3),
+)
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contained(code, err):
+    assert code in (0, 1, 2)
+    assert err == "" or (err.endswith("\n") and err.count("\n") == 1), err
+
+
+class TestFuzz:
+    """Mutated README commands and corpus files: every run ends with exit
+    0, 1 or 2 and at most one stderr line, never an escaped exception."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_readme_argv_with_mutated_ints(self, data, tmp_path_factory):
+        case = data.draw(st.sampled_from(GOLDEN["commands"]))
+        trace = tmp_path_factory.mktemp("fuzz") / "trace.json"
+        argv = []
+        for token in case["argv"].split():
+            if not token.startswith("corpus:"):
+                token = re.sub(
+                    r"\d+", lambda m: str(data.draw(st.integers(-2, 20))), token
+                )
+            argv.append(token.format(trace=trace))
+        code, _, err = _run_in_process(argv)
+        _assert_contained(code, err)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_corpus_file_with_one_leaf_replaced(self, data, tmp_path_factory):
+        kind, doc = data.draw(st.sampled_from(CORPUS_DOCUMENTS))
+        path = data.draw(st.sampled_from(list(_leaf_paths(doc))))
+        mutated = _replace_leaf(doc, path, data.draw(FUZZ_LEAF))
+        command = data.draw(st.sampled_from(FUZZ_FILE_COMMANDS[kind]))
+        target = tmp_path_factory.mktemp("fuzz") / "in.json"
+        target.write_text(json.dumps(mutated))
+        code, _, err = _run_in_process(command.split() + [str(target)])
+        _assert_contained(code, err)
+

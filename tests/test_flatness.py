@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import GF2_COLS, brute_span, powerset
 from flatgeom import corpus
-from flatgeom.errors import EmptyCollection, GroundTooLarge, MatroidContractError
+from flatgeom.errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
 from flatgeom.flatness import _MeetTable, check_flat, delta, is_disintegrated
 from flatgeom.matroid import free_matroid, linear_matroid, uniform_matroid
 
@@ -127,13 +127,22 @@ class TestDisintegration:
         assert [c.elements for c in m.circuits(3)] == [(0, 1, 15)]
         assert not is_disintegrated(m, sample=2, seed=0)
 
+    def test_iff_no_circuit_of_size_three_or_more(self, scan_corpus):
+        for name, m in scan_corpus.items():
+            large = [c for c in m.circuits(len(m.ground)) if c.size >= 3]
+            assert is_disintegrated(m, max_ground=len(m.ground)) == (not large), name
+
     @pytest.mark.parametrize("max_ground", [2, 12], ids=["sampled", "exhaustive"])
     def test_counterexample_against_circuits_is_an_error(self, monkeypatch, max_ground):
-        # A broken circuit enumeration says uniform(2,3) has no 3-circuit,
-        # but cl {0,1} is the whole line.  Passing sample= on a small
-        # ground still runs the exhaustive cross-check.
+        # A broken circuit search says uniform(2,3) has no 3-circuit, but
+        # cl {0,1} is the whole line.  Passing sample= on a small ground
+        # still runs the exhaustive cross-check.
         m = uniform_matroid(2, 3)
-        monkeypatch.setattr(m, "circuits", lambda max_size: [])
+
+        def no_large_circuit():
+            raise NoLargeCircuit("all circuits have size <= 2")
+
+        monkeypatch.setattr(m, "smallest_circuit_param", no_large_circuit)
         with pytest.raises(MatroidContractError):
             is_disintegrated(m, max_ground=max_ground, sample=20, seed=0)
 

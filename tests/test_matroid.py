@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GF2_COLS, brute_rank, brute_span, powerset
+from conftest import GF2_COLS, brute_rank, brute_span, powerset, ref_flats
 from flatgeom import corpus
 from flatgeom.errors import (
     GroundTooLarge,
@@ -133,7 +133,32 @@ class TestCircuits:
                 assert contains == (not m.is_independent(s))
 
 
+class TestFlats:
+    def test_flats_are_the_closed_subsets(self, scan_corpus):
+        for name, m in scan_corpus.items():
+            ref = ref_flats(m)
+            assert [(f.as_set(), f.dim) for f in m.flats()] == [
+                (s, m.rank(s)) for s in ref
+            ], name
+
+    def test_rank_bounded_flats_at_every_bound(self, scan_corpus):
+        for name, m in scan_corpus.items():
+            ref = ref_flats(m)
+            for bound in range(-1, m.full_rank + 1):
+                want = [s for s in ref if m.rank(s) <= bound]
+                assert m._closed_sets(bound) == want, (name, bound)
+
+
 class TestSmallestCircuit:
+    def test_least_circuit_of_size_three_or_more(self, scan_corpus):
+        for name, m in scan_corpus.items():
+            sizes = [c.size for c in m.circuits(len(m.ground)) if c.size >= 3]
+            if sizes:
+                assert m.smallest_circuit_param() == (sizes[0], sizes[0] - 1), name
+            else:
+                with pytest.raises(NoLargeCircuit):
+                    m.smallest_circuit_param()
+
     def test_uniform_2_3(self):
         assert uniform_matroid(2, 3).smallest_circuit_param() == (3, 2)
 
