@@ -127,13 +127,24 @@ def delta(m: Matroid, sigma: Iterable) -> int:
     return total
 
 
+class _Rows(dict):
+    """A dict that builds a missing row with ``make(key)`` and keeps it."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        row = self[key] = self.make(key)
+        return row
+
+
 class _MeetTable:
     """The flats of one matroid, indexed in the given order.
 
     ``dims[i]`` is the dimension of ``sets[i]`` and ``meet[i][j]`` the
-    index of ``sets[i] & sets[j]``.  The matroid must be a pregeometry, so
-    that meets and joins of flats are flats again; MatroidContractError is
-    raised where one is not.
+    index of ``sets[i] & sets[j]``, each row built when first read.  The
+    matroid must be a pregeometry, so that meets and joins of flats are
+    flats again; MatroidContractError is raised where one read is not.
     """
 
     def __init__(self, m: Matroid, flats: Sequence[Flat]):
@@ -141,7 +152,7 @@ class _MeetTable:
         self.sets = [f.as_set() for f in flats]
         self.dims = [f.dim for f in flats]
         self.index = {s: i for i, s in enumerate(self.sets)}
-        self.meet = [self._meet_row(i) for i in range(len(self.sets))]
+        self.meet = _Rows(self._meet_row)
         self._joins: dict[tuple[int, int], int] = {}
         self._deltas: dict[tuple[int, ...], int] = {}
 
@@ -285,7 +296,6 @@ def check_flat(
     m: Matroid,
     max_collection_size: int = DEFAULT_MAX_SIGMA,
     exhaustive: bool = False,
-    work_cap: int = DEFAULT_WORK_CAP,
     max_ground: int = DEFAULT_VERIFY_BOUND,
     sample: Optional[int] = None,
     seed: int = 0,
@@ -296,9 +306,9 @@ def check_flat(
     the lexicographically least violating collection (sizes ascending,
     flats in canonical order) or a flat verdict.  ``exhaustive`` widens the
     search to every collection of every flat.  If the estimated work
-    exceeds ``work_cap``, ``sample`` random collections drawn with ``seed``
-    are checked instead, and a clean result is "flat-sampled"; without a
-    ``sample`` count GroundTooLarge is raised.  The estimate is the number
+    exceeds DEFAULT_WORK_CAP, ``sample`` random collections drawn with
+    ``seed`` are checked instead, and a clean result is "flat-sampled";
+    without a ``sample`` count GroundTooLarge is raised.  The estimate is the number
     of subset terms in scoring every collection from scratch, the sum over
     sizes s of C(n, s) * 2**s for n flats.
     """
@@ -312,7 +322,7 @@ def check_flat(
     top = nflats if exhaustive else min(max_collection_size, nflats)
 
     work = sum(comb(nflats, s) * (1 << s) for s in range(1, top + 1))
-    sampled = work > work_cap
+    sampled = work > DEFAULT_WORK_CAP
     if sampled and sample is None:
         raise GroundTooLarge(
             f"{nflats} flats -> ~{work} subset terms exceeds work cap; "

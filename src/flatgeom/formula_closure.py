@@ -169,7 +169,7 @@ def lambda_closure(
         budget = len(g.universe)
     if budget < 1:
         raise InvalidStructure("budget must be >= 1")
-    chain = [frozenset(x)]
+    chain = [g.matroid._check(x)]
     for i in range(budget):
         nxt = lambda_step(g, chain[-1])
         if nxt == chain[-1]:
@@ -359,6 +359,8 @@ def acl_enumerate_via_lambda(
     The emitted set is monotone in the stage by construction.  ``bbar``
     must be an independent tuple of size equal to the circuit dimension.
     """
+    if budget < 1:
+        raise InvalidStructure("budget must be >= 1")
     g = enum.structure
     base = frozenset(bbar)
     if len(base) != g.circuit_dim:
@@ -398,26 +400,23 @@ class IldEstimate:
     certainty: str
 
 
-def ild_estimate(
-    enum: EnumeratedStructure,
-    budget: Optional[int] = None,
-    max_tuple_size: Optional[int] = None,
-) -> IldEstimate:
+def ild_estimate(enum: EnumeratedStructure, budget: Optional[int] = None) -> IldEstimate:
     """Search sets by increasing matroid dimension for a certified-infinite
     closure.
 
-    Sets of size up to ``max_tuple_size`` (default: the relation arity,
-    which covers the independent seeds that drive growth) are bucketed by
-    dimension and scanned in (size, lex) order.
+    Sets of size up to the relation arity, which covers the independent
+    seeds that drive growth, are bucketed by dimension and scanned in
+    (size, lex) order.
     """
     g = enum.structure
     matroid = g.matroid
     if budget is None:
         budget = len(g.universe)
-    cap = max_tuple_size if max_tuple_size is not None else g.arity
+    if budget < 1:
+        raise InvalidStructure("budget must be >= 1")
 
     buckets: dict[int, list[tuple[int, ...]]] = {}
-    for combo in subsets(g.universe, cap):
+    for combo in subsets(g.universe, g.arity):
         buckets.setdefault(matroid.rank(combo), []).append(combo)
 
     for dim in sorted(buckets):

@@ -1,14 +1,16 @@
 """Finite pregeometries (matroids) behind a rank/closure oracle.
 
 A matroid is given by a ground set of small integer ids plus one of three
-oracle families:
+oracle families.  Each oracle answers both queries itself, as
+``rank(s, ground)`` and ``closure(s, ground)``:
 
-* ``LinearOracle`` - elements are column vectors over a prime field GF(q);
-  rank is computed by Gaussian elimination and closure by span membership.
+* ``LinearOracle`` - elements are column vectors over a prime field GF(q).
+  Both queries start from one echelon basis of the columns of s: rank is
+  its size, closure every column that reduces to zero against it.
 * ``UniformOracle`` - rank of A is min(|A|, k); closure of A is A itself
   while |A| < k and the whole ground set otherwise.
 * ``ClosureTableOracle`` - an explicit, complete map from subsets to their
-  closures.  Rank is recovered greedily from the closure operator.
+  closures.  Rank is recovered greedily from the same table.
 
 All set-valued results are canonical (sorted tuples); "least" always means
 least element id.  Results are pure functions of the immutable oracle, but
@@ -63,6 +65,8 @@ def subset_universe(
     """The subsets an axiom scan checks, and whether they are sampled: all
     of them up to ``max_ground`` elements, else ``sample`` random ones
     drawn with ``seed`` (GroundTooLarge without ``sample``)."""
+    if sample is not None and sample < 0:
+        raise InvalidStructure(f"sample must be non-negative, got {sample}")
     n = len(elements)
     if n <= max_ground:
         return (frozenset(c) for c in subsets(elements)), False
@@ -72,39 +76,27 @@ def subset_universe(
     return (frozenset(e for e in elements if rng.random() < 0.5) for _ in range(sample)), True
 
 
-def _rank_mod_p(vectors: Sequence[Sequence[int]], q: int) -> int:
-    """Rank of a list of vectors over GF(q) by Gaussian elimination."""
-    rows = [[v % q for v in vec] for vec in vectors]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
-        rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [(a - factor * b) % q for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+#: Miller-Rabin with the prime bases 2..41 is exact below this bound
+#: (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin for ``n`` below PRIME_TEST_BOUND."""
+    if n >= PRIME_TEST_BOUND:
+        raise InvalidStructure(
+            f"field order {n} is not below {PRIME_TEST_BOUND}, the bound of the primality test"
+        )
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & -(n - 1)).bit_length() - 1
+    d = (n - 1) >> s  # n - 1 = d * 2**s with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        # a proves n composite unless x = 1 or x**(2**r) = -1 for some r < s.
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -154,8 +146,36 @@ class LinearOracle:
             raise InvalidStructure("all columns must have the same length")
         object.__setattr__(self, "columns", cols)
 
-    def rank(self, subset: frozenset[int]) -> int:
-        return _rank_mod_p([self.columns[e] for e in subset], self.field)
+    def _reduce(self, basis: list[tuple[int, list[int]]], vec: Sequence[int]) -> list[int]:
+        """``vec`` minus its combination of the basis rows: all zero iff
+        ``vec`` lies in their span."""
+        q = self.field
+        v = list(vec)
+        for pivot, row in basis:
+            c = v[pivot]
+            if c:
+                v = [(a - c * b) % q for a, b in zip(v, row)]
+        return v
+
+    def _basis(self, subset: Iterable[int]) -> list[tuple[int, list[int]]]:
+        """Echelon basis of the columns of ``subset``, as (pivot, row) pairs:
+        each row is 1 at its pivot and 0 at the pivots of the rows before it."""
+        q = self.field
+        basis: list[tuple[int, list[int]]] = []
+        for e in subset:
+            v = self._reduce(basis, self.columns[e])
+            pivot = next((i for i, x in enumerate(v) if x), None)
+            if pivot is not None:
+                inv = pow(v[pivot], q - 2, q)
+                basis.append((pivot, [x * inv % q for x in v]))
+        return basis
+
+    def rank(self, subset: frozenset[int], ground: frozenset[int]) -> int:
+        return len(self._basis(subset))
+
+    def closure(self, subset: frozenset[int], ground: frozenset[int]) -> frozenset[int]:
+        basis = self._basis(subset)
+        return frozenset(e for e in ground if not any(self._reduce(basis, self.columns[e])))
 
 
 @dataclass(frozen=True)
@@ -167,6 +187,12 @@ class UniformOracle:
     def __post_init__(self):
         if self.rank_bound < 0:
             raise InvalidStructure("uniform rank must be non-negative")
+
+    def rank(self, subset: frozenset[int], ground: frozenset[int]) -> int:
+        return min(len(subset), self.rank_bound)
+
+    def closure(self, subset: frozenset[int], ground: frozenset[int]) -> frozenset[int]:
+        return subset if len(subset) < self.rank_bound else ground
 
 
 @dataclass(frozen=True)
@@ -180,13 +206,22 @@ class ClosureTableOracle:
 
     table: Mapping[frozenset[int], frozenset[int]]
 
-    def closure(self, subset: frozenset[int]) -> frozenset[int]:
+    def closure(self, subset: frozenset[int], ground: frozenset[int]) -> frozenset[int]:
         try:
-            return self.table[subset]
+            return frozenset(self.table[subset])
         except KeyError:
             raise InvalidStructure(
                 f"closure table has no entry for {sorted(subset)}"
             ) from None
+
+    def rank(self, subset: frozenset[int], ground: frozenset[int]) -> int:
+        """Size of the greedy basis, which takes each element, ascending,
+        that its closure so far misses; valid if the table is a pregeometry."""
+        basis: frozenset[int] = frozenset()
+        for e in sorted(subset):
+            if e not in self.closure(basis, ground):
+                basis |= {e}
+        return len(basis)
 
 
 Oracle = LinearOracle | UniformOracle | ClosureTableOracle
@@ -245,19 +280,13 @@ class Matroid:
         self._ground_set = frozenset(ground.elements)
         self._rank_cache: dict[frozenset[int], int] = {}
         self._closure_cache: dict[frozenset[int], frozenset[int]] = {}
-        if isinstance(oracle, LinearOracle):
-            if len(oracle.columns) != len(ground.elements) or tuple(
-                range(len(oracle.columns))
-            ) != ground.elements:
-                raise InvalidStructure(
-                    "linear oracle requires ids 0..n-1, one column per element"
-                )
-        if isinstance(oracle, ClosureTableOracle):
-            want = 1 << len(ground.elements)
-            if len(oracle.table) != want:
-                raise InvalidStructure(
-                    f"closure table must list all {want} subsets, got {len(oracle.table)}"
-                )
+        if isinstance(oracle, LinearOracle) and tuple(range(len(oracle.columns))) != ground.elements:
+            raise InvalidStructure("linear oracle requires ids 0..n-1, one column per element")
+        want = 1 << len(ground.elements)
+        if isinstance(oracle, ClosureTableOracle) and len(oracle.table) != want:
+            raise InvalidStructure(
+                f"closure table must list all {want} subsets, got {len(oracle.table)}"
+            )
 
     # -- basic queries ---------------------------------------------------
 
@@ -271,50 +300,22 @@ class Matroid:
     def rank(self, subset: Iterable[int]) -> int:
         """Cardinality of any maximal independent subset of ``subset``."""
         s = self._check(subset)
-        hit = self._rank_cache.get(s)
-        if hit is not None:
-            return hit
-        oracle = self.oracle
-        if isinstance(oracle, LinearOracle):
-            r = oracle.rank(s)
-        elif isinstance(oracle, UniformOracle):
-            r = min(len(s), oracle.rank_bound)
-        else:
-            # Greedy basis extraction through the closure operator; valid
-            # whenever the table satisfies the axioms.
-            basis: list[int] = []
-            for e in sorted(s):
-                if e not in self.closure(basis):
-                    basis.append(e)
-            r = len(basis)
-        self._rank_cache[s] = r
+        r = self._rank_cache.get(s)
+        if r is None:
+            r = self._rank_cache[s] = self.oracle.rank(s, self._ground_set)
         return r
 
     def closure(self, subset: Iterable[int]) -> frozenset[int]:
         """The least closed set containing ``subset``."""
         s = self._check(subset)
-        hit = self._closure_cache.get(s)
-        if hit is not None:
-            return hit
-        oracle = self.oracle
-        if isinstance(oracle, UniformOracle):
-            cl = s if len(s) < oracle.rank_bound else self._ground_set
-        elif isinstance(oracle, ClosureTableOracle):
-            cl = frozenset(oracle.closure(s))
-        else:
-            r = self.rank(s)
-            cl = frozenset(
-                e for e in self.ground.elements if self.rank(s | {e}) == r
-            )
-        self._closure_cache[s] = cl
+        cl = self._closure_cache.get(s)
+        if cl is None:
+            cl = self._closure_cache[s] = self.oracle.closure(s, self._ground_set)
         return cl
 
     def closure_flat(self, subset: Iterable[int]) -> Flat:
         cl = self.closure(subset)
         return Flat(canon(cl), self.rank(cl))
-
-    def dim(self, subset: Iterable[int]) -> int:
-        return self.rank(subset)
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = self._check(subset)

@@ -109,37 +109,35 @@ class CycleSearch:
     configs_searched: int = 0
 
 
-def _cl_x(m: Matroid, net: frozenset[int], extra: Iterable[int]) -> frozenset[int]:
-    return m.closure(net | frozenset(extra))
+def _successors(m: Matroid, cfg: PPSConfig, ts: tuple[int, ...]) -> list[int]:
+    """Legal next elements after ``ts``, ascending.  This is the step rule:
+    with t the last element and a the paddle of step len(ts), every element
+    of cl(X + {a, t}) outside cl(X + {a}), t excepted."""
+    net = frozenset(cfg.net)
+    a, t = cfg.paddle(len(ts)), ts[-1]
+    return sorted(m.closure(net | {a, t}) - m.closure(net | {a}) - {t})
+
+
+def _check_steps(m: Matroid, seq: PPSSequence) -> None:
+    """Raise InvalidSequence at the first step of ``seq`` that breaks the
+    step rule; its configuration must already be valid."""
+    ts = seq.ts
+    if not ts:
+        raise InvalidSequence("sequence must contain t1")
+    if ts[0] != seq.config.t1:
+        raise InvalidSequence("sequence does not start at the configured t1")
+    for i in range(1, len(ts)):
+        if ts[i] == ts[i - 1]:
+            raise InvalidSequence(f"step {i} repeats its predecessor")
+        if ts[i] not in _successors(m, seq.config, ts[:i]):
+            raise InvalidSequence(f"step {i} violates the ping-pong rule")
 
 
 def pps_candidates(m: Matroid, seq: PPSSequence) -> list[int]:
     """All legal next elements, ascending; empty means the PPS terminates."""
-    _validate_steps(m, seq)
-    cfg = seq.config
-    net = frozenset(cfg.net)
-    i = len(seq.ts)
-    a = cfg.paddle(i)
-    t = seq.ts[-1]
-    pool = _cl_x(m, net, (a, t)) - _cl_x(m, net, (a,)) - {t}
-    return sorted(pool)
-
-
-def _validate_steps(m: Matroid, seq: PPSSequence) -> None:
-    cfg = seq.config
-    cfg.validate(m)
-    if not seq.ts:
-        raise InvalidSequence("sequence must contain t1")
-    if seq.ts[0] != cfg.t1:
-        raise InvalidSequence("sequence does not start at the configured t1")
-    net = frozenset(cfg.net)
-    for i in range(1, len(seq.ts)):
-        a = cfg.paddle(i)
-        prev, cur = seq.ts[i - 1], seq.ts[i]
-        if cur == prev:
-            raise InvalidSequence(f"step {i} repeats its predecessor")
-        if cur not in _cl_x(m, net, (a, prev)) or cur in _cl_x(m, net, (a,)):
-            raise InvalidSequence(f"step {i} violates the ping-pong rule")
+    seq.config.validate(m)
+    _check_steps(m, seq)
+    return _successors(m, seq.config, seq.ts)
 
 
 def iter_runs(m: Matroid, config: PPSConfig, strategy: str = "least", budget: int = 64):
@@ -149,30 +147,23 @@ def iter_runs(m: Matroid, config: PPSConfig, strategy: str = "least", budget: in
     config.validate(m)
     if strategy not in ("least", "all-branches"):
         raise InvalidSequence(f"unknown strategy {strategy!r}")
+    yield from _runs(m, config, strategy, budget, (config.t1,))
 
-    net = frozenset(config.net)
 
-    def step_candidates(ts: tuple[int, ...]) -> list[int]:
-        a = config.paddle(len(ts))
-        t = ts[-1]
-        return sorted(_cl_x(m, net, (a, t)) - _cl_x(m, net, (a,)) - {t})
-
-    def explore(ts: tuple[int, ...]):
-        cands = step_candidates(ts)
-        if not cands:
-            yield PPSRun(PPSSequence(config, ts), "terminated")
-            return
-        if len(ts) >= budget:
-            yield PPSRun(PPSSequence(config, ts), "budget")
-            return
-        pick = cands[:1] if strategy == "least" else cands
-        for c in pick:
-            if c in ts:
-                yield PPSRun(PPSSequence(config, ts + (c,)), "cycle", ts.index(c) + 1)
-            else:
-                yield from explore(ts + (c,))
-
-    yield from explore((config.t1,))
+def _runs(m: Matroid, config: PPSConfig, strategy: str, budget: int, ts: tuple[int, ...]):
+    """``iter_runs`` from the prefix ``ts``, with its arguments trusted."""
+    cands = _successors(m, config, ts)
+    if not cands:
+        yield PPSRun(PPSSequence(config, ts), "terminated")
+        return
+    if len(ts) >= budget:
+        yield PPSRun(PPSSequence(config, ts), "budget")
+        return
+    for c in cands if strategy == "all-branches" else cands[:1]:
+        if c in ts:
+            yield PPSRun(PPSSequence(config, ts + (c,)), "cycle", ts.index(c) + 1)
+        else:
+            yield from _runs(m, config, strategy, budget, ts + (c,))
 
 
 def pps_run(
@@ -193,23 +184,18 @@ def pps_verify(m: Matroid, seq: PPSSequence) -> PPSReport:
     cfg = seq.config
     try:
         cfg.validate(m)
-        config_valid = True
     except (InvalidConfig, InvalidElement) as e:
         return PPSReport(False, False, False, False, str(e))
-
     try:
-        _validate_steps(m, seq)
-        steps_valid = True
-        detail = ""
+        _check_steps(m, seq)
+        steps_valid, detail = True, ""
     except (InvalidSequence, InvalidElement) as e:
-        steps_valid = False
-        detail = str(e)
+        steps_valid, detail = False, str(e)
 
-    net = frozenset(cfg.net)
-    span = _cl_x(m, net, (cfg.a1, cfg.a2))
+    span = m.closure(frozenset(cfg.net) | {cfg.a1, cfg.a2})
     outside = all(t not in span for t in seq.ts)
     injective = len(set(seq.ts)) == len(seq.ts)
-    return PPSReport(config_valid, steps_valid, outside, injective, detail)
+    return PPSReport(True, steps_valid, outside, injective, detail)
 
 
 def pps_find_cycle(m: Matroid, budget: int = 64) -> CycleSearch:
@@ -223,6 +209,8 @@ def pps_find_cycle(m: Matroid, budget: int = 64) -> CycleSearch:
     equivalence.  The first cycle in this fixed order is returned as the
     least witness.
     """
+    if budget < 1:
+        raise InvalidSequence("budget must be >= 1")
     exhausted = True
     searched = 0
     for net in m._closed_sets(m.full_rank - 3):
@@ -236,9 +224,10 @@ def pps_find_cycle(m: Matroid, budget: int = 64) -> CycleSearch:
                 for t1 in m.ground.elements:
                     if t1 in span:
                         continue
+                    # The checks above are PPSConfig.validate.
                     cfg = PPSConfig(canon(net), a1, a2, t1)
                     searched += 1
-                    for run in iter_runs(m, cfg, "all-branches", budget):
+                    for run in _runs(m, cfg, "all-branches", budget, (t1,)):
                         if run.status == "cycle":
                             return CycleSearch("found", run, searched)
                         if run.status == "budget":

@@ -15,7 +15,7 @@ from flatgeom.cli import run_command
 from flatgeom.errors import MatroidContractError
 from flatgeom.flatness import check_flat
 from flatgeom.formula_closure import ild_estimate
-from flatgeom.matroid import linear_matroid, uniform_matroid
+from flatgeom.matroid import PRIME_TEST_BOUND, linear_matroid, uniform_matroid
 
 #: Exact stdout and exit code of every README CLI example, and the digest
 #: of the going-down trace file.  Change an entry only when that command's
@@ -162,8 +162,18 @@ class TestCommands:
             ("lambda acl --scenario corpus:sigma1_chain --bbar -2,1",
              "flatgeom lambda acl: argument --bbar: expected one argument"),
             ("pps", "flatgeom pps: the following arguments are required: sub"),
+            ("lambda closure --structure corpus:phi_demo --x 20,-2",
+             "element ids [-2, 20] not in ground set"),
+            ("pregeom verify --matroid corpus:gf2_3 --max-ground 2 --sample -2",
+             "sample must be non-negative, got -2"),
+            ("flatness --matroid corpus:gf2_3 --sample -2", "sample must be non-negative, got -2"),
+            ("ild --scenario corpus:ild_pps --budget -2", "budget must be >= 1"),
+            ("lambda acl --scenario corpus:sigma1_chain --bbar 0,1 --budget -2",
+             "budget must be >= 1"),
         ],
-        ids=["unknown-flag", "option-like-value", "missing-subcommand"],
+        ids=["unknown-flag", "option-like-value", "missing-subcommand", "ids-off-universe",
+             "negative-verify-sample", "negative-flatness-sample", "ild-budget-below-one",
+             "acl-budget-below-one"],
     )
     def test_usage_error_exits_two_with_one_line(self, capsys, argv, fault):
         code = run_command(argv.split())
@@ -202,6 +212,13 @@ class TestCommands:
         code, out = run(capsys, "circuits", "--matroid", str(path), "--max-size", "3")
         (doc,) = parse_lines(out)
         assert doc["circuits"] == [[0, 1, 2]]
+
+    def test_circuits_over_a_large_prime_field(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"type": "linear", "field": 2**61 - 1, "columns": [[1]]}))
+        code, out = run(capsys, "circuits", "--max-size", "1", "--matroid", str(path))
+        (doc,) = parse_lines(out)
+        assert code == 0 and doc["circuits"] == []
 
     def test_lambda_closure_command(self, capsys):
         code, out = run(
@@ -318,6 +335,18 @@ class TestCommands:
                 },
                 "bad scenario document: unhashable type: 'list'",
             ),
+            (
+                "circuits --max-size 1 --matroid",
+                {"type": "linear", "field": (2**31 - 1) * (2**61 - 1), "columns": [[1]]},
+                f"field order {(2**31 - 1) * (2**61 - 1)} is not below {PRIME_TEST_BOUND}, "
+                "the bound of the primality test",
+            ),
+            (
+                "circuits --max-size 1 --matroid",
+                {"type": "linear", "field": 10**30, "columns": [[1]]},
+                f"field order {10**30} is not below {PRIME_TEST_BOUND}, "
+                "the bound of the primality test",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -328,6 +357,8 @@ class TestCommands:
             "overflowing-rank",
             "fractional-column-entry",
             "list-in-revealed-tuple",
+            "composite-field-above-bound",
+            "field-above-bound",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

@@ -201,6 +201,17 @@ class TestCheckFlat:
         v = check_flat(pg32, 4, max_ground=15, sample=20)
         assert (v.kind, v.bound, v.samples, v.seed) == ("flat-sampled", 4, 20, 0)
 
+    def test_sampled_search_builds_only_the_rows_it_reads(self, monkeypatch):
+        # PG(3,2) has 67 flats; 20 samples of at most 4 flats read fewer rows.
+        pg32 = linear_matroid(2, [v for v in product((0, 1), repeat=4) if any(v)])
+        built = []
+        make = _MeetTable._meet_row
+        monkeypatch.setattr(_MeetTable, "_meet_row", lambda t, i: built.append(i) or make(t, i))
+        check_flat(pg32, 4, max_ground=15, sample=20)
+        assert len(pg32.flats()) == 67
+        assert len(built) == len(set(built)) < 67
+
     def test_work_cap_guard(self, gf2):
+        # 16 flats: 3**16 - 1 subset terms, over the default cap.
         with pytest.raises(GroundTooLarge):
-            check_flat(gf2, exhaustive=True, work_cap=10)
+            check_flat(gf2, exhaustive=True)

@@ -12,6 +12,8 @@ from flatgeom.errors import (
     NotIndependent,
 )
 from flatgeom.matroid import (
+    PRIME_TEST_BOUND,
+    _is_prime,
     closure_table_matroid,
     free_matroid,
     linear_matroid,
@@ -22,6 +24,9 @@ from flatgeom.matroid import (
 
 # Ids in gf2_3 follow binary counting: 0=(001), 1=(010), 3=(100), ...
 E1, E2, E3 = 3, 1, 0
+
+# GF(5)^3 with a zero column (id 0) and two parallel columns (ids 1, 2).
+GF5_COLS = [(0, 0, 0), (1, 2, 3), (2, 4, 1), (0, 1, 1), (1, 0, 4), (3, 3, 0)]
 
 
 class TestClosure:
@@ -64,6 +69,28 @@ class TestRank:
     def test_rank_matches_brute_force_on_all_subsets(self, gf2):
         for subset in powerset(gf2.ground.elements, max_size=4):
             assert gf2.rank(subset) == brute_rank(2, GF2_COLS, subset)
+
+
+class TestLinearOracle:
+    def test_rank_and_closure_match_brute_force(self, gf3):
+        cases = [
+            (linear_matroid(2, GF2_COLS), 2, GF2_COLS, powerset(range(7))),
+            (gf3, 3, gf3.oracle.columns, powerset(gf3.ground.elements, max_size=3)),
+            (linear_matroid(5, GF5_COLS), 5, GF5_COLS, powerset(range(len(GF5_COLS)))),
+        ]
+        for m, q, cols, subsets in cases:
+            for subset in subsets:
+                assert m.rank(subset) == brute_rank(q, cols, subset), (q, subset)
+                assert m.closure(subset) == brute_span(q, cols, subset), (q, subset)
+
+
+class TestClosureTableOracle:
+    def test_rank_from_table_matches_source(self, small_corpus):
+        for name, m in small_corpus.items():
+            n = len(m.ground)
+            t = closure_table_matroid(n, table_from_matroid(m))
+            for subset in powerset(m.ground.elements):
+                assert t.rank(subset) == m.rank(subset), (name, subset)
 
 
 class TestIndependence:
@@ -250,6 +277,20 @@ class TestSparsePaving:
 def test_linear_matroid_requires_prime_field():
     with pytest.raises(InvalidStructure):
         linear_matroid(4, [(1, 0), (0, 1)])
+
+
+def test_prime_test_is_exact_below_its_bound():
+    def trial_division(n):
+        return n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert all(_is_prime(n) == trial_division(n) for n in range(-3, 5000))
+    # Strong pseudoprimes to the bases 2..23 and 2..37; the least one to
+    # the bases 2..41 is the bound itself.
+    for n in (3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1)
+    with pytest.raises(InvalidStructure, match="bound of the primality test"):
+        _is_prime(PRIME_TEST_BOUND)
 
 
 def test_closure_table_supports_rank_zero_elements():

@@ -1,11 +1,16 @@
+from itertools import product
+
 import pytest
 
+from conftest import ref_flats
 from flatgeom import corpus
 from flatgeom.errors import InvalidConfig, InvalidSequence
 from flatgeom.matroid import uniform_matroid
 from flatgeom.pingpong import (
+    CycleSearch,
     PPSConfig,
     PPSSequence,
+    iter_runs,
     pps_candidates,
     pps_find_cycle,
     pps_run,
@@ -96,7 +101,39 @@ class TestVerify:
             assert report.config_valid and report.steps_valid
 
 
+def ref_find_cycle(m, budget) -> CycleSearch:
+    """The cycle search through the public checks: every configuration over
+    the brute-force flats of rank <= rank - 3, validated one by one, then
+    run with ``iter_runs``."""
+    exhausted, searched = True, 0
+    ground = m.ground.elements
+    for net in ref_flats(m):
+        if m.rank(net) > m.full_rank - 3:
+            continue
+        for a1, a2, t1 in product(ground, repeat=3):
+            cfg = PPSConfig.of(net, a1, a2, t1)
+            try:
+                cfg.validate(m)
+            except InvalidConfig:
+                continue
+            searched += 1
+            for run in iter_runs(m, cfg, "all-branches", budget):
+                if run.status == "cycle":
+                    return CycleSearch("found", run, searched)
+                exhausted = exhausted and run.status != "budget"
+    return CycleSearch("none" if exhausted else "budget-exceeded", None, searched)
+
+
 class TestCycleSearch:
+    @pytest.mark.parametrize("budget", [2, 8, 32])
+    def test_matches_reference_search(self, scan_corpus, budget):
+        for name, m in scan_corpus.items():
+            assert pps_find_cycle(m, budget) == ref_find_cycle(m, budget), name
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(InvalidSequence):
+            pps_find_cycle(uniform_matroid(2, 3), 0)
+
     def test_gf2_finds_length_four_cycle(self, gf2):
         res = pps_find_cycle(gf2, 32)
         assert res.status == "found"
