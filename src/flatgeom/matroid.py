@@ -16,6 +16,9 @@ All set-valued results are canonical (sorted tuples); "least" always means
 least element id.  Results are pure functions of the immutable oracle, but
 a ``Matroid`` memoises them in unbounded dict caches that every query may
 grow.
+
+Flats are built by covering: the flats that cover a flat F are the sets
+cl(F + e), e not in F, so a flat's rank is the level at which it is met.
 """
 
 from __future__ import annotations
@@ -334,19 +337,24 @@ class Matroid:
     # -- flats and circuits ----------------------------------------------
 
     def flats(self) -> list[Flat]:
-        """All closed subsets, sorted by (size, elements); deterministic."""
-        return [Flat(canon(s), self.rank(s)) for s in self._closed_sets(self.full_rank)]
+        """All closed subsets, sorted by (size, elements), each with its
+        covering level as dimension; ``full_rank`` is the one rank query."""
+        return [Flat(canon(s), k) for s, k in self._closed_sets(self.full_rank).items()]
 
-    def _closed_sets(self, max_rank: int) -> list[frozenset[int]]:
-        """The flats of rank <= ``max_rank`` in (size, lex) order, as the
-        closures of the independent sets of at most ``max_rank`` elements.
-        The one flat enumerator: ``pps_find_cycle`` takes its nets from it."""
-        seen = {
-            self.closure(combo)
-            for combo in subsets(self.ground.elements, max_rank)
-            if self.is_independent(combo)
-        }
-        return sorted(seen, key=size_lex)
+    def _closed_sets(self, max_rank: int) -> dict[frozenset[int], int]:
+        """The flats of rank <= ``max_rank``, each mapped to its rank, in
+        (size, lex) order: level 0 is cl(empty), level k+1 every cl(F + e)
+        with F on level k, e not in F, not met before.  The walk stops after
+        level ``max_rank`` even if the next is not empty, so on a table that
+        breaks the axioms no set above the table's rank counts as a flat."""
+        elems = self.ground.elements
+        found = {self.closure(()): 0} if max_rank >= 0 else {}
+        level = set(found)
+        for k in range(1, max_rank + 1):
+            extended = {f | {e} for f in level for e in elems if e not in f}
+            level = {self.closure(s) for s in extended} - found.keys()
+            found.update(dict.fromkeys(level, k))
+        return {s: found[s] for s in sorted(found, key=size_lex)}
 
     def _circuits(self, min_size: int, max_size: int) -> Iterator[Circuit]:
         """Circuits with ``min_size`` to ``max_size`` elements, lazily, in
@@ -512,12 +520,13 @@ def sparse_paving_matroid(
                     "sparse paving requires pairwise nonbasis intersections <= rank-2"
                 )
     ground = tuple(range(size))
+    nonbasis = set(nb)
 
     def rk(s: frozenset[int]) -> int:
         if len(s) < rank:
             return len(s)
         if len(s) == rank:
-            return rank - 1 if s in set(nb) else rank
+            return rank - 1 if s in nonbasis else rank
         return rank
 
     table: dict[frozenset[int], frozenset[int]] = {}

@@ -53,11 +53,15 @@ OPEN_SETS = (
 
 @dataclass(frozen=True)
 class SpectrumSet:
-    """Finite part within {0..K} plus an optional omega point."""
+    """Finite part within {0..K} plus an optional omega point, validated
+    on construction, so the shape tests below only count members."""
 
     finite_part: frozenset[int]
     omega: bool
     horizon: int = DEFAULT_HORIZON
+
+    def __post_init__(self):
+        self.validate()
 
     @classmethod
     def of(
@@ -72,9 +76,7 @@ class SpectrumSet:
                 omega = True
             else:
                 finite.add(int(m))
-        s = cls(frozenset(finite), omega, horizon)
-        s.validate()
-        return s
+        return cls(frozenset(finite), omega, horizon)
 
     def validate(self) -> None:
         if self.horizon < 0:
@@ -91,10 +93,10 @@ class SpectrumSet:
 
     def is_initial(self) -> bool:
         f = self.finite_part
-        return not f or f == frozenset(range(max(f) + 1))
+        return not f or len(f) == max(f) + 1
 
     def full_finite(self) -> bool:
-        return self.finite_part == frozenset(range(self.horizon + 1))
+        return len(self.finite_part) == self.horizon + 1
 
 
 @dataclass(frozen=True)
@@ -161,10 +163,8 @@ class Verdict:
 
 
 def _omega_rule_violated(s: SpectrumSet) -> bool:
-    if not s.omega or not s.finite_part:
-        return False
-    m = max(s.finite_part)
-    return m >= 1 and not frozenset(range(m)) <= s.finite_part
+    """Omega with some finite member m >= 1 but not every index below m."""
+    return s.omega and not s.is_initial()
 
 
 def _allowed_shape(s: SpectrumSet) -> Verdict:
@@ -188,7 +188,6 @@ def classify(s: SpectrumSet, profile: TheoryProfile) -> Verdict:
     The horizon only truncates the candidate, never the rules: schemas are
     matched symbolically, so enlarging the horizon cannot change a verdict.
     """
-    s.validate()
     report = validate_profile(profile)
     if not report.ok:
         raise ProfileInvalid(

@@ -263,6 +263,23 @@ class TestCommands:
         (doc,) = parse_lines(out)
         assert doc["verdict"] == "excluded" and doc["rules"] == ["omega-downward"]
 
+    @pytest.mark.parametrize(
+        "n, members, verdict, shape, rules",
+        [
+            ("2", "0,omega", "allowed", "[0,0]+{omega}", []),
+            ("2", f"{10**18},omega", "excluded", None, ["initial-from-three", "omega-downward"]),
+            ("3", f"{10**18}", "excluded", None, ["initial-segment"]),
+        ],
+        ids=["segment-plus-omega", "omega-gap", "not-initial"],
+    )
+    def test_spectrum_check_at_a_huge_horizon(self, capsys, n, members, verdict, shape, rules):
+        # No set as large as the horizon is built.
+        code, out = run(
+            capsys, "spectrum", "check", "--n", n, "--set", members, "--horizon", str(10**18)
+        )
+        (doc,) = parse_lines(out)
+        assert (doc["verdict"], doc["shape"], doc["rules"]) == (verdict, shape, rules)
+
     def test_spectrum_check_bad_member_exits_two(self, capsys):
         code = run_command(["spectrum", "check", "--n", "2", "--set", "1,foo"])
         captured = capsys.readouterr()

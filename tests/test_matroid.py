@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from flatgeom.errors import (
 )
 from flatgeom.matroid import (
     PRIME_TEST_BOUND,
+    Matroid,
     _is_prime,
     closure_table_matroid,
     free_matroid,
@@ -27,6 +30,36 @@ E1, E2, E3 = 3, 1, 0
 
 # GF(5)^3 with a zero column (id 0) and two parallel columns (ids 1, 2).
 GF5_COLS = [(0, 0, 0), (1, 2, 3), (2, 4, 1), (0, 1, 1), (1, 0, 4), (3, 3, 0)]
+
+
+def pg_columns(d: int, q: int) -> list[tuple[int, ...]]:
+    """Points of PG(d-1, q): nonzero vectors of GF(q)^d whose first nonzero
+    entry is 1."""
+    return [v for v in product(range(q), repeat=d) if next((x for x in v if x), 0) == 1]
+
+
+def gaussian_binomial(d: int, k: int, q: int) -> int:
+    """Number of k-dimensional subspaces of GF(q)^d."""
+    num = den = 1
+    for i in range(k):
+        num *= q ** (d - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+class CountingOracle:
+    """Passes every query to ``inner`` and records the rank queries."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rank_queries = []
+
+    def rank(self, subset, ground):
+        self.rank_queries.append(subset)
+        return self.inner.rank(subset, ground)
+
+    def closure(self, subset, ground):
+        return self.inner.closure(subset, ground)
 
 
 class TestClosure:
@@ -172,8 +205,26 @@ class TestFlats:
         for name, m in scan_corpus.items():
             ref = ref_flats(m)
             for bound in range(-1, m.full_rank + 1):
-                want = [s for s in ref if m.rank(s) <= bound]
-                assert m._closed_sets(bound) == want, (name, bound)
+                want = [(s, m.rank(s)) for s in ref if m.rank(s) <= bound]
+                assert list(m._closed_sets(bound).items()) == want, (name, bound)
+
+    @pytest.mark.parametrize("d, q", [(3, 2), (3, 3), (3, 5), (4, 2), (4, 3)])
+    def test_projective_space_flats_by_rank(self, d, q):
+        # The rank-k flats of PG(d-1, q) are its k-dimensional subspaces.
+        flats = linear_matroid(q, pg_columns(d, q)).flats()
+        for k in range(d + 1):
+            of_rank = [f for f in flats if f.dim == k]
+            assert len(of_rank) == gaussian_binomial(d, k, q), k
+            assert {len(f.elements) for f in of_rank} == {(q**k - 1) // (q - 1)}, k
+
+    def test_flats_ask_no_rank_of_a_flat(self):
+        pg32 = linear_matroid(2, pg_columns(4, 2))
+        oracle = CountingOracle(pg32.oracle)
+        assert len(Matroid(pg32.ground, oracle).flats()) == 67
+        assert oracle.rank_queries == [frozenset(range(15))]
+        oracle = CountingOracle(pg32.oracle)
+        nets = Matroid(pg32.ground, oracle)._closed_sets(1)  # full rank 4, minus 3
+        assert len(nets) == 16 and oracle.rank_queries == []
 
 
 class TestSmallestCircuit:

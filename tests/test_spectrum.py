@@ -13,6 +13,7 @@ from flatgeom.spectrum import (
     RULE_P_LE_N_PLUS_1,
     SpectrumSet,
     TheoryProfile,
+    _omega_rule_violated,
     classify,
     enumerate_case_analysis,
     validate_profile,
@@ -177,3 +178,22 @@ class TestBruteForce:
     def test_out_of_horizon_member_rejected(self):
         with pytest.raises(InputError):
             SpectrumSet.of([9], horizon=6)
+
+
+class TestShapePredicates:
+    def test_counting_matches_the_range_definitions(self):
+        for horizon in (5, 6, 7):
+            for finite, omega in all_candidates(5):
+                s = SpectrumSet(finite, omega, horizon)
+                top = max(finite, default=0)
+                assert s.is_initial() == (not finite or finite == frozenset(range(top + 1)))
+                assert s.full_finite() == (finite == frozenset(range(horizon + 1)))
+                gap = top >= 1 and not frozenset(range(top)) <= finite
+                assert _omega_rule_violated(s) == (omega and gap)
+
+    @pytest.mark.parametrize("finite", [{-1, 1}, {0, 1, 2, 3, 4, 5, 7}])
+    def test_members_off_the_horizon_rejected_on_construction(self, finite):
+        # Counting would take {-1, 1} for an initial segment and the other
+        # set, with seven members, for all of 0..6.
+        with pytest.raises(InputError):
+            SpectrumSet(frozenset(finite), False, 6)
