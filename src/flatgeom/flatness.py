@@ -35,7 +35,9 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
-from .matroid import DEFAULT_VERIFY_BOUND, Flat, Matroid, canon, size_lex, subset_universe
+from .matroid import (
+    DEFAULT_VERIFY_BOUND, Flat, Matroid, Memo, canon, elements_of, mask_of, size_lex, subset_universe,
+)
 
 #: Default cap on |Sigma| in the violation search; the classic violations
 #: need four flats.
@@ -127,32 +129,22 @@ def delta(m: Matroid, sigma: Iterable) -> int:
     return total
 
 
-class _Rows(dict):
-    """A dict that builds a missing row with ``make(key)`` and keeps it."""
-
-    def __init__(self, make):
-        self.make = make
-
-    def __missing__(self, key):
-        row = self[key] = self.make(key)
-        return row
-
-
 class _MeetTable:
     """The flats of one matroid, indexed in the given order.
 
-    ``dims[i]`` is the dimension of ``sets[i]`` and ``meet[i][j]`` the
-    index of ``sets[i] & sets[j]``, each row built when first read.  The
-    matroid must be a pregeometry, so that meets and joins of flats are
-    flats again; MatroidContractError is raised where one read is not.
+    ``sets[i]`` is the mask of flat i, ``dims[i]`` its dimension and
+    ``meet[i][j]`` the index of ``sets[i] & sets[j]``, each row built when
+    first read.  The matroid must be a pregeometry, so that meets and joins
+    of flats are flats again; MatroidContractError is raised where one read
+    is not.
     """
 
     def __init__(self, m: Matroid, flats: Sequence[Flat]):
         self.m = m
-        self.sets = [f.as_set() for f in flats]
+        self.sets = [mask_of(f.elements) for f in flats]
         self.dims = [f.dim for f in flats]
         self.index = {s: i for i, s in enumerate(self.sets)}
-        self.meet = _Rows(self._meet_row)
+        self.meet = Memo(self._meet_row)
         self._joins: dict[tuple[int, int], int] = {}
         self._deltas: dict[tuple[int, ...], int] = {}
 
@@ -168,10 +160,10 @@ class _MeetTable:
         key = (a, b) if a < b else (b, a)
         j = self._joins.get(key)
         if j is None:
-            cl = self.m.closure(self.sets[a] | self.sets[b])
+            cl = self.m._closure_mask(self.sets[a] | self.sets[b])
             j = self.index.get(cl)
             if j is None:
-                raise MatroidContractError(f"closure {sorted(cl)} is not among the flats")
+                raise MatroidContractError(f"closure {list(elements_of(cl))} is not among the flats")
             self._joins[key] = j
         return j
 
@@ -269,14 +261,19 @@ def is_disintegrated(
     sampled counterexample it denies is an error.
     """
     elems = m.ground.elements
-    cl_empty = m.closure(())
-    singles = {e: m.closure((e,)) for e in elems}
+    cl = m._closure_mask
+    cl_empty = cl(0)
+    singles = {1 << e: cl(1 << e) for e in elems}
     universe, sampled = subset_universe(elems, max_ground, sample, seed)
 
     by_definition = True
-    for a_set in universe:
-        union = frozenset(cl_empty).union(*(singles[a] for a in a_set))
-        if m.closure(a_set) != union:
+    for s in universe:
+        union, rest = cl_empty, s
+        while rest:
+            low = rest & -rest
+            union |= singles[low]
+            rest ^= low
+        if cl(s) != union:
             by_definition = False
             break
 
@@ -347,7 +344,7 @@ def check_flat(
         return FlatnessVerdict(
             "not-flat",
             bound=top,
-            witness=FlatCollection.of(m, [table.sets[i] for i in picked]),
+            witness=FlatCollection.of(m, [flats[i].elements for i in picked]),
             delta=d,
             union_dim=u,
         )

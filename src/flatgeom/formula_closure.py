@@ -33,7 +33,7 @@ from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidStructure, NotIndependent
-from .matroid import Matroid, subsets
+from .matroid import Matroid, elements_of, subsets
 
 FiberKey = tuple[int, tuple[int, ...]]
 Fibers = dict[FiberKey, list[int]]
@@ -169,7 +169,7 @@ def lambda_closure(
         budget = len(g.universe)
     if budget < 1:
         raise InvalidStructure("budget must be >= 1")
-    chain = [g.matroid._check(x)]
+    chain = [frozenset(elements_of(g.matroid._check(x)))]
     for i in range(budget):
         nxt = lambda_step(g, chain[-1])
         if nxt == chain[-1]:

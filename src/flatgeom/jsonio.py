@@ -26,8 +26,10 @@ from .matroid import (
     LinearOracle,
     Matroid,
     UniformOracle,
+    elements_of,
     linear_matroid,
     size_lex,
+    table_masks,
     uniform_matroid,
 )
 
@@ -85,8 +87,11 @@ def matroid_to_json(m: Matroid) -> dict:
         "type": "closure-table",
         "ground": len(m.ground),
         "closure": [
-            {"set": sorted(k), "cl": sorted(v)}
-            for k, v in sorted(oracle.table.items(), key=lambda kv: size_lex(kv[0]))
+            {"set": list(k), "cl": list(v)}
+            for k, v in sorted(
+                ((elements_of(k), elements_of(v)) for k, v in oracle.table.items()),
+                key=lambda kv: size_lex(kv[0]),
+            )
         ],
     }
 
@@ -107,17 +112,7 @@ def matroid_from_json(doc: Any) -> Matroid:
             n = int(doc["ground"])
             if n < 0:
                 raise InputError(f"closure table ground must be non-negative, got {n}")
-            table = {
-                frozenset(entry["set"]): frozenset(entry["cl"])
-                for entry in doc["closure"]
-            }
-            ground = frozenset(range(n))
-            for key, cl in table.items():
-                if not key | cl <= ground:
-                    raise InputError(
-                        f"closure table entry {sorted(key)} -> {sorted(cl)} "
-                        f"leaves the ground set 0..{n - 1}"
-                    )
+            table = table_masks(n, ((entry["set"], entry["cl"]) for entry in doc["closure"]))
             return Matroid(GroundSet(tuple(range(n))), ClosureTableOracle(table))
     except _BAD_VALUE as e:
         raise InputError(f"bad matroid document: {e}") from None

@@ -1,21 +1,25 @@
 """Finite pregeometries (matroids) behind a rank/closure oracle.
 
 A matroid is given by a ground set of small integer ids plus one of three
-oracle families.  Each oracle answers both queries itself, as
-``rank(s, ground)`` and ``closure(s, ground)``:
+oracle families.  Inside this module a subset is an int mask, bit e
+standing for element e, and each oracle answers both queries on masks
+itself, as ``rank(s, ground)`` and ``closure(s, ground)``:
 
 * ``LinearOracle`` - elements are column vectors over a prime field GF(q).
   Both queries start from one echelon basis of the columns of s: rank is
-  its size, closure every column that reduces to zero against it.
+  its size, closure s plus every other column that reduces to zero
+  against it (the whole ground once the basis spans the space).
 * ``UniformOracle`` - rank of A is min(|A|, k); closure of A is A itself
   while |A| < k and the whole ground set otherwise.
-* ``ClosureTableOracle`` - an explicit, complete map from subsets to their
-  closures.  Rank is recovered greedily from the same table.
+* ``ClosureTableOracle`` - an explicit, complete map from subset masks to
+  closure masks.  Rank is recovered greedily from the same table.
 
-All set-valued results are canonical (sorted tuples); "least" always means
-least element id.  Results are pure functions of the immutable oracle, but
-a ``Matroid`` memoises them in unbounded dict caches that every query may
-grow.
+A ``Matroid`` memoises rank and closure in one unbounded dict cache each,
+keyed by mask; the scans here and in the analyses (flats, circuits, the
+axiom check, the ping-pong search) walk masks with bit operations.  The
+public methods take any iterable of ids and return frozensets and sorted
+tuples, so masks never cross the package boundary.  All set-valued results
+are canonical; "least" always means least element id.
 
 Flats are built by covering: the flats that cover a flat F are the sets
 cl(F + e), e not in F, so a flat's rank is the level at which it is met.
@@ -26,7 +30,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     GroundTooLarge,
@@ -64,19 +68,59 @@ def subsets(
 
 def subset_universe(
     elements: Sequence[int], max_ground: int, sample: Optional[int], seed: int
-) -> tuple[Iterator[frozenset[int]], bool]:
-    """The subsets an axiom scan checks, and whether they are sampled: all
-    of them up to ``max_ground`` elements, else ``sample`` random ones
-    drawn with ``seed`` (GroundTooLarge without ``sample``)."""
+) -> tuple[Iterator[int], bool]:
+    """The subset masks an axiom scan checks, and whether they are sampled:
+    all of them up to ``max_ground`` elements, in (size, lex) order if
+    ``elements`` ascends, else ``sample`` random ones drawn with ``seed``
+    (GroundTooLarge without ``sample``)."""
     if sample is not None and sample < 0:
         raise InvalidStructure(f"sample must be non-negative, got {sample}")
     n = len(elements)
+    bits = [1 << e for e in elements]
     if n <= max_ground:
-        return (frozenset(c) for c in subsets(elements)), False
+        return map(sum, subsets(bits)), False
     if sample is None:
         raise GroundTooLarge(f"ground has {n} elements (> {max_ground}); pass sample=")
     rng = random.Random(seed)
-    return (frozenset(e for e in elements if rng.random() < 0.5) for _ in range(sample)), True
+    return (sum(b for b in bits if rng.random() < 0.5) for _ in range(sample)), True
+
+
+def mask_of(elements: Iterable[int]) -> int:
+    """The mask of a set of non-negative ids: bit e stands for element e."""
+    s = 0
+    for e in elements:
+        s |= 1 << e
+    return s
+
+
+def elements_of(mask: int) -> tuple[int, ...]:
+    """The ids of the bits set in ``mask``, ascending: its canonical form."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+class Memo(dict):
+    """A dict that builds a missing value with ``make(key)`` and keeps it;
+    a hit is one C-level lookup."""
+
+    def __init__(self, make: Callable):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _low_bits(mask: int) -> Iterator[int]:
+    """The one-bit masks that make up ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 #: Miller-Rabin with the prime bases 2..41 is exact below this bound
@@ -160,12 +204,12 @@ class LinearOracle:
                 v = [(a - c * b) % q for a, b in zip(v, row)]
         return v
 
-    def _basis(self, subset: Iterable[int]) -> list[tuple[int, list[int]]]:
+    def _basis(self, subset: int) -> list[tuple[int, list[int]]]:
         """Echelon basis of the columns of ``subset``, as (pivot, row) pairs:
         each row is 1 at its pivot and 0 at the pivots of the rows before it."""
         q = self.field
         basis: list[tuple[int, list[int]]] = []
-        for e in subset:
+        for e in elements_of(subset):
             v = self._reduce(basis, self.columns[e])
             pivot = next((i for i, x in enumerate(v) if x), None)
             if pivot is not None:
@@ -173,12 +217,18 @@ class LinearOracle:
                 basis.append((pivot, [x * inv % q for x in v]))
         return basis
 
-    def rank(self, subset: frozenset[int], ground: frozenset[int]) -> int:
+    def rank(self, subset: int, ground: int) -> int:
         return len(self._basis(subset))
 
-    def closure(self, subset: frozenset[int], ground: frozenset[int]) -> frozenset[int]:
+    def closure(self, subset: int, ground: int) -> int:
         basis = self._basis(subset)
-        return frozenset(e for e in ground if not any(self._reduce(basis, self.columns[e])))
+        if len(basis) == (len(self.columns[0]) if self.columns else 0):
+            return ground
+        cl = subset
+        for e in elements_of(ground & ~subset):
+            if not any(self._reduce(basis, self.columns[e])):
+                cl |= 1 << e
+        return cl
 
 
 @dataclass(frozen=True)
@@ -191,40 +241,40 @@ class UniformOracle:
         if self.rank_bound < 0:
             raise InvalidStructure("uniform rank must be non-negative")
 
-    def rank(self, subset: frozenset[int], ground: frozenset[int]) -> int:
-        return min(len(subset), self.rank_bound)
+    def rank(self, subset: int, ground: int) -> int:
+        return min(subset.bit_count(), self.rank_bound)
 
-    def closure(self, subset: frozenset[int], ground: frozenset[int]) -> frozenset[int]:
-        return subset if len(subset) < self.rank_bound else ground
+    def closure(self, subset: int, ground: int) -> int:
+        return subset if subset.bit_count() < self.rank_bound else ground
 
 
 @dataclass(frozen=True)
 class ClosureTableOracle:
-    """Complete explicit closure table, keyed by canonical subsets.
+    """Complete explicit closure table, from subset masks to closure masks.
 
     The table must contain an entry for every subset of the ground set;
     validity of the axioms is *not* assumed (``verify_pregeometry`` exists
     to check it), but lookups on missing keys are an input error.
     """
 
-    table: Mapping[frozenset[int], frozenset[int]]
+    table: Mapping[int, int]
 
-    def closure(self, subset: frozenset[int], ground: frozenset[int]) -> frozenset[int]:
+    def closure(self, subset: int, ground: int) -> int:
         try:
-            return frozenset(self.table[subset])
+            return self.table[subset]
         except KeyError:
             raise InvalidStructure(
-                f"closure table has no entry for {sorted(subset)}"
+                f"closure table has no entry for {list(elements_of(subset))}"
             ) from None
 
-    def rank(self, subset: frozenset[int], ground: frozenset[int]) -> int:
+    def rank(self, subset: int, ground: int) -> int:
         """Size of the greedy basis, which takes each element, ascending,
         that its closure so far misses; valid if the table is a pregeometry."""
-        basis: frozenset[int] = frozenset()
-        for e in sorted(subset):
-            if e not in self.closure(basis, ground):
-                basis |= {e}
-        return len(basis)
+        basis = 0
+        for e in _low_bits(subset):
+            if not self.closure(basis, ground) & e:
+                basis |= e
+        return basis.bit_count()
 
 
 Oracle = LinearOracle | UniformOracle | ClosureTableOracle
@@ -275,14 +325,17 @@ class PregeometryReport:
 
 
 class Matroid:
-    """Ground set plus oracle, with memoised rank and closure."""
+    """Ground set plus oracle, with rank and closure memoised by mask."""
 
     def __init__(self, ground: GroundSet, oracle: Oracle):
         self.ground = ground
         self.oracle = oracle
-        self._ground_set = frozenset(ground.elements)
-        self._rank_cache: dict[frozenset[int], int] = {}
-        self._closure_cache: dict[frozenset[int], frozenset[int]] = {}
+        self._bit = {e: 1 << e for e in ground.elements}
+        self._ground_mask = whole = sum(self._bit.values())
+        #: Rank and closure of a mask, each memoised in one dict keyed by
+        #: mask; a miss asks the oracle once.
+        self._rank_mask: Callable[[int], int] = Memo(lambda s: oracle.rank(s, whole)).__getitem__
+        self._closure_mask: Callable[[int], int] = Memo(lambda s: oracle.closure(s, whole)).__getitem__
         if isinstance(oracle, LinearOracle) and tuple(range(len(oracle.columns))) != ground.elements:
             raise InvalidStructure("linear oracle requires ids 0..n-1, one column per element")
         want = 1 << len(ground.elements)
@@ -293,77 +346,79 @@ class Matroid:
 
     # -- basic queries ---------------------------------------------------
 
-    def _check(self, subset: Iterable[int]) -> frozenset[int]:
-        s = frozenset(subset)
-        bad = s - self._ground_set
-        if bad:
-            raise InvalidElement(f"element ids {sorted(bad)} not in ground set")
+    def _check(self, subset: Iterable[int]) -> int:
+        """The mask of ``subset``; InvalidElement names every id of it that
+        is not in the ground set."""
+        bit, s = self._bit, 0
+        it = iter(subset)
+        try:
+            for e in it:
+                s |= bit[e]
+        except KeyError:
+            bad = {e, *(x for x in it if x not in bit)}
+            raise InvalidElement(f"element ids {sorted(bad)} not in ground set") from None
         return s
 
     def rank(self, subset: Iterable[int]) -> int:
         """Cardinality of any maximal independent subset of ``subset``."""
-        s = self._check(subset)
-        r = self._rank_cache.get(s)
-        if r is None:
-            r = self._rank_cache[s] = self.oracle.rank(s, self._ground_set)
-        return r
+        return self._rank_mask(self._check(subset))
 
     def closure(self, subset: Iterable[int]) -> frozenset[int]:
         """The least closed set containing ``subset``."""
-        s = self._check(subset)
-        cl = self._closure_cache.get(s)
-        if cl is None:
-            cl = self._closure_cache[s] = self.oracle.closure(s, self._ground_set)
-        return cl
+        return frozenset(elements_of(self._closure_mask(self._check(subset))))
 
     def closure_flat(self, subset: Iterable[int]) -> Flat:
-        cl = self.closure(subset)
-        return Flat(canon(cl), self.rank(cl))
+        cl = self._closure_mask(self._check(subset))
+        return Flat(elements_of(cl), self._rank_mask(cl))
 
     def is_independent(self, subset: Iterable[int]) -> bool:
         s = self._check(subset)
-        return self.rank(s) == len(s)
+        return self._rank_mask(s) == s.bit_count()
 
     def independent_over(self, subset: Iterable[int], base: Iterable[int]) -> bool:
         """True iff every a in ``subset`` avoids cl(base + (subset - a))."""
-        s = self._check(subset)
-        b = self._check(base)
-        return all(a not in self.closure((s - {a}) | b) for a in s)
+        return self._independent_over(self._check(subset), self._check(base))
+
+    def _independent_over(self, s: int, base: int) -> bool:
+        cl = self._closure_mask
+        return not any(cl(s & ~a | base) & a for a in _low_bits(s))
 
     @property
     def full_rank(self) -> int:
-        return self.rank(self._ground_set)
+        return self._rank_mask(self._ground_mask)
 
     # -- flats and circuits ----------------------------------------------
 
     def flats(self) -> list[Flat]:
         """All closed subsets, sorted by (size, elements), each with its
         covering level as dimension; ``full_rank`` is the one rank query."""
-        return [Flat(canon(s), k) for s, k in self._closed_sets(self.full_rank).items()]
+        return [Flat(elements_of(s), k) for s, k in self._closed_sets(self.full_rank).items()]
 
-    def _closed_sets(self, max_rank: int) -> dict[frozenset[int], int]:
-        """The flats of rank <= ``max_rank``, each mapped to its rank, in
-        (size, lex) order: level 0 is cl(empty), level k+1 every cl(F + e)
-        with F on level k, e not in F, not met before.  The walk stops after
-        level ``max_rank`` even if the next is not empty, so on a table that
-        breaks the axioms no set above the table's rank counts as a flat."""
-        elems = self.ground.elements
-        found = {self.closure(()): 0} if max_rank >= 0 else {}
+    def _closed_sets(self, max_rank: int) -> dict[int, int]:
+        """The flats of rank <= ``max_rank`` as masks, each mapped to its
+        rank, in (size, lex) order: level 0 is cl(empty), level k+1 every
+        cl(F + e) with F on level k, e not in F, not met before.  The walk
+        stops after level ``max_rank`` even if the next is not empty, so on
+        a table that breaks the axioms no set above the table's rank counts
+        as a flat."""
+        bits = list(self._bit.values())
+        cl = self._closure_mask
+        found = {cl(0): 0} if max_rank >= 0 else {}
         level = set(found)
         for k in range(1, max_rank + 1):
-            extended = {f | {e} for f in level for e in elems if e not in f}
-            level = {self.closure(s) for s in extended} - found.keys()
+            extended = {f | b for f in level for b in bits if not f & b}
+            level = {cl(s) for s in extended} - found.keys()
             found.update(dict.fromkeys(level, k))
-        return {s: found[s] for s in sorted(found, key=size_lex)}
+        return {s: found[s] for s in sorted(found, key=lambda s: (s.bit_count(), elements_of(s)))}
 
     def _circuits(self, min_size: int, max_size: int) -> Iterator[Circuit]:
         """Circuits with ``min_size`` to ``max_size`` elements, lazily, in
         (size, lex) order."""
+        bit, rk = self._bit, self._rank_mask
         for combo in subsets(self.ground.elements, max_size, min_size):
-            s = frozenset(combo)
-            if not self.is_independent(s) and all(
-                self.is_independent(s - {e}) for e in combo
-            ):
+            s = sum(bit[e] for e in combo)
+            k = len(combo)
+            if rk(s) < k and all(rk(s ^ bit[e]) == k - 1 for e in combo):
                 yield Circuit(combo)
 
     def circuits(self, max_size: int) -> list[Circuit]:
@@ -398,16 +453,15 @@ class Matroid:
         tup = tuple(bs)
         if len(set(tup)) != len(tup):
             raise NotIndependent("bs contains repeats")
-        if not self.independent_over(tup, base):
+        s = self._check(tup)
+        if not self._independent_over(s, base):
             raise NotIndependent("bs is not independent over abar")
-        if not tup:
+        if not s:
             return True
-        inter: Optional[frozenset[int]] = None
-        for i in range(len(tup)):
-            dropped = base | (frozenset(tup) - {tup[i]})
-            cl = self.closure(dropped)
-            inter = cl if inter is None else inter & cl
-        return inter == self.closure(base)
+        inter = -1
+        for b in _low_bits(s):
+            inter &= self._closure_mask(base | s & ~b)
+        return inter == self._closure_mask(base)
 
     # -- axiom verification ----------------------------------------------
 
@@ -422,41 +476,40 @@ class Matroid:
 
         Grounds larger than ``max_ground`` require ``sample`` (number of
         random subsets to test) or GroundTooLarge is raised.  Returns the
-        first violation found, in a deterministic scan order.
+        first violation found, in a deterministic scan order: subsets A in
+        (size, lex) order, then b ascending; each witness is the least
+        element that shows the violation, and an exchange violation names
+        the least a in cl(A + b) - cl(A) - b with b outside cl(A + a).
         """
         elems = self.ground.elements
         universe, sampled = subset_universe(elems, max_ground, sample, seed)
+        cl = self._closure_mask
+        bits = [(b, 1 << b) for b in elems]
         checked = 0
-        for a_set in universe:
+
+        def fail(kind: str, a: Optional[int], b: Optional[int]) -> PregeometryReport:
+            return PregeometryReport(False, Violation(kind, a, b, elements_of(s)), checked, sampled)
+
+        for s in universe:
             checked += 1
-            cl_a = self.closure(a_set)
-            if not a_set <= cl_a:
-                miss = min(a_set - cl_a)
-                return PregeometryReport(
-                    False, Violation("extensivity", miss, None, canon(a_set)), checked, sampled
-                )
-            cl_cl = self.closure(cl_a)
+            cl_a = cl(s)
+            if s & ~cl_a:
+                return fail("extensivity", elements_of(s & ~cl_a)[0], None)
+            cl_cl = cl(cl_a)
             if cl_cl != cl_a:
-                wit = min(cl_cl ^ cl_a)
-                return PregeometryReport(
-                    False, Violation("idempotence", wit, None, canon(a_set)), checked, sampled
-                )
-            for b in elems:
-                if b in a_set:
+                return fail("idempotence", elements_of(cl_cl ^ cl_a)[0], None)
+            for b, bb in bits:
+                if s & bb:
                     continue
-                cl_ab = self.closure(a_set | {b})
-                if not cl_a <= cl_ab:
-                    wit = min(cl_a - cl_ab)
-                    return PregeometryReport(
-                        False, Violation("monotonicity", wit, b, canon(a_set)), checked, sampled
-                    )
-                for a in cl_ab - cl_a:
-                    if a == b:
-                        continue
-                    if b not in self.closure(a_set | {a}):
-                        return PregeometryReport(
-                            False, Violation("exchange", a, b, canon(a_set)), checked, sampled
-                        )
+                cl_ab = cl(s | bb)
+                if cl_a & ~cl_ab:
+                    return fail("monotonicity", elements_of(cl_a & ~cl_ab)[0], b)
+                new = cl_ab & ~cl_a & ~bb
+                while new:
+                    a = new & -new  # least first
+                    if not cl(s | a) & bb:
+                        return fail("exchange", elements_of(a)[0], b)
+                    new ^= a
         return PregeometryReport(True, None, checked, sampled)
 
 
@@ -483,12 +536,35 @@ def free_matroid(size: int) -> Matroid:
     return uniform_matroid(size, size)
 
 
+def table_masks(
+    size: int, rows: Iterable[tuple[Iterable[int], Iterable[int]]]
+) -> dict[int, int]:
+    """A closure table from (subset, closure) pairs of ids to masks; an
+    entry with an id outside 0..size-1 is an InvalidStructure that names it."""
+    bit = {e: 1 << e for e in range(size)}
+    table: dict[int, int] = {}
+    for key, cl in rows:
+        k = v = 0
+        try:
+            for e in key:
+                k |= bit[e]
+            for e in cl:
+                v |= bit[e]
+        except KeyError:
+            raise InvalidStructure(
+                f"closure table entry {sorted(key)} -> {sorted(cl)} "
+                f"leaves the ground set 0..{size - 1}"
+            ) from None
+        table[k] = v
+    return table
+
+
 def closure_table_matroid(
     size: int, table: Mapping[frozenset[int], frozenset[int]]
 ) -> Matroid:
     return Matroid(
         GroundSet(tuple(range(size))),
-        ClosureTableOracle(dict(table)),
+        ClosureTableOracle(table_masks(size, table.items())),
     )
 
 
@@ -513,25 +589,27 @@ def sparse_paving_matroid(
     for s in nb:
         if len(s) != rank:
             raise InvalidStructure("nonbases must have exactly `rank` elements")
+        if not all(e in range(size) for e in s):
+            raise InvalidStructure(f"nonbasis {sorted(s)} leaves the ground set 0..{size - 1}")
     for i in range(len(nb)):
         for j in range(i + 1, len(nb)):
             if len(nb[i] & nb[j]) > rank - 2:
                 raise InvalidStructure(
                     "sparse paving requires pairwise nonbasis intersections <= rank-2"
                 )
-    ground = tuple(range(size))
-    nonbasis = set(nb)
+    nonbasis = {mask_of(s) for s in nb}
+    bits = [1 << e for e in range(size)]
 
-    def rk(s: frozenset[int]) -> int:
-        if len(s) < rank:
-            return len(s)
-        if len(s) == rank:
+    def rk(s: int) -> int:
+        k = s.bit_count()
+        if k < rank:
+            return k
+        if k == rank:
             return rank - 1 if s in nonbasis else rank
         return rank
 
-    table: dict[frozenset[int], frozenset[int]] = {}
-    for combo in subsets(ground):
-        s = frozenset(combo)
+    table: dict[int, int] = {}
+    for s in range(1 << size):
         r = rk(s)
-        table[s] = frozenset(e for e in ground if rk(s | {e}) == r)
-    return closure_table_matroid(size, table)
+        table[s] = sum(b for b in bits if rk(s | b) == r)
+    return Matroid(GroundSet(tuple(range(size))), ClosureTableOracle(table))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import InvalidConfig, InvalidElement, InvalidSequence
-from .matroid import Matroid, canon
+from .matroid import Matroid, Memo, canon, elements_of
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,12 @@ class PPSConfig:
         return cls(canon(net), a1, a2, t1)
 
     def validate(self, m: Matroid) -> None:
-        x = frozenset(self.net)
         if self.a1 == self.a2:
             raise InvalidConfig("paddles must be distinct")
-        if not m.independent_over((self.a1, self.a2), x):
+        x, pair, t1 = m._check(self.net), m._check((self.a1, self.a2)), m._check((self.t1,))
+        if not m._independent_over(pair, x):
             raise InvalidConfig("paddles are not independent over the net")
-        if self.t1 in m.closure(x | {self.a1, self.a2}):
+        if m._closure_mask(x | pair) & t1:
             raise InvalidConfig("t1 lies in the closure of net and paddles")
 
     def paddle(self, i: int) -> int:
@@ -109,16 +109,27 @@ class CycleSearch:
     configs_searched: int = 0
 
 
-def _successors(m: Matroid, cfg: PPSConfig, ts: tuple[int, ...]) -> list[int]:
-    """Legal next elements after ``ts``, ascending.  This is the step rule:
-    with t the last element and a the paddle of step len(ts), every element
-    of cl(X + {a, t}) outside cl(X + {a}), t excepted."""
-    net = frozenset(cfg.net)
-    a, t = cfg.paddle(len(ts)), ts[-1]
-    return sorted(m.closure(net | {a, t}) - m.closure(net | {a}) - {t})
+def _steps(m: Matroid, net: int) -> Memo:
+    """The step rule over the net X (a mask), memoised: ``steps[a, t]`` is
+    every element of cl(X + {a, t}) outside cl(X + {a}), t excepted,
+    ascending, built when first read."""
+    cl = m._closure_mask
+
+    def row(key: tuple[int, int]) -> tuple[int, ...]:
+        a, t = key
+        base = net | 1 << a
+        return elements_of(cl(base | 1 << t) & ~cl(base) & ~(1 << t))
+
+    return Memo(row)
 
 
-def _check_steps(m: Matroid, seq: PPSSequence) -> None:
+def _successors(steps: Memo, cfg: PPSConfig, ts: tuple[int, ...]) -> tuple[int, ...]:
+    """Legal next elements after ``ts``, ascending: with t the last element
+    and a the paddle of step len(ts), ``steps[a, t]``."""
+    return steps[cfg.paddle(len(ts)), ts[-1]]
+
+
+def _check_steps(steps: Memo, seq: PPSSequence) -> None:
     """Raise InvalidSequence at the first step of ``seq`` that breaks the
     step rule; its configuration must already be valid."""
     ts = seq.ts
@@ -129,15 +140,17 @@ def _check_steps(m: Matroid, seq: PPSSequence) -> None:
     for i in range(1, len(ts)):
         if ts[i] == ts[i - 1]:
             raise InvalidSequence(f"step {i} repeats its predecessor")
-        if ts[i] not in _successors(m, seq.config, ts[:i]):
+        if ts[i] not in _successors(steps, seq.config, ts[:i]):
             raise InvalidSequence(f"step {i} violates the ping-pong rule")
 
 
 def pps_candidates(m: Matroid, seq: PPSSequence) -> list[int]:
-    """All legal next elements, ascending; empty means the PPS terminates."""
+    """All legal next elements, ascending, in a fresh list; empty means the
+    PPS terminates."""
     seq.config.validate(m)
-    _check_steps(m, seq)
-    return _successors(m, seq.config, seq.ts)
+    steps = _steps(m, m._check(seq.config.net))
+    _check_steps(steps, seq)
+    return list(_successors(steps, seq.config, seq.ts))
 
 
 def iter_runs(m: Matroid, config: PPSConfig, strategy: str = "least", budget: int = 64):
@@ -147,12 +160,12 @@ def iter_runs(m: Matroid, config: PPSConfig, strategy: str = "least", budget: in
     config.validate(m)
     if strategy not in ("least", "all-branches"):
         raise InvalidSequence(f"unknown strategy {strategy!r}")
-    yield from _runs(m, config, strategy, budget, (config.t1,))
+    yield from _runs(_steps(m, m._check(config.net)), config, strategy, budget, (config.t1,))
 
 
-def _runs(m: Matroid, config: PPSConfig, strategy: str, budget: int, ts: tuple[int, ...]):
+def _runs(steps: Memo, config: PPSConfig, strategy: str, budget: int, ts: tuple[int, ...]):
     """``iter_runs`` from the prefix ``ts``, with its arguments trusted."""
-    cands = _successors(m, config, ts)
+    cands = _successors(steps, config, ts)
     if not cands:
         yield PPSRun(PPSSequence(config, ts), "terminated")
         return
@@ -163,7 +176,7 @@ def _runs(m: Matroid, config: PPSConfig, strategy: str, budget: int, ts: tuple[i
         if c in ts:
             yield PPSRun(PPSSequence(config, ts + (c,)), "cycle", ts.index(c) + 1)
         else:
-            yield from _runs(m, config, strategy, budget, ts + (c,))
+            yield from _runs(steps, config, strategy, budget, ts + (c,))
 
 
 def pps_run(
@@ -187,12 +200,12 @@ def pps_verify(m: Matroid, seq: PPSSequence) -> PPSReport:
     except (InvalidConfig, InvalidElement) as e:
         return PPSReport(False, False, False, False, str(e))
     try:
-        _check_steps(m, seq)
+        _check_steps(_steps(m, m._check(cfg.net)), seq)
         steps_valid, detail = True, ""
-    except (InvalidSequence, InvalidElement) as e:
+    except InvalidSequence as e:
         steps_valid, detail = False, str(e)
 
-    span = m.closure(frozenset(cfg.net) | {cfg.a1, cfg.a2})
+    span = m.closure((*cfg.net, cfg.a1, cfg.a2))
     outside = all(t not in span for t in seq.ts)
     injective = len(set(seq.ts)) == len(seq.ts)
     return PPSReport(True, steps_valid, outside, injective, detail)
@@ -213,21 +226,26 @@ def pps_find_cycle(m: Matroid, budget: int = 64) -> CycleSearch:
         raise InvalidSequence("budget must be >= 1")
     exhausted = True
     searched = 0
+    cl, ground = m._closure_mask, m.ground.elements
     for net in m._closed_sets(m.full_rank - 3):
-        for a1 in m.ground.elements:
-            for a2 in m.ground.elements:
+        steps, net_elems = _steps(m, net), elements_of(net)
+        for a1 in ground:
+            for a2 in ground:
                 if a1 == a2:
                     continue
-                if not m.independent_over((a1, a2), net):
+                pair = 1 << a1 | 1 << a2
+                if not m._independent_over(pair, net):
                     continue
-                span = m.closure(net | {a1, a2})
-                for t1 in m.ground.elements:
-                    if t1 in span:
+                span = cl(net | pair)
+                for t1 in ground:
+                    if span >> t1 & 1:
                         continue
                     # The checks above are PPSConfig.validate.
-                    cfg = PPSConfig(canon(net), a1, a2, t1)
                     searched += 1
-                    for run in _runs(m, cfg, "all-branches", budget, (t1,)):
+                    if not steps[a1, t1]:
+                        continue  # its one run terminates at t1
+                    cfg = PPSConfig(net_elems, a1, a2, t1)
+                    for run in _runs(steps, cfg, "all-branches", budget, (t1,)):
                         if run.status == "cycle":
                             return CycleSearch("found", run, searched)
                         if run.status == "budget":

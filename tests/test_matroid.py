@@ -15,11 +15,14 @@ from flatgeom.errors import (
 )
 from flatgeom.matroid import (
     PRIME_TEST_BOUND,
+    LinearOracle,
     Matroid,
+    Violation,
     _is_prime,
     closure_table_matroid,
     free_matroid,
     linear_matroid,
+    mask_of,
     sparse_paving_matroid,
     table_from_matroid,
     uniform_matroid,
@@ -48,7 +51,8 @@ def gaussian_binomial(d: int, k: int, q: int) -> int:
 
 
 class CountingOracle:
-    """Passes every query to ``inner`` and records the rank queries."""
+    """Passes every query to ``inner`` and records the rank queries, as the
+    oracles take them: one int mask per subset, bit e for element e."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -126,6 +130,31 @@ class TestClosureTableOracle:
                 assert t.rank(subset) == m.rank(subset), (name, subset)
 
 
+class TestMaskQueries:
+    """The mask queries inside ``Matroid`` against the frozenset references."""
+
+    def test_closure_is_the_least_reference_flat_above(self, scan_corpus):
+        for name, m in scan_corpus.items():
+            # ref_flats ascends in size, so the first flat above S is cl(S).
+            flats = [mask_of(f) for f in ref_flats(m)]
+            for subset in powerset(m.ground.elements):
+                s = mask_of(subset)
+                assert m._closure_mask(s) == next(f for f in flats if not s & ~f), (name, subset)
+
+    def test_linear_rank_and_closure_match_brute_force(self, scan_corpus):
+        for name, m in scan_corpus.items():
+            if not isinstance(m.oracle, LinearOracle):
+                continue
+            q, cols = m.oracle.field, m.oracle.columns
+            # Up to rank + 1 elements on gf3_3: a brute span of k columns
+            # enumerates 3**k combinations.
+            top = m.full_rank + 1 if name == "gf3_3" else None
+            for subset in powerset(m.ground.elements, max_size=top):
+                s = mask_of(subset)
+                assert m._rank_mask(s) == brute_rank(q, cols, subset), (name, subset)
+                assert m._closure_mask(s) == mask_of(brute_span(q, cols, subset)), (name, subset)
+
+
 class TestIndependence:
     def test_dependent_triple(self, gf2):
         assert not gf2.is_independent({E1, E2, 5})  # e1, e2, e1+e2
@@ -164,6 +193,20 @@ class TestVerify:
     def test_closure_table_must_be_complete(self):
         with pytest.raises(InvalidStructure):
             closure_table_matroid(3, {frozenset(): frozenset()})
+
+    def test_closure_table_key_off_the_ground_set_rejected(self):
+        table = table_from_matroid(free_matroid(2))
+        del table[frozenset({0, 1})]
+        table[frozenset({5})] = frozenset({5})
+        with pytest.raises(InvalidStructure, match=r"entry \[5\] -> \[5\] leaves the ground set 0..1"):
+            closure_table_matroid(2, table)
+
+    def test_exchange_witness_is_the_least_a(self):
+        # cl({2}) = {1, 2, 8} while 2 lies outside both cl({1}) and cl({8}).
+        table = table_from_matroid(free_matroid(9))
+        table[frozenset({2})] = frozenset({1, 2, 8})
+        report = closure_table_matroid(9, table).verify_pregeometry()
+        assert report.violation == Violation("exchange", 1, 2, ())
 
 
 class TestCircuits:
@@ -205,7 +248,7 @@ class TestFlats:
         for name, m in scan_corpus.items():
             ref = ref_flats(m)
             for bound in range(-1, m.full_rank + 1):
-                want = [(s, m.rank(s)) for s in ref if m.rank(s) <= bound]
+                want = [(mask_of(s), m.rank(s)) for s in ref if m.rank(s) <= bound]
                 assert list(m._closed_sets(bound).items()) == want, (name, bound)
 
     @pytest.mark.parametrize("d, q", [(3, 2), (3, 3), (3, 5), (4, 2), (4, 3)])
@@ -221,7 +264,7 @@ class TestFlats:
         pg32 = linear_matroid(2, pg_columns(4, 2))
         oracle = CountingOracle(pg32.oracle)
         assert len(Matroid(pg32.ground, oracle).flats()) == 67
-        assert oracle.rank_queries == [frozenset(range(15))]
+        assert oracle.rank_queries == [(1 << 15) - 1]  # the whole ground
         oracle = CountingOracle(pg32.oracle)
         nets = Matroid(pg32.ground, oracle)._closed_sets(1)  # full rank 4, minus 3
         assert len(nets) == 16 and oracle.rank_queries == []
@@ -323,6 +366,11 @@ class TestSparsePaving:
     def test_rejects_overlapping_nonbases(self):
         with pytest.raises(InvalidStructure):
             sparse_paving_matroid(5, 3, [(0, 1, 2), (0, 1, 3)])
+
+    @pytest.mark.parametrize("bad", [(0, 1, 5), (-1, 0, 1)])
+    def test_rejects_nonbases_off_the_ground_set(self, bad):
+        with pytest.raises(InvalidStructure, match="leaves the ground set 0..4"):
+            sparse_paving_matroid(5, 3, [bad])
 
 
 def test_linear_matroid_requires_prime_field():

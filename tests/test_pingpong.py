@@ -48,6 +48,12 @@ class TestCandidates:
         with pytest.raises(InvalidSequence):
             pps_candidates(gf2, seq)
 
+    def test_returned_list_is_the_callers_own(self, gf2):
+        seq = PPSSequence(GF2_CFG, (0,))
+        pps_candidates(gf2, seq).append(99)
+        assert pps_candidates(gf2, seq) == [4]
+        assert [r.sequence.ts for r in pps_run(gf2, GF2_CFG, "all-branches", 32)] == [GF2_FORCED]
+
 
 class TestRun:
     def test_forced_cycle(self, gf2):
@@ -86,6 +92,12 @@ class TestVerify:
     def test_length_one_sequence_all_hold(self, gf2):
         report = pps_verify(gf2, PPSSequence(GF2_CFG, (0,)))
         assert report.ok
+
+    def test_start_off_the_ground_set_is_an_invalid_config(self, gf2):
+        cfg = PPSConfig.of((), a1=3, a2=1, t1=99)
+        report = pps_verify(gf2, PPSSequence(cfg, (99,)))
+        assert not report.config_valid
+        assert report.detail == "element ids [99] not in ground set"
 
     def test_consecutive_window_is_again_valid(self, gf2):
         # Re-based on its start, with paddles swapped when the window
@@ -129,6 +141,12 @@ class TestCycleSearch:
     def test_matches_reference_search(self, scan_corpus, budget):
         for name, m in scan_corpus.items():
             assert pps_find_cycle(m, budget) == ref_find_cycle(m, budget), name
+
+    def test_budget_above_ground_size_is_never_exceeded(self, scan_corpus):
+        # A run stops or repeats an element, so it holds at most n + 1.
+        for name, m in scan_corpus.items():
+            res = pps_find_cycle(m, len(m.ground) + 1)
+            assert res.status != "budget-exceeded", name
 
     def test_budget_below_one_rejected(self):
         with pytest.raises(InvalidSequence):
