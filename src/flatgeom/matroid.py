@@ -21,6 +21,14 @@ public methods take any iterable of ids and return frozensets and sorted
 tuples, so masks never cross the package boundary.  All set-valued results
 are canonical; "least" always means least element id.
 
+Over a ``LinearOracle`` the closure cache answers a miss on s from the
+prefixes of s by the rule cl(s) = cl(s - top) when top, the highest element
+of s, lies in cl(s - top): from the longest cached prefix p it gives
+cl(s) = cl(p) if s lies inside cl(p), and only otherwise asks the oracle.
+Linear spans obey the rule by construction.  A ``ClosureTableOracle``
+never uses it: the rule holds only in a pregeometry, and
+``verify_pregeometry`` must read a table's own entries to check the axioms.
+
 Flats are built by covering: the flats that cover a flat F are the sets
 cl(F + e), e not in F, so a flat's rank is the level at which it is met.
 """
@@ -113,6 +121,24 @@ class Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
+
+
+class _PrefixClosures(Memo):
+    """The closure memo of a linear oracle, which tries the prefix rule (see
+    the module docstring) before ``make`` asks the oracle; the walk down
+    the prefixes is a loop, so no recursion limit bounds its depth."""
+
+    def __missing__(self, s: int) -> int:
+        p = s
+        while p:
+            p ^= 1 << p.bit_length() - 1
+            cl_p = self.get(p)
+            if cl_p is not None:
+                if s & ~cl_p:  # and no shorter prefix spans more
+                    break
+                self[s] = cl_p
+                return cl_p
+        return super().__missing__(s)
 
 
 def _low_bits(mask: int) -> Iterator[int]:
@@ -333,9 +359,13 @@ class Matroid:
         self._bit = {e: 1 << e for e in ground.elements}
         self._ground_mask = whole = sum(self._bit.values())
         #: Rank and closure of a mask, each memoised in one dict keyed by
-        #: mask; a miss asks the oracle once.
+        #: mask; a miss asks the oracle at most once (a linear closure miss
+        #: tries the prefix rule first).
         self._rank_mask: Callable[[int], int] = Memo(lambda s: oracle.rank(s, whole)).__getitem__
-        self._closure_mask: Callable[[int], int] = Memo(lambda s: oracle.closure(s, whole)).__getitem__
+        closures = _PrefixClosures if isinstance(oracle, LinearOracle) else Memo
+        self._closure_mask: Callable[[int], int] = closures(lambda s: oracle.closure(s, whole)).__getitem__
+        #: pingpong's step table of the most recent net, as (net, table).
+        self._net_steps: Optional[tuple[int, Memo]] = None
         if isinstance(oracle, LinearOracle) and tuple(range(len(oracle.columns))) != ground.elements:
             raise InvalidStructure("linear oracle requires ids 0..n-1, one column per element")
         want = 1 << len(ground.elements)

@@ -112,7 +112,14 @@ class CycleSearch:
 def _steps(m: Matroid, net: int) -> Memo:
     """The step rule over the net X (a mask), memoised: ``steps[a, t]`` is
     every element of cl(X + {a, t}) outside cl(X + {a}), t excepted,
-    ascending, built when first read."""
+    ascending, built when first read.
+
+    ``m`` keeps the table of the one net asked for last, so ``pps_run``,
+    ``pps_verify`` and ``pps_candidates`` on that net share its rows; asking
+    for another net drops it.  A ``Matroid`` thus holds at most one step
+    table, however many nets ``pps_find_cycle`` walks."""
+    if m._net_steps is not None and m._net_steps[0] == net:
+        return m._net_steps[1]
     cl = m._closure_mask
 
     def row(key: tuple[int, int]) -> tuple[int, ...]:
@@ -120,7 +127,9 @@ def _steps(m: Matroid, net: int) -> Memo:
         base = net | 1 << a
         return elements_of(cl(base | 1 << t) & ~cl(base) & ~(1 << t))
 
-    return Memo(row)
+    steps = Memo(row)
+    m._net_steps = net, steps
+    return steps
 
 
 def _successors(steps: Memo, cfg: PPSConfig, ts: tuple[int, ...]) -> tuple[int, ...]:
@@ -205,8 +214,9 @@ def pps_verify(m: Matroid, seq: PPSSequence) -> PPSReport:
     except InvalidSequence as e:
         steps_valid, detail = False, str(e)
 
-    span = m.closure((*cfg.net, cfg.a1, cfg.a2))
-    outside = all(t not in span for t in seq.ts)
+    span = m._closure_mask(m._check((*cfg.net, cfg.a1, cfg.a2)))
+    # A later t may be any int, off the ground set or negative: not in span.
+    outside = not any(t >= 0 and span >> t & 1 for t in seq.ts)
     injective = len(set(seq.ts)) == len(seq.ts)
     return PPSReport(True, steps_valid, outside, injective, detail)
 

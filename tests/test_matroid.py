@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -20,6 +21,7 @@ from flatgeom.matroid import (
     Violation,
     _is_prime,
     closure_table_matroid,
+    elements_of,
     free_matroid,
     linear_matroid,
     mask_of,
@@ -153,6 +155,60 @@ class TestMaskQueries:
                 s = mask_of(subset)
                 assert m._rank_mask(s) == brute_rank(q, cols, subset), (name, subset)
                 assert m._closure_mask(s) == mask_of(brute_span(q, cols, subset)), (name, subset)
+
+
+class TestPrefixRule:
+    """Linear closure-cache misses answered from a cached prefix, against
+    the oracle asked cold; closure tables read verbatim."""
+
+    @pytest.mark.parametrize("name", ["gf2_3", "gf3_3", "PG(3,2)"])
+    def test_linear_closure_equals_the_cold_oracle(self, name):
+        m = linear_matroid(2, pg_columns(4, 2)) if name == "PG(3,2)" else corpus.MATROIDS[name]()
+        whole, oracle = m._ground_mask, m.oracle
+        masks = [mask_of(s) for s in powerset(m.ground.elements)]
+        # (size, lex) order meets every prefix first, so most answers are
+        # derived; a shuffled order also walks down to shorter prefixes.
+        shuffled = masks[:] if name != "PG(3,2)" else []
+        random.Random(0).shuffle(shuffled)
+        for order in (masks, shuffled):
+            live = Matroid(m.ground, oracle)
+            for s in order:
+                assert live._closure_mask(s) == oracle.closure(s, whole), (name, elements_of(s))
+
+    def test_linear_closure_equals_the_brute_span(self):
+        m = corpus.gf2_3()
+        for subset in powerset(m.ground.elements):
+            assert m._closure_mask(mask_of(subset)) == mask_of(brute_span(2, GF2_COLS, subset)), subset
+
+    def test_long_prefix_walk_is_not_recursive(self):
+        # 1 200 distinct nonzero GF(2)^11 columns; cl({0}) is cached, so
+        # the miss on the whole ground walks down 1 199 prefixes.
+        m = linear_matroid(2, [tuple(k >> i & 1 for i in range(11)) for k in range(1, 1201)])
+        assert m.closure([0]) == {0}
+        assert m.closure(range(1200)) == frozenset(range(1200))
+
+    @pytest.mark.parametrize(
+        "entries, violation",
+        [
+            # {0, 1, 2} is a parallel class, but cl({0, 1}) = {0, 1}: the
+            # prefix rule would derive {0, 1, 2} from cl({0}).
+            (
+                {(0,): (0, 1, 2), (1,): (0, 1, 2), (2,): (0, 1, 2), (0, 1): (0, 1)},
+                Violation("monotonicity", 2, 1, (0,)),
+            ),
+            # cl({2}) = {1, 2, 8}: the rule would derive cl({2, 8}) as
+            # {1, 2, 8}, not the table's {2, 8}.
+            ({(2,): (1, 2, 8)}, Violation("exchange", 1, 2, ())),
+        ],
+    )
+    def test_table_that_breaks_the_axioms_is_read_verbatim(self, entries, violation):
+        size = 9
+        table = table_from_matroid(free_matroid(size))
+        table.update({frozenset(k): frozenset(v) for k, v in entries.items()})
+        m = closure_table_matroid(size, table)
+        assert m.verify_pregeometry().violation == violation
+        for key in powerset(range(size)):
+            assert m.closure(key) == table[frozenset(key)], key
 
 
 class TestIndependence:

@@ -99,6 +99,15 @@ class TestVerify:
         assert not report.config_valid
         assert report.detail == "element ids [99] not in ground set"
 
+    @pytest.mark.parametrize("stray", [7, 99, -1])
+    def test_later_id_off_the_ground_set_is_an_invalid_step(self, gf2, stray):
+        # gf2_3 has ids 0..6; the stray id sits after a valid prefix and
+        # also as the last element, and neither raises.
+        for ts in ((0, stray), (0, 4, stray, 2), GF2_FORCED + (stray,)):
+            report = pps_verify(gf2, PPSSequence(GF2_CFG, ts))
+            assert report.config_valid and not report.steps_valid, ts
+            assert report.detail.startswith(f"step {ts.index(stray)} "), ts
+
     def test_consecutive_window_is_again_valid(self, gf2):
         # Re-based on its start, with paddles swapped when the window
         # starts at an even index.
@@ -111,6 +120,31 @@ class TestVerify:
             window = ts[start : start + 2]
             report = pps_verify(gf2, PPSSequence(cfg, window))
             assert report.config_valid and report.steps_valid
+
+
+class TestSharedStepTable:
+    def test_verifying_generated_runs_builds_no_step_row(self):
+        m = corpus.gf3_3()
+        cfg = PPSConfig.of((), 0, 1, 4)
+        runs = pps_run(m, cfg, "all-branches", 8)
+        net, steps = m._net_steps
+        built = dict(steps)
+        assert len(runs) == 56 and net == 0 and built
+        for run in runs:
+            assert pps_verify(m, run.sequence).steps_valid
+            # The run was generated by extending this prefix.
+            pps_candidates(m, PPSSequence(cfg, run.sequence.ts[:-1]))
+        assert m._net_steps[1] is steps and dict(steps) == built
+
+    def test_cycle_search_keeps_only_the_last_nets_table(self):
+        m = uniform_matroid(5, 8)
+        assert pps_find_cycle(m, 8).status == "none"
+        *_, last = m._closed_sets(m.full_rank - 3)
+        net, steps = m._net_steps
+        assert net == last and steps
+        # A run on another net replaces the table instead of adding one.
+        pps_run(m, PPSConfig.of((), 0, 1, 2), "least", 8)
+        assert m._net_steps[0] == 0 and m._net_steps[1] is not steps
 
 
 def ref_find_cycle(m, budget) -> CycleSearch:
