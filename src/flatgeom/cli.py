@@ -13,6 +13,7 @@ The FLATGEOM_BUDGET environment variable overrides default search budgets.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import Any, Optional
@@ -257,22 +258,7 @@ def cmd_effective_going_down(args) -> int:
     }
     _emit(doc)
     if args.trace:
-        full = {
-            "v": V,
-            "records": [
-                {
-                    "stage": r.stage,
-                    "event": r.event,
-                    "b_size": r.b_size,
-                    "symbols": list(r.symbols),
-                    "images": list(r.images),
-                    "copied": r.copied,
-                    "witness": r.witness,
-                    "replacements": list(r.replacements),
-                }
-                for r in trace.records
-            ],
-        }
+        full = {"v": V, "records": [dataclasses.asdict(r) for r in trace.records]}
         try:
             with open(args.trace, "w") as fh:
                 fh.write(jsonio.dumps(full) + "\n")

@@ -47,6 +47,8 @@ class RelationalStructure:
     def __post_init__(self):
         ground = set(self.universe)
         for name, rel in self.relations.items():
+            if rel.arity < 0:
+                raise InvalidStructure(f"{name} has negative arity {rel.arity}")
             for t in rel.tuples:
                 if len(t) != rel.arity:
                     raise InvalidStructure(f"{name} tuple {t} has wrong arity")
@@ -205,9 +207,7 @@ class ConstructionTrace:
 
     def corrected_member(self, elem: int, stage: int) -> bool:
         """Membership after forcing enumerated A-elements in."""
-        if any(e == elem and s <= stage for e, s in self.enumeration.entries):
-            return True
-        return self.membership.member_at(elem, stage)
+        return elem in _corrected_members((elem,), self.membership, self.enumeration, stage)
 
 
 def _corrected_members(
@@ -249,11 +249,6 @@ def going_down_run(
             "signature has more symbols than extension steps available"
         )
 
-    m_at = {
-        s: _corrected_members(universe, membership, enumeration, s)
-        for s in range(1, horizon + 1)
-    }
-
     images: list[int] = []  # images[b] = f(b)
     symbols: list[str] = []
     facts: dict[tuple[str, tuple[int, ...]], bool] = {}
@@ -264,22 +259,21 @@ def going_down_run(
     wait_from = 0
     ref_ran: frozenset[int] = frozenset()
     ref_inter: frozenset[int] = frozenset()
-    z = -1
-    out_pre: list[int] = []  # preimages of the dropped elements, z's first
+    out_pre: list[int] = []  # preimages of the dropped images, in image order
     longest_wait = 0
 
-    def commit_new_symbol(sym: str) -> None:
-        rel = structure.relations[sym]
-        size = len(images)
-        for tup in product(range(size), repeat=rel.arity):
-            facts[(sym, tup)] = rel.holds(tuple(images[b] for b in tup))
+    def commit(sym: str) -> None:
+        """Pull back every missing fact of ``sym`` over the current copy.
 
-    def commit_new_element(new_b: int) -> None:
-        for sym in symbols:
-            rel = structure.relations[sym]
-            for tup in product(range(len(images)), repeat=rel.arity):
-                if new_b in tup and (sym, tup) not in facts:
-                    facts[(sym, tup)] = rel.holds(tuple(images[b] for b in tup))
+        Every extension commits every revealed symbol, so a symbol revealed
+        at an earlier extension misses only the tuples through the newest
+        preimage, and one revealed now misses them all."""
+        rel = structure.relations[sym]
+        earlier = sym in symbols
+        newest = len(images) - 1
+        for tup in product(range(len(images)), repeat=rel.arity):
+            if not earlier or newest in tup:
+                facts[(sym, tup)] = rel.holds(tuple(images[b] for b in tup))
 
     def embedding_ok(candidate: Sequence[int]) -> bool:
         if len(set(candidate)) != len(candidate):
@@ -291,97 +285,70 @@ def going_down_run(
         return True
 
     def try_outcome2(stage: int) -> Optional[tuple[int, tuple[int, ...]]]:
-        kept = [images[b] for b in range(len(images)) if b not in out_pre]
-        a_pool = [a for a in enumeration.at(stage) if a not in kept]
-        rest_pre = out_pre[1:]
-        for a in a_pool:
-            for repl in product(universe, repeat=len(rest_pre)):
+        """The first A-element for the least dropped image, with images for
+        the other dropped preimages, that keeps every committed fact."""
+        kept = {y for b, y in enumerate(images) if b not in out_pre}
+        for a in enumeration.at(stage):
+            if a in kept:
+                continue
+            for repl in product(universe, repeat=len(out_pre) - 1):
                 candidate = list(images)
-                candidate[out_pre[0]] = a
-                for b, y in zip(rest_pre, repl):
+                for b, y in zip(out_pre, (a, *repl)):
                     candidate[b] = y
                 if embedding_ok(candidate):
-                    return a, tuple(repl)
+                    return a, repl
         return None
 
-    def apply_outcome2(stage: int, a: int, repl: tuple[int, ...]) -> None:
-        images[out_pre[0]] = a
-        last_change[out_pre[0]] = stage
-        for b, y in zip(out_pre[1:], repl):
-            images[b] = y
-            last_change[b] = stage
+    def record(stage: int, event: str, **extra) -> None:
         records.append(
-            StageRecord(
-                stage, "outcome2", len(images), tuple(symbols), tuple(images),
-                witness=a, replacements=repl,
-            )
+            StageRecord(stage, event, len(images), tuple(symbols), tuple(images), **extra)
         )
 
     for stage in range(1, horizon + 1):
-        members = m_at[stage]
-        if waiting:
-            if frozenset(ref_ran) & members != ref_inter:
-                waiting = False
-                longest_wait = max(longest_wait, stage - wait_from)
-                records.append(
-                    StageRecord(stage, "outcome1", len(images), tuple(symbols), tuple(images))
-                )
+        members = _corrected_members(universe, membership, enumeration, stage)
+        if not waiting:
+            ran = frozenset(images)
+            if ran <= members:
+                fresh = members - ran
+                if not fresh:
+                    record(stage, "wait")
+                    continue
+                y = min(fresh)
+                last_change[len(images)] = stage
+                images.append(y)
+                revealed = presentation.signature_order[len(symbols) : len(symbols) + 1]
+                for sym in (*revealed, *symbols):
+                    commit(sym)
+                symbols.extend(revealed)
+                record(stage, "extend", copied=y)
                 continue
-            hit = try_outcome2(stage)
-            if hit is not None:
-                waiting = False
-                longest_wait = max(longest_wait, stage - wait_from)
-                apply_outcome2(stage, *hit)
-                continue
-            records.append(
-                StageRecord(stage, "wait", len(images), tuple(symbols), tuple(images))
+            # Some image dropped out of the approximation: freeze the copy
+            # and take the wait path below.  Outcome 1 cannot hold on this
+            # stage, because ref_inter is ran & members itself, so the stage
+            # ends in outcome 2 or a wait, as a later waiting stage does.
+            out_pre = sorted(
+                (b for b, y in enumerate(images) if y not in members),
+                key=images.__getitem__,
             )
-            continue
+            ref_ran, ref_inter = ran, ran & members
+            waiting, wait_from = True, stage
 
-        ran = set(images)
-        if ran <= members:
-            fresh = sorted(members - ran)
-            if not fresh:
-                records.append(
-                    StageRecord(stage, "wait", len(images), tuple(symbols), tuple(images))
-                )
-                continue
-            y = fresh[0]
-            new_b = len(images)
-            images.append(y)
-            last_change[new_b] = stage
-            if len(symbols) < len(presentation.signature_order):
-                sym = presentation.signature_order[len(symbols)]
-                symbols.append(sym)
-                commit_new_symbol(sym)
-            commit_new_element(new_b)
-            records.append(
-                StageRecord(
-                    stage, "extend", len(images), tuple(symbols), tuple(images), copied=y
-                )
-            )
-            continue
-
-        # Some image dropped out of the approximation: freeze and wait.
-        dropped = sorted(ran - members)
-        z = dropped[0]
-        out_set = set(dropped)
-        out_pre = sorted(
-            (b for b in range(len(images)) if images[b] in out_set),
-            key=lambda b: (images[b] != z, images[b]),
-        )
-        ref_ran = frozenset(ran)
-        ref_inter = frozenset(ran) & members
-        waiting = True
-        wait_from = stage
-        hit = try_outcome2(stage)
-        if hit is not None:
+        if ref_ran & members != ref_inter:
             waiting = False
-            apply_outcome2(stage, *hit)
-        else:
-            records.append(
-                StageRecord(stage, "wait", len(images), tuple(symbols), tuple(images))
-            )
+            longest_wait = max(longest_wait, stage - wait_from)
+            record(stage, "outcome1")
+            continue
+        hit = try_outcome2(stage)
+        if hit is None:
+            record(stage, "wait")
+            continue
+        a, repl = hit
+        for b, y in zip(out_pre, (a, *repl)):
+            images[b] = y
+            last_change[b] = stage
+        waiting = False
+        longest_wait = max(longest_wait, stage - wait_from)
+        record(stage, "outcome2", witness=a, replacements=repl)
 
     status = "stuck" if waiting else "completed"
     return ConstructionTrace(
@@ -429,17 +396,14 @@ def trace_verify(trace: ConstructionTrace, target: Iterable[int]) -> TraceReport
     detail = "" if stabilized else "an image settled outside the target"
 
     permanence = True
-    prev: Optional[StageRecord] = None
-    for rec in trace.records:
-        if prev is not None:
-            entered = {
-                e for e, s in trace.enumeration.entries if s <= prev.stage
-            }
-            for b in range(prev.b_size):
-                if prev.images[b] in entered and rec.images[b] != prev.images[b]:
-                    permanence = False
-                    detail = detail or f"image of {b} moved after joining A at stage {rec.stage}"
-        prev = rec
+    for prev, rec in zip(trace.records, trace.records[1:]):
+        if rec.images[: prev.b_size] == prev.images:
+            continue  # no image moved
+        entered = set(trace.enumeration.at(prev.stage))
+        for b in range(prev.b_size):
+            if prev.images[b] in entered and rec.images[b] != prev.images[b]:
+                permanence = False
+                detail = detail or f"image of {b} moved after joining A at stage {rec.stage}"
 
     injective = len(set(trace.limit_map)) == len(trace.limit_map)
     symbols_done = (

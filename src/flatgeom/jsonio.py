@@ -257,9 +257,12 @@ def effective_scenario_from_json(
             structure, tuple(doc["signature_order"]), matroid
         )
         flips = tuple(
-            FlipEvent(int(f["elem"]), int(f["stage"]), bool(f["in"]))
+            FlipEvent(int(f["elem"]), int(f["stage"]), f["in"])
             for f in doc.get("flips", [])
         )
+        bad = [ev.value for ev in flips if not isinstance(ev.value, bool)]
+        if bad:
+            raise InputError(f'flip "in" must be true or false, got {bad[0]!r}')
         membership = Delta2Schedule(
             frozenset(int(x) for x in doc["M"]),
             flips,

@@ -195,31 +195,20 @@ def classify(s: SpectrumSet, profile: TheoryProfile) -> Verdict:
         )
 
     initial = s.is_initial()
-    violated: list[str] = []
-
-    if profile.n != 2:
-        if not initial:
-            violated.append(RULE_INITIAL_SEGMENT)
-        if _omega_rule_violated(s):
-            violated.append(RULE_OMEGA_DOWNWARD)
-        return _allowed_shape(s) if not violated else Verdict("excluded", rules=tuple(violated))
-
-    # n = 2: a finite member >= 3 forces the whole finite part downward.
-    if any(k >= 3 for k in s.finite_part):
-        if not initial:
-            violated.append(RULE_INITIAL_FROM_THREE)
-        if _omega_rule_violated(s):
-            violated.append(RULE_OMEGA_DOWNWARD)
-        return _allowed_shape(s) if not violated else Verdict("excluded", rules=tuple(violated))
-
-    if s.omega:
-        if _omega_rule_violated(s):
-            return Verdict("excluded", rules=(RULE_OMEGA_DOWNWARD,))
-        return _allowed_shape(s)
-
+    rules: list[str] = []
+    # Outside n = 2, and at n = 2 once a finite member >= 3 is present,
+    # the finite part must be an initial segment.
+    if not initial and profile.n != 2:
+        rules.append(RULE_INITIAL_SEGMENT)
+    elif not initial and any(k >= 3 for k in s.finite_part):
+        rules.append(RULE_INITIAL_FROM_THREE)
+    if _omega_rule_violated(s):
+        rules.append(RULE_OMEGA_DOWNWARD)
+    if rules:
+        return Verdict("excluded", rules=tuple(rules))
     if initial:
         return _allowed_shape(s)
-    # Finite part inside {0,1,2}, not initial: exactly the open sets.
+    # n = 2, finite part inside {0,1,2}, not initial, no omega: the open sets.
     assert s.finite_part in OPEN_SETS
     return Verdict("open-unknown")
 

@@ -23,6 +23,10 @@ from flatgeom.matroid import PRIME_TEST_BOUND, linear_matroid, uniform_matroid
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 
 
+#: The going-down demo as a scenario document.
+DEMO_EFFECTIVE = jsonio.effective_scenario_to_json(*corpus.going_down_demo())
+
+
 def run(capsys, *argv):
     code = run_command(list(argv))
     out = capsys.readouterr().out
@@ -364,6 +368,29 @@ class TestCommands:
                 f"field order {10**30} is not below {PRIME_TEST_BOUND}, "
                 "the bound of the primality test",
             ),
+            (
+                "effective going-down --scenario",
+                {
+                    **DEMO_EFFECTIVE,
+                    "structure": {
+                        **DEMO_EFFECTIVE["structure"],
+                        "relations": {
+                            **DEMO_EFFECTIVE["structure"]["relations"],
+                            "neg": {"arity": -1, "tuples": []},
+                        },
+                    },
+                    "signature_order": ["phi", "neg"],
+                },
+                "neg has negative arity -1",
+            ),
+            (
+                "effective going-down --scenario",
+                {
+                    **DEMO_EFFECTIVE,
+                    "flips": [*DEMO_EFFECTIVE["flips"], {"elem": 0, "stage": 2, "in": "false"}],
+                },
+                "flip \"in\" must be true or false, got 'false'",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -376,6 +403,8 @@ class TestCommands:
             "list-in-revealed-tuple",
             "composite-field-above-bound",
             "field-above-bound",
+            "negative-arity",
+            "string-flip-value",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

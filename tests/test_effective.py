@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -201,3 +202,60 @@ class TestRandomScenarios:
             outcome1 = sum(1 for r in trace.records if r.event == "outcome1")
             budget = len(membership.flips) + len(enumeration.entries)
             assert outcome1 <= budget
+
+
+def _pinned_scenarios():
+    """The demo, the stuck case above, a nullary symbol revealed mid-run
+    and 40 seeded random scenarios; every third random one loses its
+    stage-1 A entries, so its waits must find other witnesses or end
+    stuck."""
+    yield corpus.going_down_demo()
+    structure = RelationalStructure.of(range(3), {"u": (1, [(2,)])})
+    yield (
+        StagewisePresentation(structure, ("u",)),
+        Delta2Schedule(frozenset({0, 1}), (FlipEvent(2, 4, False),)),
+        Sigma1Schedule.of({0: 1, 1: 1}),
+        10,
+    )
+    structure = RelationalStructure.of(
+        range(6), {"z": (0, [()]), "t": (3, [(0, 1, 2), (5, 4, 3)]), "u": (1, [(1,), (4,)])}
+    )
+    yield (
+        StagewisePresentation(structure, ("u", "z", "t")),
+        Delta2Schedule(
+            frozenset(range(5)),
+            (FlipEvent(5, 2, True), FlipEvent(5, 4, False), FlipEvent(1, 3, False), FlipEvent(1, 6, True)),
+        ),
+        Sigma1Schedule.of({0: 1, 4: 1, 3: 2}),
+        14,
+    )
+    rng = random.Random(4321)
+    for i in range(40):
+        pres, membership, enumeration, horizon = corpus.random_going_down_scenario(rng)
+        if i % 3 == 2:
+            enumeration = Sigma1Schedule(tuple(p for p in enumeration.entries if p[1] > 1))
+        yield pres, membership, enumeration, horizon
+
+
+class TestSimulatorPin:
+    #: sha256 of every observable of ``going_down_run`` and ``trace_verify``
+    #: over ``_pinned_scenarios``.  Change it only when a run is meant to
+    #: change.
+    DIGEST = "785835a64a1e37d40080f7023f1194654524793a36fa5b67b74d601e67abf3dc"
+
+    def test_runs_and_reports_are_unchanged(self):
+        rows = []
+        for pres, membership, enumeration, horizon in _pinned_scenarios():
+            trace = going_down_run(pres, membership, enumeration, horizon)
+            rows.append((
+                [dataclasses.astuple(r) for r in trace.records],
+                list(trace.facts.items()),
+                trace.limit_map,
+                trace.stabilization,
+                trace.longest_wait,
+                trace.stuck_stage,
+                trace.status,
+                dataclasses.astuple(trace_verify(trace, membership.target)),
+            ))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == self.DIGEST

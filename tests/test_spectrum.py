@@ -175,6 +175,39 @@ class TestBruteForce:
             assert (a.kind, a.rules) == (b.kind, b.rules)
             assert a.shape == b.shape
 
+    def test_verdicts_match_a_restatement_of_the_rules(self):
+        # Each rule as the module docstring states it, rules in the order
+        # listed there; every valid profile at n in {2, 3, 4}.
+        horizon = 6
+        for n in (2, 3, 4):
+            opts = (None, *range(n + 2))
+            profiles = [TheoryProfile(n, p, ild) for p in opts for ild in opts]
+            profiles = [q for q in profiles if validate_profile(q).ok]
+            for finite, omega in all_candidates(horizon):
+                initial = finite == frozenset(range(len(finite)))
+                rules = []
+                if not initial and n != 2:
+                    rules.append(RULE_INITIAL_SEGMENT)
+                if not initial and n == 2 and max(finite) >= 3:
+                    rules.append(RULE_INITIAL_FROM_THREE)
+                if omega and any(not frozenset(range(m)) <= finite for m in finite if m >= 1):
+                    rules.append(RULE_OMEGA_DOWNWARD)
+                if rules:
+                    want = ("excluded", None, None, tuple(rules))
+                elif not initial:
+                    want = ("open-unknown", None, None, ())
+                elif not omega:
+                    want = ("allowed", "[0,a)", f"[0,{len(finite)})", ())
+                elif len(finite) == horizon + 1:
+                    want = ("allowed", "[0,a)", "[0,omega]", ())
+                elif finite:
+                    want = ("allowed", "[0,n]+{omega}", f"[0,{max(finite)}]+{{omega}}", ())
+                else:
+                    want = ("allowed", "{omega}", "{omega}", ())
+                for profile in profiles:
+                    v = classify(SpectrumSet(finite, omega, horizon), profile)
+                    assert (v.kind, v.schema, v.shape, v.rules) == want, (finite, omega, profile)
+
     def test_out_of_horizon_member_rejected(self):
         with pytest.raises(InputError):
             SpectrumSet.of([9], horizon=6)
