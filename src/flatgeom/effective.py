@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -105,12 +106,9 @@ class Delta2Schedule:
     max_flips_per_element: int = 3
 
     def validate(self) -> None:
-        per_elem: dict[int, list[FlipEvent]] = {}
-        for ev in self.flips:
-            if ev.stage < 1:
-                raise IncoherentSchedule("flip stages start at 1")
-            per_elem.setdefault(ev.elem, []).append(ev)
-        for elem, events in per_elem.items():
+        if any(ev.stage < 1 for ev in self.flips):
+            raise IncoherentSchedule("flip stages start at 1")
+        for elem, events in self._flips_of.items():
             stages = [ev.stage for ev in events]
             if len(set(stages)) != len(stages) or stages != sorted(stages):
                 raise IncoherentSchedule(f"element {elem} flips out of order")
@@ -131,21 +129,23 @@ class Delta2Schedule:
     def last_flip_stage(self) -> int:
         return max((ev.stage for ev in self.flips), default=0)
 
-    def member_at(self, elem: int, stage: int) -> bool:
-        state = None
-        first = None
+    @cached_property
+    def _flips_of(self) -> dict[int, list[FlipEvent]]:
+        """Each element's flips, in schedule order."""
+        out: dict[int, list[FlipEvent]] = {}
         for ev in self.flips:
-            if ev.elem != elem:
-                continue
-            if first is None:
-                first = ev
+            out.setdefault(ev.elem, []).append(ev)
+        return out
+
+    def member_at(self, elem: int, stage: int) -> bool:
+        events = self._flips_of.get(elem)
+        if not events:
+            return elem in self.target
+        state = not events[0].value
+        for ev in events:
             if ev.stage <= stage:
                 state = ev.value
-        if state is not None:
-            return state
-        if first is not None:
-            return not first.value
-        return elem in self.target
+        return state
 
 
 @dataclass(frozen=True)

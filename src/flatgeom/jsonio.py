@@ -39,6 +39,16 @@ SCHEMA_VERSION = 1
 _BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
 
 
+def _int(value: Any, what: str) -> int:
+    """``value`` if it is a JSON integer.  A bool, a string or a fraction
+    raises InputError; an infinite number keeps ``int``'s OverflowError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        int(value)
+    raise InputError(f"{what} must be an integer, got {value!r}")
+
+
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -105,11 +115,11 @@ def matroid_from_json(doc: Any) -> Matroid:
             labels = None
             if "labels" in doc:
                 labels = {i: lab for i, lab in enumerate(doc["labels"])}
-            return linear_matroid(int(doc["field"]), doc["columns"], labels)
+            return linear_matroid(_int(doc["field"], "field"), doc["columns"], labels)
         if kind == "uniform":
-            return uniform_matroid(int(doc["rank"]), int(doc["size"]))
+            return uniform_matroid(_int(doc["rank"], "rank"), _int(doc["size"], "size"))
         if kind == "closure-table":
-            n = int(doc["ground"])
+            n = _int(doc["ground"], "ground")
             if n < 0:
                 raise InputError(f"closure table ground must be non-negative, got {n}")
             table = table_masks(n, ((entry["set"], entry["cl"]) for entry in doc["closure"]))
@@ -135,10 +145,10 @@ def structure_from_json(doc: Any) -> GeometricStructure:
     try:
         m = matroid_from_json(doc["matroid"])
         tuples = [tuple(t) for t in doc["phi"]["tuples"]]
-        g = GeometricStructure.of(m, tuples, int(doc["K"]))
-        if len(g.universe) != int(doc["universe"]):
+        g = GeometricStructure.of(m, tuples, _int(doc["K"], "K"))
+        if len(g.universe) != _int(doc["universe"], "universe"):
             raise InputError("universe size disagrees with the matroid")
-        if g.arity != int(doc["phi"]["arity"]):
+        if g.arity != _int(doc["phi"]["arity"], "arity"):
             raise InputError("declared arity disagrees with the tuples")
         return g
     except _BAD_VALUE as e:
@@ -180,7 +190,7 @@ def scenario_from_json(doc: Any) -> EnumeratedStructure:
             [tuple(t) for t in stage["reveal"]] for stage in doc.get("stages", [])
         ] or [sorted(g.phi)]
         counts = {
-            _fiber_key_parse(k): int(v) for k, v in doc.get("counts", {}).items()
+            _fiber_key_parse(k): _int(v, f"count {k}") for k, v in doc.get("counts", {}).items()
         }
         seeds = [frozenset(s) for s in doc.get("infinite_seeds", [])]
         return EnumeratedStructure.of(g, reveal, counts, seeds)
@@ -203,9 +213,9 @@ def relational_to_json(s: RelationalStructure) -> dict:
 
 def relational_from_json(doc: Any) -> RelationalStructure:
     try:
-        n = int(doc["universe"])
+        n = _int(doc["universe"], "universe")
         rels = {
-            name: (int(spec["arity"]), [tuple(t) for t in spec["tuples"]])
+            name: (_int(spec["arity"], f"{name} arity"), [tuple(t) for t in spec["tuples"]])
             for name, spec in doc["relations"].items()
         }
         return RelationalStructure.of(range(n), rels)
@@ -257,27 +267,27 @@ def effective_scenario_from_json(
             structure, tuple(doc["signature_order"]), matroid
         )
         flips = tuple(
-            FlipEvent(int(f["elem"]), int(f["stage"]), f["in"])
+            FlipEvent(_int(f["elem"], "flip elem"), _int(f["stage"], "flip stage"), f["in"])
             for f in doc.get("flips", [])
         )
         bad = [ev.value for ev in flips if not isinstance(ev.value, bool)]
         if bad:
             raise InputError(f'flip "in" must be true or false, got {bad[0]!r}')
         membership = Delta2Schedule(
-            frozenset(int(x) for x in doc["M"]),
+            frozenset(_int(x, "M element") for x in doc["M"]),
             flips,
-            int(doc.get("max_flips", 3)),
+            _int(doc.get("max_flips", 3), "max_flips"),
         )
         membership.validate()
         entries = []
         for stage, elems in doc.get("A_stages", {}).items():
             for e in elems:
-                entries.append((int(e), int(stage)))
+                entries.append((_int(e, "A_stages element"), int(stage)))
         enumeration = Sigma1Schedule.of(entries)
-        declared = frozenset(int(x) for x in doc.get("A", []))
+        declared = frozenset(_int(x, "A element") for x in doc.get("A", []))
         if declared and declared != enumeration.target:
             raise InputError("A and A_stages disagree")
-        horizon = int(doc["horizon"])
+        horizon = _int(doc["horizon"], "horizon")
         return presentation, membership, enumeration, horizon
     except _BAD_VALUE as e:
         raise InputError(f"bad effective scenario: {e}") from None

@@ -391,6 +391,41 @@ class TestCommands:
                 },
                 "flip \"in\" must be true or false, got 'false'",
             ),
+            (
+                "flatness --matroid",
+                {"type": "uniform", "rank": 2.7, "size": "5"},
+                "rank must be an integer, got 2.7",
+            ),
+            (
+                "flatness --matroid",
+                {"type": "uniform", "rank": 2, "size": "5"},
+                "size must be an integer, got '5'",
+            ),
+            (
+                "circuits --max-size 3 --matroid",
+                {"type": "closure-table", "ground": True, "closure": [{"set": [], "cl": []}]},
+                "ground must be an integer, got True",
+            ),
+            (
+                "lambda acl --bbar 0,1 --scenario",
+                {**jsonio.scenario_to_json(corpus.sigma1_chain()), "K": 1.5},
+                "K must be an integer, got 1.5",
+            ),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "flips": [{"elem": 2, "stage": 4.5, "in": False}]},
+                "flip stage must be an integer, got 4.5",
+            ),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "horizon": "20"},
+                "horizon must be an integer, got '20'",
+            ),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "A_stages": {"1": [0, 1.0], "3": [4], "4": [5]}},
+                "A_stages element must be an integer, got 1.0",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -405,6 +440,13 @@ class TestCommands:
             "field-above-bound",
             "negative-arity",
             "string-flip-value",
+            "fractional-uniform-rank",
+            "string-uniform-size",
+            "boolean-table-ground",
+            "fractional-fiber-bound",
+            "fractional-flip-stage",
+            "string-horizon",
+            "fractional-a-element",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 
 import pytest
@@ -5,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GF2_COLS, brute_span, powerset
-from flatgeom import corpus
+from flatgeom import corpus, flatness
 from flatgeom.errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
 from flatgeom.flatness import _MeetTable, check_flat, delta, is_disintegrated
-from flatgeom.matroid import free_matroid, linear_matroid, uniform_matroid
+from flatgeom.matroid import free_matroid, linear_matroid, sparse_paving_matroid, uniform_matroid
 
 
 def paper_example_flats(gf2):
@@ -86,6 +87,25 @@ class TestMeetTableDelta:
     def test_empty_collection_rejected(self, gf2):
         with pytest.raises(EmptyCollection):
             _MeetTable(gf2, gf2.flats()).delta([])
+
+
+def pg(d, q):
+    """PG(d-1, q): the nonzero vectors of GF(q)^d whose first nonzero entry
+    is 1."""
+    points = [v for v in product(range(q), repeat=d) if next((x for x in v if x), 0) == 1]
+    return linear_matroid(q, points)
+
+
+def seeded_sparse_paving(size, rank, seed):
+    """A sparse paving matroid whose nonbases are seeded random rank-sets,
+    kept greedily while each pair meets in at most rank-2 elements."""
+    rng = random.Random(f"flat-ref/{size}/{rank}/{seed}")
+    chosen = []
+    for _ in range(200):
+        cand = frozenset(rng.sample(range(size), rank))
+        if all(len(cand & other) <= rank - 2 for other in chosen):
+            chosen.append(cand)
+    return sparse_paving_matroid(size, rank, chosen)
 
 
 def least_witness(m, top):
@@ -189,11 +209,47 @@ class TestCheckFlat:
 
     @pytest.mark.parametrize("sigma", [1, 2, 3, 4])
     def test_least_witness_matches_reference(self, sigma, small_corpus, gf3):
-        for m in [*small_corpus.values(), gf3]:
+        # The sparse paving hosts have rank-3 and rank-4 lattices; each of
+        # them but (7,3)#0 has a violation at sigma 3 or 4.
+        shapes = [(7, 3, 0), (8, 3, 0), (9, 3, 1), (6, 4, 0), (7, 4, 1)]
+        paving = [seeded_sparse_paving(*shape) for shape in shapes]
+        for m in [*small_corpus.values(), gf3, *paving]:
             v = check_flat(m, sigma, max_ground=len(m.ground))
             witness = set(v.witness.sets()) if v.witness else None
             got = (v.kind, v.bound, witness, v.delta, v.union_dim)
             assert got == least_witness(m, sigma)
+
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            (pg(4, 2), ("not-flat", [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]], 2, 3)),
+            (
+                pg(3, 5),
+                (
+                    "not-flat",
+                    [
+                        [0, 1, 2, 3, 4, 5],
+                        [0, 6, 7, 8, 9, 10],
+                        [1, 6, 11, 16, 21, 26],
+                        [2, 7, 13, 19, 25, 26],
+                    ],
+                    2,
+                    3,
+                ),
+            ),
+            (corpus.pps_chain(10), ("flat-up-to", None, None, None)),
+            (uniform_matroid(4, 7), ("flat-up-to", None, None, None)),
+        ],
+        ids=["PG(3,2)", "PG(2,5)", "pps_chain(10)", "U(4,7)"],
+    )
+    def test_sigma4_verdicts_past_the_work_cap(self, monkeypatch, m, expected):
+        # The work estimate refuses these at sigma 4; with the cap lifted
+        # the search answers each in about a second or less.
+        monkeypatch.setattr(flatness, "DEFAULT_WORK_CAP", 10**9)
+        v = check_flat(m, 4, max_ground=len(m.ground))
+        witness = sorted(sorted(s) for s in v.witness.sets()) if v.witness else None
+        assert (v.kind, witness, v.delta, v.union_dim) == expected
+        assert v.bound == 4
 
     def test_sampled_verdict_is_labelled_sampled(self):
         # PG(3,2) is not flat, and 20 samples miss every violation.
