@@ -3,11 +3,15 @@
 Every command prints line-oriented JSON with sorted keys and a schema
 version field, so identical inputs give byte-identical outputs.  Exit
 codes: 0 on success, 1 when an --expect-* assertion fails, 2 on input
-or usage errors (including malformed JSON, reported with line/column),
-each reported as one ``error:`` line on stderr.
+or usage errors (including malformed JSON, reported with line/column).
+Exit 2 writes nothing to stdout and one ``error:`` line to stderr.
 
 Inputs are file paths; ``corpus:<name>`` loads a bundled member instead.
-The FLATGEOM_BUDGET environment variable overrides default search budgets.
+``--budget``, or else the FLATGEOM_BUDGET environment variable, bounds
+the five searches that take one: ``pps run``, ``pps search-cycle``,
+``lambda closure``, ``lambda acl`` and ``ild``.  ``flatness`` is bounded
+by its work cap instead (a search past it exits 2 unless ``--sample`` is
+given) and ``effective going-down`` by its scenario's horizon.
 """
 
 from __future__ import annotations
@@ -16,20 +20,17 @@ import argparse
 import dataclasses
 import os
 import sys
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
-from . import corpus, flatness, jsonio, pingpong, spectrum
-from .effective import going_down_run, trace_verify
+from . import corpus, effective, flatness, formula_closure, jsonio, pingpong, spectrum
 from .errors import FlatgeomError, InputError
-from .formula_closure import (
-    EnumeratedStructure,
-    acl_enumerate_via_lambda,
-    ild_estimate,
-    lambda_closure,
-)
 from .matroid import Matroid
 
 V = jsonio.SCHEMA_VERSION
+
+#: What each handler returns: its document without the "command" and "v"
+#: keys, which ``run_command`` adds, and whether its assertion failed (exit 1).
+Result = tuple[dict, bool]
 
 
 def _emit(doc: dict) -> None:
@@ -38,7 +39,7 @@ def _emit(doc: dict) -> None:
 
 
 def _budget(args, default: Optional[int] = 64) -> Optional[int]:
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         return args.budget
     env = os.environ.get("FLATGEOM_BUDGET")
     if env:
@@ -72,7 +73,7 @@ def _load_matroid(source: str) -> Matroid:
     return _load(source, corpus.MATROIDS, jsonio.matroid_from_json, "matroid")
 
 
-def _load_scenario(source: str) -> EnumeratedStructure:
+def _load_scenario(source: str) -> formula_closure.EnumeratedStructure:
     return _load(source, corpus.SCENARIOS, jsonio.scenario_from_json, "scenario")
 
 
@@ -81,24 +82,21 @@ def _load_structure(source: str):
 
 
 def _load_effective(source: str):
-    return _load(
-        source,
-        corpus.EFFECTIVE_SCENARIOS,
-        jsonio.effective_scenario_from_json,
-        "effective scenario",
-    )
+    members, from_json = corpus.EFFECTIVE_SCENARIOS, jsonio.effective_scenario_from_json
+    return _load(source, members, from_json, "effective scenario")
 
 
 # -- command handlers ---------------------------------------------------------
 
 
-def cmd_pregeom_verify(args) -> int:
-    m = _load_matroid(args.matroid)
-    report = m.verify_pregeometry(
-        max_ground=args.max_ground, sample=args.sample, seed=args.seed
-    )
+def _sampling(args) -> dict:
+    """The keywords of the SAMPLING arguments."""
+    return {"max_ground": args.max_ground, "sample": args.sample, "seed": args.seed}
+
+
+def cmd_pregeom_verify(args) -> Result:
+    report = _load_matroid(args.matroid).verify_pregeometry(**_sampling(args))
     doc: dict[str, Any] = {
-        "command": "pregeom-verify",
         "ok": report.ok,
         "subsets_checked": report.subsets_checked,
         "sampled": report.sampled,
@@ -106,21 +104,13 @@ def cmd_pregeom_verify(args) -> int:
     if report.violation:
         v = report.violation
         doc["violation"] = {"kind": v.kind, "a": v.a, "b": v.b, "set": list(v.subset)}
-    _emit(doc)
-    return 0 if (report.ok or not args.expect_pass) else 1
+    return doc, args.expect_pass and not report.ok
 
 
-def cmd_flatness(args) -> int:
+def cmd_flatness(args) -> Result:
     m = _load_matroid(args.matroid)
-    verdict = flatness.check_flat(
-        m,
-        args.max_sigma,
-        exhaustive=args.exhaustive,
-        max_ground=args.max_ground,
-        sample=args.sample,
-        seed=args.seed,
-    )
-    doc: dict[str, Any] = {"command": "flatness", "verdict": verdict.kind}
+    verdict = flatness.check_flat(m, args.max_sigma, exhaustive=args.exhaustive, **_sampling(args))
+    doc: dict[str, Any] = {"verdict": verdict.kind}
     if verdict.bound is not None:
         doc["bound"] = verdict.bound
     if verdict.witness is not None:
@@ -130,120 +120,80 @@ def cmd_flatness(args) -> int:
     if verdict.samples is not None:
         doc["samples"] = verdict.samples
         doc["seed"] = verdict.seed
-    _emit(doc)
-    if args.expect_flat and verdict.kind not in ("flat-up-to", "flat-exhaustive"):
-        return 1
-    return 0
+    return doc, args.expect_flat and verdict.kind not in ("flat-up-to", "flat-exhaustive")
 
 
-def cmd_circuits(args) -> int:
-    m = _load_matroid(args.matroid)
-    found = m.circuits(args.max_size)
-    _emit(
-        {
-            "command": "circuits",
-            "max_size": args.max_size,
-            "circuits": [list(c.elements) for c in found],
-        }
-    )
-    return 0
+def cmd_circuits(args) -> Result:
+    found = _load_matroid(args.matroid).circuits(args.max_size)
+    return {"max_size": args.max_size, "circuits": [list(c.elements) for c in found]}, False
 
 
-def cmd_pps_run(args) -> int:
+def _run_doc(run: pingpong.PPSRun) -> dict:
+    """What ``pps run`` and ``pps search-cycle`` both report of a run."""
+    return {
+        "ts": list(run.sequence.ts),
+        "repeat_index": run.repeat_index,
+        "cycle_length": run.cycle_length,
+    }
+
+
+def cmd_pps_run(args) -> Result:
     m = _load_matroid(args.matroid)
     cfg = pingpong.PPSConfig.of(_ids(args.x), args.a1, args.a2, args.t1)
     runs = pingpong.pps_run(m, cfg, args.strategy, _budget(args))
-    _emit(
-        {
-            "command": "pps-run",
-            "strategy": args.strategy,
-            "runs": [
-                {
-                    "ts": list(r.sequence.ts),
-                    "status": r.status,
-                    "repeat_index": r.repeat_index,
-                    "cycle_length": r.cycle_length,
-                }
-                for r in runs
-            ],
-        }
-    )
-    return 0
+    doc = {"strategy": args.strategy, "runs": [{"status": r.status, **_run_doc(r)} for r in runs]}
+    return doc, False
 
 
-def cmd_pps_search_cycle(args) -> int:
-    m = _load_matroid(args.matroid)
-    res = pingpong.pps_find_cycle(m, _budget(args))
-    doc: dict[str, Any] = {
-        "command": "pps-search-cycle",
-        "status": res.status,
-        "configs_searched": res.configs_searched,
-    }
+def cmd_pps_search_cycle(args) -> Result:
+    res = pingpong.pps_find_cycle(_load_matroid(args.matroid), _budget(args))
+    doc: dict[str, Any] = {"status": res.status, "configs_searched": res.configs_searched}
     if res.run is not None:
         cfg = res.run.sequence.config
-        doc["witness"] = {
-            "net": list(cfg.net),
-            "a1": cfg.a1,
-            "a2": cfg.a2,
-            "ts": list(res.run.sequence.ts),
-            "repeat_index": res.run.repeat_index,
-            "cycle_length": res.run.cycle_length,
-        }
-    _emit(doc)
-    return 0
+        doc["witness"] = {"net": list(cfg.net), "a1": cfg.a1, "a2": cfg.a2, **_run_doc(res.run)}
+    return doc, False
 
 
-def cmd_lambda_closure(args) -> int:
+def cmd_lambda_closure(args) -> Result:
     g = _load_structure(args.structure)
-    res = lambda_closure(g, _ids(args.x), _budget(args, None))
-    _emit(
-        {
-            "command": "lambda-closure",
-            "status": res.status,
-            "fixpoint_index": res.fixpoint_index,
-            "closure": sorted(res.closure),
-            "growth": list(res.growth_trace),
-        }
-    )
-    return 0
+    res = formula_closure.lambda_closure(g, _ids(args.x), _budget(args, None))
+    return {
+        "status": res.status,
+        "fixpoint_index": res.fixpoint_index,
+        "closure": sorted(res.closure),
+        "growth": list(res.growth_trace),
+    }, False
 
 
-def cmd_lambda_acl(args) -> int:
+def cmd_lambda_acl(args) -> Result:
     enum = _load_scenario(args.scenario)
-    res = acl_enumerate_via_lambda(enum, _ids(args.bbar), _budget(args, enum.final_stage))
-    _emit(
-        {
-            "command": "lambda-acl",
-            "status": res.status,
-            "emitted": [[e, s] for e, s in res.emitted],
-        }
-    )
-    return 0
+    bbar = _ids(args.bbar)
+    res = formula_closure.acl_enumerate_via_lambda(enum, bbar, _budget(args, enum.final_stage))
+    return {"status": res.status, "emitted": [[e, s] for e, s in res.emitted]}, False
 
 
-def cmd_ild(args) -> int:
-    enum = _load_scenario(args.scenario)
-    res = ild_estimate(enum, _budget(args, None))
-    _emit({"command": "ild", "value": res.value, "certainty": res.certainty})
-    return 0
+def cmd_ild(args) -> Result:
+    res = formula_closure.ild_estimate(_load_scenario(args.scenario), _budget(args, None))
+    return {"value": res.value, "certainty": res.certainty}, False
 
 
-def cmd_effective_going_down(args) -> int:
+def cmd_effective_going_down(args) -> Result:
     presentation, membership, enumeration, horizon = _load_effective(args.scenario)
-    trace = going_down_run(presentation, membership, enumeration, horizon)
-    report = trace_verify(trace, membership.target)
+    trace = effective.going_down_run(presentation, membership, enumeration, horizon)
+    report = effective.trace_verify(trace, membership.target)
+    if args.trace:
+        full = {"v": V, "records": [dataclasses.asdict(r) for r in trace.records]}
+        try:
+            with open(args.trace, "w") as fh:
+                fh.write(jsonio.dumps(full) + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write {args.trace}: {e}") from None
     doc = {
-        "command": "effective-going-down",
         "status": trace.status,
         "stuck_stage": trace.stuck_stage,
         "events": [
-            {
-                "stage": r.stage,
-                "event": r.event,
-                "copied": r.copied,
-                "witness": r.witness,
-                "images": list(r.images),
-            }
+            {"stage": r.stage, "event": r.event, "copied": r.copied, "witness": r.witness,
+             "images": list(r.images)}
             for r in trace.records
             if r.event != "wait"
         ],
@@ -256,106 +206,146 @@ def cmd_effective_going_down(args) -> int:
             "surjective": report.surjective,
         },
     }
-    _emit(doc)
-    if args.trace:
-        full = {"v": V, "records": [dataclasses.asdict(r) for r in trace.records]}
-        try:
-            with open(args.trace, "w") as fh:
-                fh.write(jsonio.dumps(full) + "\n")
-        except OSError as e:
-            raise InputError(f"cannot write {args.trace}: {e}") from None
-    if args.expect_iso and not report.ok:
-        return 1
-    return 0
+    return doc, args.expect_iso and not report.ok
 
 
-def _parse_spectrum_set(text: str, horizon: int) -> spectrum.SpectrumSet:
-    pieces = [piece.strip() for piece in text.split(",")] if text else []
-    try:
-        members = [piece if piece == "omega" else int(piece) for piece in pieces]
-        return spectrum.SpectrumSet.of(members, horizon)
-    except ValueError:
-        raise InputError(f"bad spectrum set {text!r}") from None
+def _verdict_row(s: spectrum.SpectrumSet, verdict: spectrum.Verdict) -> dict:
+    """What ``spectrum check`` and each row of ``spectrum cases`` report."""
+    return {
+        "set": [str(x) for x in s.members()],
+        "verdict": verdict.kind,
+        "shape": verdict.shape,
+        "rules": list(verdict.rules),
+    }
 
 
-def cmd_spectrum_check(args) -> int:
+def cmd_spectrum_check(args) -> Result:
     profile = spectrum.TheoryProfile(args.n, args.p, args.ild)
     report = spectrum.validate_profile(profile)
     if not report.ok:
-        raise InputError(
-            "invalid profile: "
-            + "; ".join(f"{v.rule} ({v.message})" for v in report.violations)
-        )
-    s = _parse_spectrum_set(args.set, args.horizon)
+        rules = "; ".join(f"{v.rule} ({v.message})" for v in report.violations)
+        raise InputError(f"invalid profile: {rules}")
+    pieces = [piece.strip() for piece in args.set.split(",")] if args.set else []
+    try:
+        members = [piece if piece == "omega" else int(piece) for piece in pieces]
+        s = spectrum.SpectrumSet.of(members, args.horizon)
+    except ValueError:
+        raise InputError(f"bad spectrum set {args.set!r}") from None
     verdict = spectrum.classify(s, profile)
-    _emit(
-        {
-            "command": "spectrum-check",
-            "profile_ok": True,
-            "set": [str(x) for x in s.members()],
-            "verdict": verdict.kind,
-            "schema": verdict.schema,
-            "shape": verdict.shape,
-            "rules": list(verdict.rules),
-        }
-    )
-    return 0
+    return {"profile_ok": True, "schema": verdict.schema, **_verdict_row(s, verdict)}, False
 
 
-def cmd_spectrum_cases(args) -> int:
+def cmd_spectrum_cases(args) -> Result:
     profile = spectrum.TheoryProfile(args.n)
     analysis = spectrum.enumerate_case_analysis(profile)
-    rows = []
-    for kind, group in (
-        ("shape-covered", analysis.shape_covered),
-        ("open", analysis.open_sets),
-        ("excluded", analysis.excluded),
-    ):
-        for s in group:
-            verdict = spectrum.classify(s, profile)
-            rows.append(
-                {
-                    "set": [str(x) for x in s.members()],
-                    "class": kind,
-                    "verdict": verdict.kind,
-                    "shape": verdict.shape,
-                    "rules": list(verdict.rules),
-                }
-            )
-    _emit({"command": "spectrum-cases", "n": args.n, "cases": rows})
-    return 0
+    rows = [
+        {"class": kind, **_verdict_row(s, spectrum.classify(s, profile))}
+        for kind, group in (
+            ("shape-covered", analysis.shape_covered),
+            ("open", analysis.open_sets),
+            ("excluded", analysis.excluded),
+        )
+        for s in group
+    ]
+    return {"n": args.n, "cases": rows}, False
 
 
-def cmd_corpus_list(args) -> int:
-    _emit({"command": "corpus-list", "members": corpus.members()})
-    return 0
+def cmd_corpus_list(args) -> Result:
+    return {"members": corpus.members()}, False
 
 
-def cmd_corpus_check(args) -> int:
+def cmd_corpus_check(args) -> Result:
     results = {}
-    ok = True
     for name, make in corpus.MATROIDS.items():
         m = make()
-        n = len(m.ground)
-        report = m.verify_pregeometry(max_ground=max(n, 12))
-        results[name] = report.ok
-        ok = ok and report.ok
-    for name, make in corpus.STRUCTURES.items():
-        make().validate()
-        results[name] = True
-    for name, make in corpus.SCENARIOS.items():
+        results[name] = m.verify_pregeometry(max_ground=max(len(m.ground), 12)).ok
+    for name, make in {**corpus.STRUCTURES, **corpus.SCENARIOS}.items():
         make().validate()
         results[name] = True
     for name, make in corpus.EFFECTIVE_SCENARIOS.items():
-        presentation, membership, enumeration, horizon = make()
+        _, membership, enumeration, _ = make()
         membership.validate()
         enumeration.validate()
         results[name] = True
-    _emit({"command": "corpus-check", "ok": ok, "members": results})
-    return 0 if ok else 1
+    ok = all(results.values())
+    return {"ok": ok, "members": results}, not ok
 
 
-# -- parser ------------------------------------------------------------------
+# -- the command table and the parser ----------------------------------------
+
+
+def _opt(flag: str, **spec) -> tuple[str, dict]:
+    """One argument: its flag and the keywords ``add_argument`` takes."""
+    return flag, spec
+
+
+def _flag(flag: str) -> tuple[str, dict]:
+    return _opt(flag, action="store_true")
+
+
+MATROID = _opt("--matroid", required=True, help="matroid JSON file or corpus:<name>")
+SCENARIO = _opt("--scenario", required=True)
+STRUCTURE = _opt("--structure", required=True)
+BUDGET = _opt("--budget", type=int)
+N = _opt("--n", type=int, required=True)
+#: The exhaustive scan's bound, and the random subsets checked past it.
+SAMPLING = (
+    _opt("--max-ground", type=int, default=12),
+    _opt("--sample", type=int),
+    _opt("--seed", type=int, default=0),
+)
+
+#: The help line of each top-level word.
+HELP = {
+    "pregeom": "pregeometry axioms",
+    "flatness": "inclusion-exclusion flatness verdict",
+    "circuits": "list circuits up to a size",
+    "pps": "ping-pong sequences",
+    "lambda": "formula closures",
+    "ild": "least dimension with unbounded closure",
+    "effective": "copy construction",
+    "spectrum": "index-set classification",
+    "corpus": "bundled inputs",
+}
+
+#: Every command, in help order: its words, its handler and its arguments.
+COMMANDS: list[tuple[str, Callable[[argparse.Namespace], Result], tuple]] = [
+    ("pregeom verify", cmd_pregeom_verify, (MATROID, *SAMPLING, _flag("--expect-pass"))),
+    ("flatness", cmd_flatness, (
+        MATROID,
+        _opt("--max-sigma", type=int, default=flatness.DEFAULT_MAX_SIGMA),
+        _flag("--exhaustive"),
+        *SAMPLING,
+        _flag("--expect-flat"),
+    )),
+    ("circuits", cmd_circuits, (MATROID, _opt("--max-size", type=int, required=True))),
+    ("pps run", cmd_pps_run, (
+        MATROID,
+        _opt("--x", default="", help="net ids, comma separated"),
+        *(_opt(f"--{name}", type=int, required=True) for name in ("a1", "a2", "t1")),
+        _opt("--strategy", choices=["least", "all-branches"], default="least"),
+        BUDGET,
+    )),
+    ("pps search-cycle", cmd_pps_search_cycle, (MATROID, BUDGET)),
+    ("lambda closure", cmd_lambda_closure, (STRUCTURE, _opt("--x", default=""), BUDGET)),
+    ("lambda acl", cmd_lambda_acl, (SCENARIO, _opt("--bbar", required=True), BUDGET)),
+    ("ild", cmd_ild, (SCENARIO, BUDGET)),
+    ("effective going-down", cmd_effective_going_down, (
+        SCENARIO,
+        _opt("--trace", help="write the full stage trace to this file"),
+        _flag("--expect-iso"),
+    )),
+    ("spectrum check", cmd_spectrum_check, (
+        N,
+        _opt("--p", type=int),
+        _opt("--ild", type=int),
+        _opt("--set", default="", help="e.g. 0,1,omega"),
+        _opt("--horizon", type=int, default=spectrum.DEFAULT_HORIZON),
+    )),
+    ("spectrum cases", cmd_spectrum_cases, (N,)),
+    ("corpus list", cmd_corpus_list, ()),
+    ("corpus check", cmd_corpus_check, ()),
+]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -368,116 +358,31 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flatgeom", description="finite pregeometry toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_matroid(p):
-        p.add_argument("--matroid", required=True, help="matroid JSON file or corpus:<name>")
-
-    pregeom = sub.add_parser("pregeom", help="pregeometry axioms").add_subparsers(
-        dest="sub", required=True
-    )
-    p = pregeom.add_parser("verify")
-    add_matroid(p)
-    p.add_argument("--max-ground", type=int, default=12)
-    p.add_argument("--sample", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--expect-pass", action="store_true")
-    p.set_defaults(fn=cmd_pregeom_verify)
-
-    p = sub.add_parser("flatness", help="inclusion-exclusion flatness verdict")
-    add_matroid(p)
-    p.add_argument("--max-sigma", type=int, default=flatness.DEFAULT_MAX_SIGMA)
-    p.add_argument("--exhaustive", action="store_true")
-    p.add_argument("--max-ground", type=int, default=12)
-    p.add_argument("--sample", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--expect-flat", action="store_true")
-    p.set_defaults(fn=cmd_flatness)
-
-    p = sub.add_parser("circuits", help="list circuits up to a size")
-    add_matroid(p)
-    p.add_argument("--max-size", type=int, required=True)
-    p.set_defaults(fn=cmd_circuits)
-
-    pps = sub.add_parser("pps", help="ping-pong sequences").add_subparsers(
-        dest="sub", required=True
-    )
-    p = pps.add_parser("run")
-    add_matroid(p)
-    p.add_argument("--x", default="", help="net ids, comma separated")
-    p.add_argument("--a1", type=int, required=True)
-    p.add_argument("--a2", type=int, required=True)
-    p.add_argument("--t1", type=int, required=True)
-    p.add_argument("--strategy", choices=["least", "all-branches"], default="least")
-    p.add_argument("--budget", type=int)
-    p.set_defaults(fn=cmd_pps_run)
-    p = pps.add_parser("search-cycle")
-    add_matroid(p)
-    p.add_argument("--budget", type=int)
-    p.set_defaults(fn=cmd_pps_search_cycle)
-
-    lam = sub.add_parser("lambda", help="formula closures").add_subparsers(
-        dest="sub", required=True
-    )
-    p = lam.add_parser("closure")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--x", default="")
-    p.add_argument("--budget", type=int)
-    p.set_defaults(fn=cmd_lambda_closure)
-    p = lam.add_parser("acl")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--bbar", required=True)
-    p.add_argument("--budget", type=int)
-    p.set_defaults(fn=cmd_lambda_acl)
-
-    p = sub.add_parser("ild", help="least dimension with unbounded closure")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--budget", type=int)
-    p.set_defaults(fn=cmd_ild)
-
-    eff = sub.add_parser("effective", help="copy construction").add_subparsers(
-        dest="sub", required=True
-    )
-    p = eff.add_parser("going-down")
-    p.add_argument("--scenario", required=True)
-    p.add_argument("--trace", help="write the full stage trace to this file")
-    p.add_argument("--expect-iso", action="store_true")
-    p.set_defaults(fn=cmd_effective_going_down)
-
-    spectrum_sub = sub.add_parser("spectrum", help="index-set classification").add_subparsers(
-        dest="sub", required=True
-    )
-    p = spectrum_sub.add_parser("check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int)
-    p.add_argument("--ild", type=int)
-    p.add_argument("--set", default="", help="e.g. 0,1,omega")
-    p.add_argument("--horizon", type=int, default=spectrum.DEFAULT_HORIZON)
-    p.set_defaults(fn=cmd_spectrum_check)
-    p = spectrum_sub.add_parser("cases")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(fn=cmd_spectrum_cases)
-
-    corp = sub.add_parser("corpus", help="bundled inputs").add_subparsers(
-        dest="sub", required=True
-    )
-    p = corp.add_parser("list")
-    p.set_defaults(fn=cmd_corpus_list)
-    p = corp.add_parser("check")
-    p.set_defaults(fn=cmd_corpus_check)
-
+    groups: dict[str, Any] = {}
+    for words, handler, specs in COMMANDS:
+        head, _, leaf = words.partition(" ")
+        if leaf and head not in groups:
+            group = sub.add_parser(head, help=HELP[head])
+            groups[head] = group.add_subparsers(dest="sub", required=True)
+        p = groups[head].add_parser(leaf) if leaf else sub.add_parser(head, help=HELP[head])
+        for flag, spec in specs:
+            p.add_argument(flag, **spec)
+        p.set_defaults(words=words, handler=handler)
     return parser
 
 
 def run_command(argv: list[str]) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        doc, failed = args.handler(args)
     except SystemExit as e:
         # --help prints to stdout and exits 0.
         return 2 if e.code else 0
     except FlatgeomError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    _emit({"command": args.words.replace(" ", "-"), **doc})
+    return 1 if failed else 0
 
 
 def main() -> None:

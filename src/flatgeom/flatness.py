@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -140,6 +140,14 @@ def delta(m: Matroid, sigma: Iterable) -> int:
     return total
 
 
+def _meet_row(sets: list[int], index: dict[int, int], i: int) -> list[int]:
+    a = sets[i]
+    try:
+        return [index[a & b] for b in sets]
+    except KeyError:
+        raise MatroidContractError("an intersection of two flats is not closed") from None
+
+
 class _MeetTable:
     """The flats of one matroid, indexed in the given order.
 
@@ -155,15 +163,9 @@ class _MeetTable:
         self.sets = [mask_of(f.elements) for f in flats]
         self.dims = [f.dim for f in flats]
         self.index = {s: i for i, s in enumerate(self.sets)}
-        self.meet = Memo(self._meet_row)
+        # Not a bound method, which would make the table cyclic garbage.
+        self.meet = Memo(partial(_meet_row, self.sets, self.index))
         self._joins: dict[tuple[int, int], int] = {}
-
-    def _meet_row(self, i: int) -> list[int]:
-        a = self.sets[i]
-        try:
-            return [self.index[a & b] for b in self.sets]
-        except KeyError:
-            raise MatroidContractError("an intersection of two flats is not closed") from None
 
     def join(self, a: int, b: int) -> int:
         """Index of the closure of ``sets[a] | sets[b]``."""
@@ -221,11 +223,14 @@ class _MeetTable:
             return None
 
         # One flat F has delta = dim F = dim(union): sizes start at two.
-        for size in range(2, top + 1):
-            hit = extend((), 0, dims, None, range(n), size)
-            if hit:
-                return hit
-        return None
+        try:
+            for size in range(2, top + 1):
+                hit = extend((), 0, dims, None, range(n), size)
+                if hit:
+                    return hit
+            return None
+        finally:
+            del extend  # it refers to itself: free it without the cyclic collector
 
 
 def is_disintegrated(

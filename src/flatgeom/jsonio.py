@@ -8,6 +8,7 @@ line/column diagnostic on malformed documents.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 from .effective import (
@@ -47,6 +48,15 @@ def _int(value: Any, what: str) -> int:
     if isinstance(value, float):
         int(value)
     raise InputError(f"{what} must be an integer, got {value!r}")
+
+
+def _ints(values: Any, what: str) -> tuple[int, ...]:
+    """The members of a JSON list, each checked with ``_int``."""
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        for v in values:
+            _int(v, what)
+    return values
 
 
 def dumps(obj: Any) -> str:
@@ -122,7 +132,9 @@ def matroid_from_json(doc: Any) -> Matroid:
             n = _int(doc["ground"], "ground")
             if n < 0:
                 raise InputError(f"closure table ground must be non-negative, got {n}")
-            table = table_masks(n, ((entry["set"], entry["cl"]) for entry in doc["closure"]))
+            rows = [(entry["set"], entry["cl"]) for entry in doc["closure"]]
+            _ints(chain.from_iterable(chain.from_iterable(rows)), "closure table member")
+            table = table_masks(n, rows)
             return Matroid(GroundSet(tuple(range(n))), ClosureTableOracle(table))
     except _BAD_VALUE as e:
         raise InputError(f"bad matroid document: {e}") from None
@@ -144,7 +156,7 @@ def structure_to_json(g: GeometricStructure) -> dict:
 def structure_from_json(doc: Any) -> GeometricStructure:
     try:
         m = matroid_from_json(doc["matroid"])
-        tuples = [tuple(t) for t in doc["phi"]["tuples"]]
+        tuples = [_ints(t, "phi tuple member") for t in doc["phi"]["tuples"]]
         g = GeometricStructure.of(m, tuples, _int(doc["K"], "K"))
         if len(g.universe) != _int(doc["universe"], "universe"):
             raise InputError("universe size disagrees with the matroid")
@@ -187,12 +199,13 @@ def scenario_from_json(doc: Any) -> EnumeratedStructure:
     try:
         # Without stages, phi is revealed in one stage.
         reveal = [
-            [tuple(t) for t in stage["reveal"]] for stage in doc.get("stages", [])
+            [_ints(t, "reveal tuple member") for t in stage["reveal"]]
+            for stage in doc.get("stages", [])
         ] or [sorted(g.phi)]
         counts = {
             _fiber_key_parse(k): _int(v, f"count {k}") for k, v in doc.get("counts", {}).items()
         }
-        seeds = [frozenset(s) for s in doc.get("infinite_seeds", [])]
+        seeds = [frozenset(_ints(s, "infinite seed member")) for s in doc.get("infinite_seeds", [])]
         return EnumeratedStructure.of(g, reveal, counts, seeds)
     except _BAD_VALUE as e:
         raise InputError(f"bad scenario document: {e}") from None
@@ -215,7 +228,10 @@ def relational_from_json(doc: Any) -> RelationalStructure:
     try:
         n = _int(doc["universe"], "universe")
         rels = {
-            name: (_int(spec["arity"], f"{name} arity"), [tuple(t) for t in spec["tuples"]])
+            name: (
+                _int(spec["arity"], f"{name} arity"),
+                [_ints(t, f"{name} tuple member") for t in spec["tuples"]],
+            )
             for name, spec in doc["relations"].items()
         }
         return RelationalStructure.of(range(n), rels)

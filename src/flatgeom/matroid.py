@@ -212,7 +212,7 @@ class LinearOracle:
     def __post_init__(self):
         if not _is_prime(self.field):
             raise InvalidStructure(f"field order {self.field} is not prime")
-        if not all(isinstance(c, int) for col in self.columns for c in col):
+        if not all(type(c) is int for col in self.columns for c in col):
             raise InvalidStructure("column entries must be integers")
         cols = tuple(tuple(c % self.field for c in col) for col in self.columns)
         if cols and len({len(c) for c in cols}) != 1:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,16 +12,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatgeom import corpus, jsonio
-from flatgeom.cli import run_command
+from flatgeom.cli import build_parser, run_command
 from flatgeom.errors import MatroidContractError
 from flatgeom.flatness import check_flat
 from flatgeom.formula_closure import ild_estimate
 from flatgeom.matroid import PRIME_TEST_BOUND, linear_matroid, uniform_matroid
 
-#: Exact stdout and exit code of every README CLI example, and the digest
-#: of the going-down trace file.  Change an entry only when that command's
+#: Exact stdout and exit code of every README CLI example ("commands"), of
+#: pregeom verify, flatness, circuits and pps search-cycle on every corpus
+#: matroid and of ild on every corpus scenario ("members"), and the digest of
+#: the going-down trace file.  Change an entry only when that command's
 #: output is meant to change.
 GOLDEN = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+README = (Path(__file__).parent.parent / "README.md").read_text()
 
 
 #: The going-down demo as a scenario document.
@@ -71,6 +76,19 @@ class TestRoundTrips:
         assert jsonio.effective_scenario_to_json(*loaded) == doc
 
 
+def _leaf_commands(parser, words=()):
+    """The words of every command of ``parser`` that has no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(words)
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_commands(child, words + (name,))
+
+
+LEAF_COMMANDS = list(_leaf_commands(build_parser()))
+
+
 class TestGolden:
     @pytest.mark.parametrize("case", GOLDEN["commands"], ids=lambda c: c["argv"])
     def test_readme_command_bytes(self, case, capsys, tmp_path):
@@ -80,6 +98,27 @@ class TestGolden:
         if "{trace}" in case["argv"]:
             digest = hashlib.sha256(trace.read_bytes()).hexdigest()
             assert digest == GOLDEN["trace_sha256"]
+
+    @pytest.mark.parametrize("case", GOLDEN["members"], ids=lambda c: c["argv"])
+    def test_corpus_member_bytes(self, case, capsys):
+        code, out = run(capsys, *case["argv"].split())
+        assert (code, out) == (case["exit"], case["stdout"])
+
+    def test_readme_block_is_the_golden_commands(self):
+        block = README.split("## CLI", 1)[1].split("```")[1]
+        lines = [line for line in block.splitlines() if line.startswith("flatgeom ")]
+        readme = [line.removeprefix("flatgeom ").replace("out.json", "{trace}") for line in lines]
+        assert readme == [case["argv"] for case in GOLDEN["commands"]]
+
+    def test_every_leaf_command_has_a_golden_case(self):
+        pinned = {case["argv"] for case in GOLDEN["commands"] + GOLDEN["members"]}
+        for words in LEAF_COMMANDS:
+            assert any(argv.startswith(words + " ") or argv == words for argv in pinned), words
+
+    @pytest.mark.parametrize("words", LEAF_COMMANDS)
+    def test_leaf_command_help_exits_zero(self, words, capsys):
+        code, out = run(capsys, *words.split(), "--help")
+        assert code == 0 and out.startswith(f"usage: flatgeom {words} ")
 
 
 class TestCommands:
@@ -190,8 +229,9 @@ class TestCommands:
         code = run_command(
             ["effective", "going-down", "--scenario", "corpus:going_down_demo", "--trace", str(trace)]
         )
-        err = capsys.readouterr().err
-        assert code == 2
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        err = captured.err
         assert err.startswith(f"error: cannot write {trace}: ") and err.count("\n") == 1
 
     def test_pps_run_command(self, capsys):
@@ -354,7 +394,7 @@ class TestCommands:
                     **jsonio.scenario_to_json(corpus.sigma1_chain()),
                     "stages": [{"reveal": [[0, [1], 2]]}],
                 },
-                "bad scenario document: unhashable type: 'list'",
+                "reveal tuple member must be an integer, got [1]",
             ),
             (
                 "circuits --max-size 1 --matroid",
@@ -426,6 +466,44 @@ class TestCommands:
                 {**DEMO_EFFECTIVE, "A_stages": {"1": [0, 1.0], "3": [4], "4": [5]}},
                 "A_stages element must be an integer, got 1.0",
             ),
+            (
+                "circuits --max-size 3 --matroid",
+                {
+                    "type": "closure-table",
+                    "ground": 1,
+                    "closure": [{"set": [], "cl": []}, {"set": [0.0], "cl": [0]}],
+                },
+                "closure table member must be an integer, got 0.0",
+            ),
+            (
+                "circuits --max-size 3 --matroid",
+                {"type": "linear", "field": 2, "columns": [[True, 0]]},
+                "column entries must be integers",
+            ),
+            (
+                "lambda closure --x 0,1 --structure",
+                {
+                    **jsonio.structure_to_json(corpus.phi_demo()),
+                    "phi": {"arity": 3, "tuples": [[0, 1, 2.0]]},
+                },
+                "phi tuple member must be an integer, got 2.0",
+            ),
+            (
+                "ild --scenario",
+                {**jsonio.scenario_to_json(corpus.ild_pps()), "infinite_seeds": [[0.5]]},
+                "infinite seed member must be an integer, got 0.5",
+            ),
+            (
+                "effective going-down --scenario",
+                {
+                    **DEMO_EFFECTIVE,
+                    "structure": {
+                        **DEMO_EFFECTIVE["structure"],
+                        "relations": {"phi": {"arity": 2, "tuples": [[0, True]]}},
+                    },
+                },
+                "phi tuple member must be an integer, got True",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -447,6 +525,11 @@ class TestCommands:
             "fractional-flip-stage",
             "string-horizon",
             "fractional-a-element",
+            "float-in-table-set",
+            "boolean-column-entry",
+            "float-in-phi-tuple",
+            "float-in-infinite-seed",
+            "boolean-in-relation-tuple",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

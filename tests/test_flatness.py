@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations, product
 
 import pytest
@@ -261,11 +263,22 @@ class TestCheckFlat:
         # PG(3,2) has 67 flats; 20 samples of at most 4 flats read fewer rows.
         pg32 = linear_matroid(2, [v for v in product((0, 1), repeat=4) if any(v)])
         built = []
-        make = _MeetTable._meet_row
-        monkeypatch.setattr(_MeetTable, "_meet_row", lambda t, i: built.append(i) or make(t, i))
+        make = flatness._meet_row
+        monkeypatch.setattr(flatness, "_meet_row", lambda *a: built.append(a[-1]) or make(*a))
         check_flat(pg32, 4, max_ground=15, sample=20)
         assert len(pg32.flats()) == 67
         assert len(built) == len(set(built)) < 67
+
+    def test_finished_search_frees_its_matroid_without_the_cyclic_collector(self):
+        m = corpus.gf2_3()
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            assert check_flat(m, 4).kind == "not-flat"
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_work_cap_guard(self, gf2):
         # 16 flats: 3**16 - 1 subset terms, over the default cap.
