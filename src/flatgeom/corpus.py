@@ -10,7 +10,8 @@ witness availability), which is what makes the suites assertable.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Optional
+from itertools import product
+from typing import Callable, Optional
 
 from .effective import (
     Delta2Schedule,
@@ -304,11 +305,11 @@ def random_going_down_scenario(
         arity = rng.randint(1, 2)
         truth = {
             combo: rng.random() < 0.4
-            for combo in _class_combos(n_classes, arity)
+            for combo in product(range(n_classes), repeat=arity)
         }
         tuples = [
             t
-            for t in _tuples(range(n), arity)
+            for t in product(range(n), repeat=arity)
             if truth[tuple(cls[x] for x in t)]
         ]
         relations[sym] = (arity, tuples)
@@ -352,15 +353,3 @@ def random_going_down_scenario(
     horizon = 3 * n + flip_end + 12
     return StagewisePresentation(structure, tuple(symbols), None), membership, enumeration, horizon
 
-
-def _class_combos(n_classes: int, arity: int):
-    if arity == 1:
-        return [(c,) for c in range(n_classes)]
-    return [(a, b) for a in range(n_classes) for b in range(n_classes)]
-
-
-def _tuples(universe: Iterable[int], arity: int):
-    elems = list(universe)
-    if arity == 1:
-        return [(e,) for e in elems]
-    return [(a, b) for a in elems for b in elems]

@@ -27,9 +27,8 @@ from .matroid import (
     LinearOracle,
     Matroid,
     UniformOracle,
-    elements_of,
     linear_matroid,
-    size_lex,
+    subsets,
     table_masks,
     uniform_matroid,
 )
@@ -97,22 +96,17 @@ def matroid_to_json(m: Matroid) -> dict:
                 m.ground.labels.get(e, str(e)) for e in m.ground.elements
             ]
         return out
-    if isinstance(oracle, UniformOracle):
+    if isinstance(oracle, UniformOracle) and not oracle.nonbases:
         return {
             "type": "uniform",
             "rank": oracle.rank_bound,
             "size": len(m.ground),
         }
+    # A table, or a sparse paving host tabulated through its oracle.
     return {
         "type": "closure-table",
         "ground": len(m.ground),
-        "closure": [
-            {"set": list(k), "cl": list(v)}
-            for k, v in sorted(
-                ((elements_of(k), elements_of(v)) for k, v in oracle.table.items()),
-                key=lambda kv: size_lex(kv[0]),
-            )
-        ],
+        "closure": [{"set": list(s), "cl": sorted(m.closure(s))} for s in subsets(m.ground.elements)],
     }
 
 

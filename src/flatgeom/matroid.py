@@ -9,8 +9,12 @@ itself, as ``rank(s, ground)`` and ``closure(s, ground)``:
   Both queries start from one echelon basis of the columns of s: rank is
   its size, closure s plus every other column that reduces to zero
   against it (the whole ground once the basis spans the space).
-* ``UniformOracle`` - rank of A is min(|A|, k); closure of A is A itself
-  while |A| < k and the whole ground set otherwise.
+* ``UniformOracle`` - a sparse paving matroid of rank k, given by its
+  nonbases: k-sets that are circuit-hyperplanes, no two sharing k - 1
+  elements (none: the uniform matroid U(k, n)).  Rank of A is min(|A|, k),
+  less one if A is a nonbasis; closure of A is A while |A| < k - 1 or A is
+  a nonbasis, the nonbasis A spans (else A) when |A| = k - 1, and the
+  whole ground set otherwise.
 * ``ClosureTableOracle`` - an explicit, complete map from subset masks to
   closure masks.  Rank is recovered greedily from the same table.
 
@@ -81,6 +85,8 @@ def subset_universe(
     all of them up to ``max_ground`` elements, in (size, lex) order if
     ``elements`` ascends, else ``sample`` random ones drawn with ``seed``
     (GroundTooLarge without ``sample``)."""
+    if max_ground < 0:
+        raise InvalidStructure(f"max_ground must be non-negative, got {max_ground}")
     if sample is not None and sample < 0:
         raise InvalidStructure(f"sample must be non-negative, got {sample}")
     n = len(elements)
@@ -259,19 +265,42 @@ class LinearOracle:
 
 @dataclass(frozen=True)
 class UniformOracle:
-    """Uniform matroid of the given rank: every k-subset is a basis."""
+    """Sparse paving matroid of rank k: every k-subset is a basis except the
+    ``nonbases`` (k-set masks, the circuit-hyperplanes), any two of which
+    meet in at most k - 2 elements.  With no nonbases it is uniform."""
 
     rank_bound: int
+    nonbases: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        if self.rank_bound < 0:
-            raise InvalidStructure("uniform rank must be non-negative")
+        k, masks = self.rank_bound, tuple(self.nonbases)  # any iterable of masks
+        if k < 0:
+            raise InvalidStructure(f"rank must be non-negative, got {k}")
+        if k == 0 and masks:
+            raise InvalidStructure("rank 0 has no nonbases: the empty set is its one basis")
+        # Two nonbases meet in more than k - 2 elements iff they share a
+        # (k-1)-subset, so every such pair collides here, as does a nonbasis
+        # listed twice.
+        spans: dict[int, int] = {}
+        for n in masks:
+            for e in _low_bits(n):
+                if n ^ e in spans:
+                    raise InvalidStructure("sparse paving requires pairwise nonbasis intersections <= rank-2")
+                spans[n ^ e] = n
+        object.__setattr__(self, "nonbases", frozenset(masks))
+        #: The nonbasis that each (k-1)-subset spans, for those that span one.
+        object.__setattr__(self, "_spans", spans)
 
     def rank(self, subset: int, ground: int) -> int:
-        return min(subset.bit_count(), self.rank_bound)
+        return min(subset.bit_count(), self.rank_bound) - (subset in self.nonbases)
 
     def closure(self, subset: int, ground: int) -> int:
-        return subset if subset.bit_count() < self.rank_bound else ground
+        short = self.rank_bound - subset.bit_count()
+        if short > 1 or subset in self.nonbases:
+            return subset
+        if short == 1:
+            return self._spans.get(subset, subset)
+        return ground
 
 
 @dataclass(frozen=True)
@@ -612,34 +641,16 @@ def sparse_paving_matroid(
     """Rank-r sparse paving matroid on ids 0..size-1.
 
     ``nonbases`` are r-sets declared dependent (circuit-hyperplanes); any
-    two must intersect in at most r-2 elements.  Every other set of size
-    <= r is independent.  Returned as an explicit closure table.
+    two must intersect in at most r-2 elements, and none may repeat.  Every
+    other set of size <= r is independent.  Returned on a ``UniformOracle``,
+    which answers by rule from the nonbases.
     """
+    if size < 0:
+        raise InvalidStructure(f"sparse paving size must be non-negative, got {size}")
     nb = [frozenset(s) for s in nonbases]
     for s in nb:
         if len(s) != rank:
             raise InvalidStructure("nonbases must have exactly `rank` elements")
         if not all(e in range(size) for e in s):
             raise InvalidStructure(f"nonbasis {sorted(s)} leaves the ground set 0..{size - 1}")
-    for i in range(len(nb)):
-        for j in range(i + 1, len(nb)):
-            if len(nb[i] & nb[j]) > rank - 2:
-                raise InvalidStructure(
-                    "sparse paving requires pairwise nonbasis intersections <= rank-2"
-                )
-    nonbasis = {mask_of(s) for s in nb}
-    bits = [1 << e for e in range(size)]
-
-    def rk(s: int) -> int:
-        k = s.bit_count()
-        if k < rank:
-            return k
-        if k == rank:
-            return rank - 1 if s in nonbasis else rank
-        return rank
-
-    table: dict[int, int] = {}
-    for s in range(1 << size):
-        r = rk(s)
-        table[s] = sum(b for b in bits if rk(s | b) == r)
-    return Matroid(GroundSet(tuple(range(size))), ClosureTableOracle(table))
+    return Matroid(GroundSet(tuple(range(size))), UniformOracle(rank, map(mask_of, nb)))

@@ -106,6 +106,34 @@ def ref_flats(m) -> list[frozenset[int]]:
     ]
 
 
+def seeded_nonbases(rng, size: int, rank: int, tries: int) -> list[frozenset[int]]:
+    """Random rank-sets drawn ``tries`` times, each kept if it meets every
+    kept one in at most rank-2 elements: the nonbases of a sparse paving
+    matroid (at rank 1, at most one loop)."""
+    chosen: list[frozenset[int]] = []
+    for _ in range(tries):
+        cand = frozenset(rng.sample(range(size), rank))
+        if all(len(cand & other) <= rank - 2 for other in chosen):
+            chosen.append(cand)
+    return chosen
+
+
+def sparse_paving_rank(rank: int, nonbases, subset) -> int:
+    """The definition: min(|A|, rank), less one when A is a nonbasis."""
+    s = frozenset(subset)
+    return min(len(s), rank) - (s in nonbases)
+
+
+def brute_sparse_paving_closure(size: int, rank: int, nonbases, subset) -> frozenset[int]:
+    """{e : rank(A + e) = rank(A)} over the ids 0..size-1, from the rank
+    definition alone."""
+    nb = {frozenset(n) for n in nonbases}
+    r = sparse_paving_rank(rank, nb, subset)
+    return frozenset(
+        e for e in range(size) if sparse_paving_rank(rank, nb, {*subset, e}) == r
+    )
+
+
 # -- formula-closure references ---------------------------------------------
 #
 # Per-tuple loops over phi, written without the fiber index: the closure

@@ -210,12 +210,21 @@ class TestCommands:
             ("pregeom verify --matroid corpus:gf2_3 --max-ground 2 --sample -2",
              "sample must be non-negative, got -2"),
             ("flatness --matroid corpus:gf2_3 --sample -2", "sample must be non-negative, got -2"),
+            ("pregeom verify --matroid corpus:gf2_3 --max-ground -1 --sample 3",
+             "max_ground must be non-negative, got -1"),
+            ("flatness --matroid corpus:gf2_3 --max-ground -1", "max_ground must be non-negative, got -1"),
+            ("pregeom verify --matroid corpus:gf2_3 --max-ground 2",
+             "ground has 7 elements (> 2); pass --sample"),
+            ("flatness --matroid corpus:gf2_3 --exhaustive",
+             "16 flats -> ~43046720 subset terms exceeds work cap; pass --sample or lower the bound"),
             ("ild --scenario corpus:ild_pps --budget -2", "budget must be >= 1"),
             ("lambda acl --scenario corpus:sigma1_chain --bbar 0,1 --budget -2",
              "budget must be >= 1"),
         ],
         ids=["unknown-flag", "option-like-value", "missing-subcommand", "ids-off-universe",
-             "negative-verify-sample", "negative-flatness-sample", "ild-budget-below-one",
+             "negative-verify-sample", "negative-flatness-sample", "negative-verify-max-ground",
+             "negative-flatness-max-ground", "verify-ground-too-large", "flatness-past-work-cap",
+             "ild-budget-below-one",
              "acl-budget-below-one"],
     )
     def test_usage_error_exits_two_with_one_line(self, capsys, argv, fault):

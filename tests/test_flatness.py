@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GF2_COLS, brute_span, powerset
+from conftest import GF2_COLS, brute_span, powerset, seeded_nonbases
 from flatgeom import corpus, flatness
 from flatgeom.errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
 from flatgeom.flatness import _MeetTable, check_flat, delta, is_disintegrated
@@ -102,12 +102,7 @@ def seeded_sparse_paving(size, rank, seed):
     """A sparse paving matroid whose nonbases are seeded random rank-sets,
     kept greedily while each pair meets in at most rank-2 elements."""
     rng = random.Random(f"flat-ref/{size}/{rank}/{seed}")
-    chosen = []
-    for _ in range(200):
-        cand = frozenset(rng.sample(range(size), rank))
-        if all(len(cand & other) <= rank - 2 for other in chosen):
-            chosen.append(cand)
-    return sparse_paving_matroid(size, rank, chosen)
+    return sparse_paving_matroid(size, rank, seeded_nonbases(rng, size, rank, 200))
 
 
 def least_witness(m, top):

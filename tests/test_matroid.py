@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import product
 
@@ -5,8 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GF2_COLS, brute_rank, brute_span, powerset, ref_flats
-from flatgeom import corpus
+from conftest import (
+    GF2_COLS,
+    brute_rank,
+    brute_sparse_paving_closure,
+    brute_span,
+    powerset,
+    ref_flats,
+    seeded_nonbases,
+    sparse_paving_rank,
+)
+from flatgeom import corpus, jsonio
+from flatgeom.pingpong import pps_find_cycle
 from flatgeom.errors import (
     GroundTooLarge,
     InvalidElement,
@@ -18,6 +29,7 @@ from flatgeom.matroid import (
     PRIME_TEST_BOUND,
     LinearOracle,
     Matroid,
+    UniformOracle,
     Violation,
     _is_prime,
     closure_table_matroid,
@@ -409,6 +421,34 @@ class TestAxiomsAsProperties:
             assert m.carousel_check(tuple(abar), tuple(bs))
 
 
+#: sha256 of each host's ``matroid_to_json`` text, recorded when sparse
+#: paving hosts were explicit closure tables.  The three pool members are
+#: the benchmark's sparse_paving(12,3,10) #0..2.
+TABLE_DIGESTS = {
+    "three_planes": (
+        corpus.three_planes, "db998fd21b0b7bb07a6bd39e1089386ea861339ff4b1b7f0ed560912b32d9c81"),
+    "pps_chain(6)": (
+        corpus.pps_chain, "656e21a441f6f601c407b803e6a3fa286461092358df4e7eb61199cf070ba376"),
+    "pps_chain(12)": (
+        lambda: corpus.pps_chain(12), "0b1a0d733333cf04fa912cdb59e9fbfbc6d62c45767c9ca1b5975a5db9ce1222"),
+    "sparse_paving(12,3,10)#0": (
+        lambda: sparse_paving_matroid(12, 3, [
+            (4, 9, 10), (2, 5, 6), (0, 4, 6), (6, 8, 10), (2, 10, 11),
+            (0, 7, 11), (3, 7, 9), (1, 4, 8), (0, 5, 9), (2, 4, 7)]),
+        "229c684411fc7b4ac5b24c5bd8378d32285e7aebcbba3f23d4843e6253208c80"),
+    "sparse_paving(12,3,10)#1": (
+        lambda: sparse_paving_matroid(12, 3, [
+            (1, 5, 7), (7, 8, 9), (4, 6, 7), (1, 6, 9), (8, 10, 11),
+            (0, 4, 5), (5, 6, 10), (2, 7, 10), (1, 2, 11), (3, 5, 11)]),
+        "82b8919aadc3ce38988cb7c2b146a05192f370835835e56fee94a727a98a9969"),
+    "sparse_paving(12,3,10)#2": (
+        lambda: sparse_paving_matroid(12, 3, [
+            (0, 6, 11), (1, 2, 4), (1, 8, 10), (5, 6, 9), (0, 7, 9),
+            (3, 4, 5), (4, 6, 7), (3, 8, 9), (1, 5, 7), (2, 10, 11)]),
+        "a6d3a55542e3374a50e3bd9f21976af0fe7827c61260717d107ede64ab99a3e9"),
+}
+
+
 class TestSparsePaving:
     def test_three_planes_dimensions(self):
         m = corpus.three_planes()
@@ -427,6 +467,58 @@ class TestSparsePaving:
     def test_rejects_nonbases_off_the_ground_set(self, bad):
         with pytest.raises(InvalidStructure, match="leaves the ground set 0..4"):
             sparse_paving_matroid(5, 3, [bad])
+
+    @pytest.mark.parametrize(
+        "rank, nonbases",
+        [(3, [(0, 1, 2), (2, 1, 0)]), (1, [(4,), (4,)]), (2, [(0, 1), (1, 2)]), (1, [(0,), (3,)])],
+        ids=["repeat", "repeated-loop", "shared-point", "two-loops"],
+    )
+    def test_rejects_nonbases_sharing_rank_minus_one(self, rank, nonbases):
+        with pytest.raises(InvalidStructure, match="pairwise nonbasis intersections"):
+            sparse_paving_matroid(5, rank, nonbases)
+
+    @pytest.mark.parametrize("size, rank, nonbases", [(3, -1, []), (3, 0, [()]), (-1, 0, [])])
+    def test_rejects_degenerate_shapes(self, size, rank, nonbases):
+        with pytest.raises(InvalidStructure):
+            sparse_paving_matroid(size, rank, nonbases)
+
+    def test_rule_matches_the_rank_definition_on_seeded_hosts(self):
+        hosts = 0
+        for seed in range(75):
+            rng = random.Random(f"sparse-paving-rule/{seed}")
+            rank = seed % 5 + 1
+            size = rng.randint(rank, 10)
+            nonbases = seeded_nonbases(rng, size, rank, rng.randint(0, 30))
+            m = sparse_paving_matroid(size, rank, nonbases)
+            assert isinstance(m.oracle, UniformOracle)
+            for subset in powerset(range(size)):
+                want = brute_sparse_paving_closure(size, rank, nonbases, subset)
+                assert m.closure(subset) == want, (size, rank, nonbases, subset)
+                assert m.rank(subset) == sparse_paving_rank(rank, nonbases, subset)
+            hosts += bool(nonbases)
+        assert hosts >= 60
+
+    def test_without_nonbases_the_rule_is_uniform(self):
+        for rank, size in [(0, 3), (1, 4), (3, 3), (3, 5), (5, 3)]:
+            m, u = sparse_paving_matroid(size, rank, []), uniform_matroid(rank, size)
+            assert m.oracle == u.oracle
+            for subset in powerset(range(size)):
+                assert m.closure(subset) == u.closure(subset)
+
+    @pytest.mark.parametrize("name", list(TABLE_DIGESTS))
+    def test_written_as_the_same_closure_table(self, name):
+        make, digest = TABLE_DIGESTS[name]
+        text = jsonio.dumps(jsonio.matroid_to_json(make()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        again = jsonio.matroid_from_json(jsonio.loads(text))
+        assert jsonio.dumps(jsonio.matroid_to_json(again)) == text
+
+    @pytest.mark.parametrize("length, flats, configs", [(30, 472, 29_586), (60, 1_837, 226_566)])
+    def test_long_pps_chains_without_a_table(self, length, flats, configs):
+        m = corpus.pps_chain(length)
+        assert len(m.ground) == length + 2 and len(m.flats()) == flats
+        found = pps_find_cycle(m)
+        assert (found.status, found.configs_searched) == ("none", configs)
 
 
 def test_linear_matroid_requires_prime_field():
