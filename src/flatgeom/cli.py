@@ -23,7 +23,7 @@ import sys
 from typing import Any, Callable, Optional
 
 from . import corpus, effective, flatness, formula_closure, jsonio, pingpong, spectrum
-from .errors import FlatgeomError, GroundTooLarge, InputError
+from .errors import FlatgeomError, InputError
 from .matroid import Matroid
 
 V = jsonio.SCHEMA_VERSION
@@ -379,9 +379,7 @@ def run_command(argv: list[str]) -> int:
         # --help prints to stdout and exits 0.
         return 2 if e.code else 0
     except FlatgeomError as e:
-        # A bound's error names the library keyword; a CLI user passes the flag.
-        fault = str(e).replace("sample=", "--sample") if isinstance(e, GroundTooLarge) else e
-        sys.stderr.write(f"error: {fault}\n")
+        sys.stderr.write(f"error: {e}\n")
         return 2
     _emit({"command": args.words.replace(" ", "-"), **doc})
     return 1 if failed else 0

@@ -312,7 +312,7 @@ def check_flat(
     if sampled and sample is None:
         raise GroundTooLarge(
             f"{nflats} flats -> ~{work} subset terms exceeds work cap; "
-            "pass sample= or lower the bound"
+            "pass sample= / --sample or lower the bound"
         )
     table = _MeetTable(m, flats)
 

@@ -19,7 +19,7 @@ from .effective import (
     Sigma1Schedule,
     StagewisePresentation,
 )
-from .errors import InputError
+from .errors import GroundTooLarge, InputError
 from .formula_closure import EnumeratedStructure, GeometricStructure, fiber_key
 from .matroid import (
     ClosureTableOracle,
@@ -27,13 +27,18 @@ from .matroid import (
     LinearOracle,
     Matroid,
     UniformOracle,
+    elements_of,
     linear_matroid,
+    mask_of,
     subsets,
     table_masks,
     uniform_matroid,
 )
 
 SCHEMA_VERSION = 1
+
+#: Most elements a closure-table document, one row per subset, is written for.
+TABLE_BOUND = 16
 
 #: What reading a missing key or a value of the wrong type or size raises.
 _BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
@@ -86,27 +91,24 @@ def load_file(path: str) -> Any:
 def matroid_to_json(m: Matroid) -> dict:
     oracle = m.oracle
     if isinstance(oracle, LinearOracle):
-        out: dict[str, Any] = {
-            "type": "linear",
-            "field": oracle.field,
-            "columns": [list(c) for c in oracle.columns],
-        }
+        columns = [list(c) for c in oracle.columns]
+        out: dict[str, Any] = {"type": "linear", "field": oracle.field, "columns": columns}
         if m.ground.labels:
-            out["labels"] = [
-                m.ground.labels.get(e, str(e)) for e in m.ground.elements
-            ]
+            out["labels"] = [m.ground.labels.get(e, str(e)) for e in m.ground.elements]
         return out
     if isinstance(oracle, UniformOracle) and not oracle.nonbases:
-        return {
-            "type": "uniform",
-            "rank": oracle.rank_bound,
-            "size": len(m.ground),
-        }
+        return {"type": "uniform", "rank": oracle.rank_bound, "size": len(m.ground)}
     # A table, or a sparse paving host tabulated through its oracle.
+    n, ground = len(m.ground), mask_of(m.ground.elements)
+    if n > TABLE_BOUND:
+        raise GroundTooLarge(f"refusing to tabulate 2**{n} subsets (> 2**{TABLE_BOUND})")
     return {
         "type": "closure-table",
-        "ground": len(m.ground),
-        "closure": [{"set": list(s), "cl": sorted(m.closure(s))} for s in subsets(m.ground.elements)],
+        "ground": n,
+        "closure": [
+            {"set": list(s), "cl": list(elements_of(oracle.closure(mask_of(s), ground)))}
+            for s in subsets(m.ground.elements)
+        ],
     }
 
 

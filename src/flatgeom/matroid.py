@@ -94,7 +94,7 @@ def subset_universe(
     if n <= max_ground:
         return map(sum, subsets(bits)), False
     if sample is None:
-        raise GroundTooLarge(f"ground has {n} elements (> {max_ground}); pass sample=")
+        raise GroundTooLarge(f"ground has {n} elements (> {max_ground}); pass sample= / --sample")
     rng = random.Random(seed)
     return (sum(b for b in bits if rng.random() < 0.5) for _ in range(sample)), True
 
@@ -283,6 +283,8 @@ class UniformOracle:
         # listed twice.
         spans: dict[int, int] = {}
         for n in masks:
+            if n.bit_count() != k:
+                raise InvalidStructure("nonbases must have exactly `rank` elements")
             for e in _low_bits(n):
                 if n ^ e in spans:
                     raise InvalidStructure("sparse paving requires pairwise nonbasis intersections <= rank-2")
@@ -649,8 +651,6 @@ def sparse_paving_matroid(
         raise InvalidStructure(f"sparse paving size must be non-negative, got {size}")
     nb = [frozenset(s) for s in nonbases]
     for s in nb:
-        if len(s) != rank:
-            raise InvalidStructure("nonbases must have exactly `rank` elements")
         if not all(e in range(size) for e in s):
             raise InvalidStructure(f"nonbasis {sorted(s)} leaves the ground set 0..{size - 1}")
     return Matroid(GroundSet(tuple(range(size))), UniformOracle(rank, map(mask_of, nb)))

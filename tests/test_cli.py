@@ -214,9 +214,9 @@ class TestCommands:
              "max_ground must be non-negative, got -1"),
             ("flatness --matroid corpus:gf2_3 --max-ground -1", "max_ground must be non-negative, got -1"),
             ("pregeom verify --matroid corpus:gf2_3 --max-ground 2",
-             "ground has 7 elements (> 2); pass --sample"),
+             "ground has 7 elements (> 2); pass sample= / --sample"),
             ("flatness --matroid corpus:gf2_3 --exhaustive",
-             "16 flats -> ~43046720 subset terms exceeds work cap; pass --sample or lower the bound"),
+             "16 flats -> ~43046720 subset terms exceeds work cap; pass sample= / --sample or lower the bound"),
             ("ild --scenario corpus:ild_pps --budget -2", "budget must be >= 1"),
             ("lambda acl --scenario corpus:sigma1_chain --bbar 0,1 --budget -2",
              "budget must be >= 1"),

@@ -482,6 +482,13 @@ class TestSparsePaving:
         with pytest.raises(InvalidStructure):
             sparse_paving_matroid(size, rank, nonbases)
 
+    @pytest.mark.parametrize("nonbasis", [0b11, 0b1111], ids=["short", "long"])
+    def test_oracle_refuses_nonbases_of_another_size(self, nonbasis):
+        with pytest.raises(InvalidStructure, match="exactly `rank` elements"):
+            UniformOracle(3, {nonbasis})
+        with pytest.raises(InvalidStructure, match="exactly `rank` elements"):
+            sparse_paving_matroid(5, 3, [elements_of(nonbasis)])
+
     def test_rule_matches_the_rank_definition_on_seeded_hosts(self):
         hosts = 0
         for seed in range(75):
@@ -512,6 +519,11 @@ class TestSparsePaving:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
         again = jsonio.matroid_from_json(jsonio.loads(text))
         assert jsonio.dumps(jsonio.matroid_to_json(again)) == text
+
+    @pytest.mark.parametrize("length", [15, 60])
+    def test_refuses_to_write_a_table_past_the_bound(self, length):
+        with pytest.raises(GroundTooLarge, match=rf"2\*\*{length + 2} subsets \(> 2\*\*16\)"):
+            jsonio.matroid_to_json(corpus.pps_chain(length))
 
     @pytest.mark.parametrize("length, flats, configs", [(30, 472, 29_586), (60, 1_837, 226_566)])
     def test_long_pps_chains_without_a_table(self, length, flats, configs):
