@@ -25,7 +25,7 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import IncoherentSchedule, InvalidStructure, MatroidContractError, NotExtendable
 from .matroid import Matroid, canon
@@ -207,19 +207,39 @@ class ConstructionTrace:
 
     def corrected_member(self, elem: int, stage: int) -> bool:
         """Membership after forcing enumerated A-elements in."""
-        return elem in _corrected_members((elem,), self.membership, self.enumeration, stage)
+        return elem in self.enumeration.at(stage) or self.membership.member_at(elem, stage)
 
 
 def _corrected_members(
     universe: Sequence[int],
     membership: Delta2Schedule,
     enumeration: Sigma1Schedule,
-    stage: int,
-) -> frozenset[int]:
-    in_a = set(enumeration.at(stage))
-    return frozenset(
-        e for e in universe if e in in_a or membership.member_at(e, stage)
-    )
+    horizon: int,
+) -> Iterator[frozenset[int]]:
+    """The members of ``universe`` at stages 1..``horizon``, an enumerated
+    A-element counting as a member from its entry on.  The set is kept
+    running and changes only at the stages where a flip or an A entry is
+    scripted."""
+    ground = frozenset(universe)
+    flips: dict[int, list[FlipEvent]] = {}
+    for ev in membership.flips:
+        flips.setdefault(ev.stage, []).append(ev)
+    entries: dict[int, list[int]] = {}
+    for e, s in enumeration.entries:
+        entries.setdefault(s, []).append(e)
+    approx = {e for e in ground if membership.member_at(e, 0)}
+    in_a: set[int] = set()
+    members = frozenset(approx)
+    for stage in range(1, horizon + 1):
+        if stage in flips or stage in entries:
+            for ev in flips.get(stage, ()):
+                if ev.value:
+                    approx.add(ev.elem)
+                else:
+                    approx.discard(ev.elem)
+            in_a.update(entries.get(stage, ()))
+            members = ground & (approx | in_a)
+        yield members
 
 
 def going_down_run(
@@ -304,8 +324,7 @@ def going_down_run(
             StageRecord(stage, event, len(images), tuple(symbols), tuple(images), **extra)
         )
 
-    for stage in range(1, horizon + 1):
-        members = _corrected_members(universe, membership, enumeration, stage)
+    for stage, members in enumerate(_corrected_members(universe, membership, enumeration, horizon), 1):
         if not waiting:
             ran = frozenset(images)
             if ran <= members:

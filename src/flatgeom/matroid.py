@@ -35,6 +35,12 @@ never uses it: the rule holds only in a pregeometry, and
 
 Flats are built by covering: the flats that cover a flat F are the sets
 cl(F + e), e not in F, so a flat's rank is the level at which it is met.
+On a linear host these covers are the parallel classes of the contraction
+M/F (Oxley, Matroid Theory, 2nd ed., 2011): the walk reduces each column
+outside F once against an echelon basis of F, and the columns whose
+residuals agree up to a scalar give one cover, whose basis is F's plus
+one row.  It writes each cl(F + e) so found into the closure memo, so no
+cover candidate is closed from scratch.
 """
 
 from __future__ import annotations
@@ -225,7 +231,7 @@ class LinearOracle:
             raise InvalidStructure("all columns must have the same length")
         object.__setattr__(self, "columns", cols)
 
-    def _reduce(self, basis: list[tuple[int, list[int]]], vec: Sequence[int]) -> list[int]:
+    def _reduce(self, basis: Sequence[tuple[int, Sequence[int]]], vec: Sequence[int]) -> list[int]:
         """``vec`` minus its combination of the basis rows: all zero iff
         ``vec`` lies in their span."""
         q = self.field
@@ -261,6 +267,27 @@ class LinearOracle:
             if not any(self._reduce(basis, self.columns[e])):
                 cl |= 1 << e
         return cl
+
+    def covers(
+        self, basis: Sequence[tuple[int, Sequence[int]]], outside: int
+    ) -> Iterator[tuple[int, tuple[int, tuple[int, ...]]]]:
+        """The parallel classes of the contraction by span(``basis``) among
+        the columns of ``outside``, none of which may lie in that span: each
+        as (mask, (pivot, row)), the row their shared residual scaled to 1
+        at its first nonzero entry, which extends ``basis`` to an echelon
+        basis of the span with the class."""
+        q = self.field
+        classes: dict[tuple[int, ...], int] = {}
+        for b in _low_bits(outside):
+            v = self._reduce(basis, self.columns[b.bit_length() - 1])
+            lead = next(x for x in v if x)
+            if lead != 1:
+                inv = pow(lead, q - 2, q)
+                v = [x * inv % q for x in v]
+            row = tuple(v)
+            classes[row] = classes.get(row, 0) | b
+        for row, g in classes.items():
+            yield g, (row.index(1), row)
 
 
 @dataclass(frozen=True)
@@ -394,7 +421,8 @@ class Matroid:
         #: tries the prefix rule first).
         self._rank_mask: Callable[[int], int] = Memo(lambda s: oracle.rank(s, whole)).__getitem__
         closures = _PrefixClosures if isinstance(oracle, LinearOracle) else Memo
-        self._closure_mask: Callable[[int], int] = closures(lambda s: oracle.closure(s, whole)).__getitem__
+        self._closures: Memo = closures(lambda s: oracle.closure(s, whole))
+        self._closure_mask: Callable[[int], int] = self._closures.__getitem__
         #: pingpong's step table of the most recent net, as (net, table).
         self._net_steps: Optional[tuple[int, Memo]] = None
         if isinstance(oracle, LinearOracle) and tuple(range(len(oracle.columns))) != ground.elements:
@@ -458,19 +486,43 @@ class Matroid:
     def _closed_sets(self, max_rank: int) -> dict[int, int]:
         """The flats of rank <= ``max_rank`` as masks, each mapped to its
         rank, in (size, lex) order: level 0 is cl(empty), level k+1 every
-        cl(F + e) with F on level k, e not in F, not met before.  The walk
-        stops after level ``max_rank`` even if the next is not empty, so on
-        a table that breaks the axioms no set above the table's rank counts
-        as a flat."""
-        bits = list(self._bit.values())
+        cover of a flat on level k not met before.  The walk stops after
+        level ``max_rank`` even if the next is not empty, so on a table
+        that breaks the axioms no set above the table's rank counts as a
+        flat.  A linear host carries an echelon basis with each flat of
+        the level and takes its covers from the contraction
+        (``_residual_covers``); any other host closes F + e for each e not
+        in F (``_closure_covers``)."""
         cl = self._closure_mask
         found = {cl(0): 0} if max_rank >= 0 else {}
-        level = set(found)
+        if isinstance(self.oracle, LinearOracle):
+            covers, level = self._residual_covers, dict.fromkeys(found, ())
+        else:
+            covers, level = self._closure_covers, dict.fromkeys(found)
         for k in range(1, max_rank + 1):
-            extended = {f | b for f in level for b in bits if not f & b}
-            level = {cl(s) for s in extended} - found.keys()
+            met: dict = {}
+            for f, basis in level.items():
+                met.update(covers(f, basis))
+            level = {s: basis for s, basis in met.items() if s not in found}
             found.update(dict.fromkeys(level, k))
         return {s: found[s] for s in sorted(found, key=lambda s: (s.bit_count(), elements_of(s)))}
+
+    def _closure_covers(self, f: int, _) -> Iterator[tuple[int, None]]:
+        """The sets cl(F + e), e not in F, the covers of the flat F."""
+        cl = self._closure_mask
+        return ((cl(f | b), None) for b in _low_bits(self._ground_mask & ~f))
+
+    def _residual_covers(self, f: int, basis: tuple) -> Iterator[tuple[int, tuple]]:
+        """The covers F | g of the linear flat F, g a parallel class of the
+        contraction M/F, each with its echelon basis, ``basis`` plus one
+        row; cl(F + e) = F | g goes into the closure memo for each e in g,
+        so later closures of F + e are hits."""
+        memo = self._closures
+        for g, row in self.oracle.covers(basis, self._ground_mask & ~f):
+            cover = f | g
+            for b in _low_bits(g):
+                memo[f | b] = cover
+            yield cover, (*basis, row)
 
     def _circuits(self, min_size: int, max_size: int) -> Iterator[Circuit]:
         """Circuits with ``min_size`` to ``max_size`` elements, lazily, in

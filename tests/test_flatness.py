@@ -210,6 +210,12 @@ class TestCheckFlat:
         # them but (7,3)#0 has a violation at sigma 3 or 4.
         shapes = [(7, 3, 0), (8, 3, 0), (9, 3, 1), (6, 4, 0), (7, 4, 1)]
         paving = [seeded_sparse_paving(*shape) for shape in shapes]
+        if sigma <= 3:
+            # A benchmark host, not flat at sigma 3 (its three nonbases),
+            # although Mason's alpha summed over its cyclic flats alone is
+            # nonnegative on each of them.  Its 56 flats put sigma 4 past
+            # the work cap.
+            paving.append(sparse_paving_matroid(7, 4, [(2, 3, 4, 6), (1, 2, 4, 5), (1, 3, 5, 6)]))
         for m in [*small_corpus.values(), gf3, *paving]:
             v = check_flat(m, sigma, max_ground=len(m.ground))
             witness = set(v.witness.sets()) if v.witness else None

@@ -64,6 +64,28 @@ def gaussian_binomial(d: int, k: int, q: int) -> int:
     return num // den
 
 
+def seeded_linear_hosts() -> list[tuple[int, list[tuple[int, ...]]]]:
+    """(q, columns) over GF(2), GF(3), GF(5) and GF(7), six per field: random
+    combinations of d - 1 (odd seeds: rank-deficient) or d generators of
+    GF(q)^d, plus a zero column and a nonzero multiple of the first
+    column, shuffled."""
+    hosts = []
+    for q in (2, 3, 5, 7):
+        for seed in range(6):
+            rng = random.Random(f"linear-walk/{q}/{seed}")
+            d = rng.randint(2, 4)
+            gens = [[rng.randrange(q) for _ in range(d)] for _ in range(d - seed % 2)]
+            cols = [
+                tuple(sum(rng.randrange(q) * g[i] for g in gens) % q for i in range(d))
+                for _ in range(rng.randint(4, 6))
+            ]
+            scale = rng.randrange(1, q)
+            cols += [(0,) * d, tuple(scale * x % q for x in cols[0])]
+            rng.shuffle(cols)
+            hosts.append((q, cols))
+    return hosts
+
+
 class CountingOracle:
     """Passes every query to ``inner`` and records the rank queries, as the
     oracles take them: one int mask per subset, bit e for element e."""
@@ -313,13 +335,14 @@ class TestFlats:
             ], name
 
     def test_rank_bounded_flats_at_every_bound(self, scan_corpus):
-        for name, m in scan_corpus.items():
+        linear = [((q, cols), linear_matroid(q, cols)) for q, cols in seeded_linear_hosts()]
+        for name, m in [*scan_corpus.items(), *linear]:
             ref = ref_flats(m)
             for bound in range(-1, m.full_rank + 1):
                 want = [(mask_of(s), m.rank(s)) for s in ref if m.rank(s) <= bound]
                 assert list(m._closed_sets(bound).items()) == want, (name, bound)
 
-    @pytest.mark.parametrize("d, q", [(3, 2), (3, 3), (3, 5), (4, 2), (4, 3)])
+    @pytest.mark.parametrize("d, q", [(3, 2), (3, 3), (3, 5), (4, 2), (4, 3), (5, 3), (6, 2)])
     def test_projective_space_flats_by_rank(self, d, q):
         # The rank-k flats of PG(d-1, q) are its k-dimensional subspaces.
         flats = linear_matroid(q, pg_columns(d, q)).flats()
@@ -327,6 +350,30 @@ class TestFlats:
             of_rank = [f for f in flats if f.dim == k]
             assert len(of_rank) == gaussian_binomial(d, k, q), k
             assert {len(f.elements) for f in of_rank} == {(q**k - 1) // (q - 1)}, k
+
+    def test_linear_walk_leaves_every_cover_closure_in_the_memo(self):
+        hosts = [*seeded_linear_hosts(), (5, GF5_COLS), (2, pg_columns(4, 2))]
+        for q, cols in hosts:
+            m = linear_matroid(q, cols)
+            ground = m._ground_mask
+            for f in map(mask_of, (flat.elements for flat in m.flats())):
+                for e in elements_of(ground & ~f):
+                    s = f | 1 << e
+                    assert s in m._closures, (q, cols, s)
+                    assert m._closure_mask(s) == m.oracle.closure(s, ground), (q, cols, s)
+
+    def test_linear_walk_asks_no_closure_of_a_cover_candidate(self):
+        asked = []
+
+        class CountingLinearOracle(LinearOracle):
+            def closure(self, subset, ground):
+                asked.append(subset)
+                return super().closure(subset, ground)
+
+        pg32 = linear_matroid(2, pg_columns(4, 2))
+        m = Matroid(pg32.ground, CountingLinearOracle(2, pg32.oracle.columns))
+        assert len(m.flats()) == 67
+        assert asked == [0]  # cl(empty), the bottom of the walk
 
     def test_flats_ask_no_rank_of_a_flat(self):
         pg32 = linear_matroid(2, pg_columns(4, 2))
