@@ -12,19 +12,26 @@ the five searches that take one: ``pps run``, ``pps search-cycle``,
 ``lambda closure``, ``lambda acl`` and ``ild``.  ``flatness`` is bounded
 by its work cap instead (a search past it exits 2 unless ``--sample`` is
 given) and ``effective going-down`` by its scenario's horizon.
+
+Each handler imports the module it runs and calls through its attributes,
+so a command loads only what it needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import importlib
 import os
 import sys
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from . import corpus, effective, flatness, formula_closure, jsonio, pingpong, spectrum
+from . import jsonio
 from .errors import FlatgeomError, InputError
-from .matroid import Matroid
+
+if TYPE_CHECKING:
+    from . import pingpong, spectrum
+    from .formula_closure import EnumeratedStructure
+    from .matroid import Matroid
 
 V = jsonio.SCHEMA_VERSION
 
@@ -59,10 +66,13 @@ def _ids(text: str) -> tuple[int, ...]:
         raise InputError(f"expected comma-separated ids, got {text!r}") from None
 
 
-def _load(source: str, members: dict, from_json, what: str):
-    """Build a corpus member for ``corpus:<name>``, else parse a JSON file."""
+def _load(source: str, registry: str, from_json, what: str):
+    """Build a member of ``corpus.<registry>`` for ``corpus:<name>``, else
+    parse a JSON file."""
     if source.startswith("corpus:"):
-        name = source.split(":", 1)[1]
+        from . import corpus
+
+        members, name = getattr(corpus, registry), source.split(":", 1)[1]
         if name not in members:
             raise InputError(f"no corpus {what} named {name!r}")
         return members[name]()
@@ -70,20 +80,20 @@ def _load(source: str, members: dict, from_json, what: str):
 
 
 def _load_matroid(source: str) -> Matroid:
-    return _load(source, corpus.MATROIDS, jsonio.matroid_from_json, "matroid")
+    return _load(source, "MATROIDS", jsonio.matroid_from_json, "matroid")
 
 
-def _load_scenario(source: str) -> formula_closure.EnumeratedStructure:
-    return _load(source, corpus.SCENARIOS, jsonio.scenario_from_json, "scenario")
+def _load_scenario(source: str) -> EnumeratedStructure:
+    return _load(source, "SCENARIOS", jsonio.scenario_from_json, "scenario")
 
 
 def _load_structure(source: str):
-    return _load(source, corpus.STRUCTURES, jsonio.structure_from_json, "structure")
+    return _load(source, "STRUCTURES", jsonio.structure_from_json, "structure")
 
 
 def _load_effective(source: str):
-    members, from_json = corpus.EFFECTIVE_SCENARIOS, jsonio.effective_scenario_from_json
-    return _load(source, members, from_json, "effective scenario")
+    from_json = jsonio.effective_scenario_from_json
+    return _load(source, "EFFECTIVE_SCENARIOS", from_json, "effective scenario")
 
 
 # -- command handlers ---------------------------------------------------------
@@ -108,6 +118,8 @@ def cmd_pregeom_verify(args) -> Result:
 
 
 def cmd_flatness(args) -> Result:
+    from . import flatness
+
     m = _load_matroid(args.matroid)
     verdict = flatness.check_flat(m, args.max_sigma, exhaustive=args.exhaustive, **_sampling(args))
     doc: dict[str, Any] = {"verdict": verdict.kind}
@@ -138,6 +150,8 @@ def _run_doc(run: pingpong.PPSRun) -> dict:
 
 
 def cmd_pps_run(args) -> Result:
+    from . import pingpong
+
     m = _load_matroid(args.matroid)
     cfg = pingpong.PPSConfig.of(_ids(args.x), args.a1, args.a2, args.t1)
     runs = pingpong.pps_run(m, cfg, args.strategy, _budget(args))
@@ -146,6 +160,8 @@ def cmd_pps_run(args) -> Result:
 
 
 def cmd_pps_search_cycle(args) -> Result:
+    from . import pingpong
+
     res = pingpong.pps_find_cycle(_load_matroid(args.matroid), _budget(args))
     doc: dict[str, Any] = {"status": res.status, "configs_searched": res.configs_searched}
     if res.run is not None:
@@ -155,6 +171,8 @@ def cmd_pps_search_cycle(args) -> Result:
 
 
 def cmd_lambda_closure(args) -> Result:
+    from . import formula_closure
+
     g = _load_structure(args.structure)
     res = formula_closure.lambda_closure(g, _ids(args.x), _budget(args, None))
     return {
@@ -166,6 +184,8 @@ def cmd_lambda_closure(args) -> Result:
 
 
 def cmd_lambda_acl(args) -> Result:
+    from . import formula_closure
+
     enum = _load_scenario(args.scenario)
     bbar = _ids(args.bbar)
     res = formula_closure.acl_enumerate_via_lambda(enum, bbar, _budget(args, enum.final_stage))
@@ -173,11 +193,17 @@ def cmd_lambda_acl(args) -> Result:
 
 
 def cmd_ild(args) -> Result:
+    from . import formula_closure
+
     res = formula_closure.ild_estimate(_load_scenario(args.scenario), _budget(args, None))
     return {"value": res.value, "certainty": res.certainty}, False
 
 
 def cmd_effective_going_down(args) -> Result:
+    import dataclasses
+
+    from . import effective
+
     presentation, membership, enumeration, horizon = _load_effective(args.scenario)
     trace = effective.going_down_run(presentation, membership, enumeration, horizon)
     report = effective.trace_verify(trace, membership.target)
@@ -220,6 +246,8 @@ def _verdict_row(s: spectrum.SpectrumSet, verdict: spectrum.Verdict) -> dict:
 
 
 def cmd_spectrum_check(args) -> Result:
+    from . import spectrum
+
     profile = spectrum.TheoryProfile(args.n, args.p, args.ild)
     report = spectrum.validate_profile(profile)
     if not report.ok:
@@ -236,6 +264,8 @@ def cmd_spectrum_check(args) -> Result:
 
 
 def cmd_spectrum_cases(args) -> Result:
+    from . import spectrum
+
     profile = spectrum.TheoryProfile(args.n)
     analysis = spectrum.enumerate_case_analysis(profile)
     rows = [
@@ -251,10 +281,14 @@ def cmd_spectrum_cases(args) -> Result:
 
 
 def cmd_corpus_list(args) -> Result:
+    from . import corpus
+
     return {"members": corpus.members()}, False
 
 
 def cmd_corpus_check(args) -> Result:
+    from . import corpus
+
     results = {}
     for name, make in corpus.MATROIDS.items():
         m = make()
@@ -281,6 +315,17 @@ def _opt(flag: str, **spec) -> tuple[str, dict]:
 
 def _flag(flag: str) -> tuple[str, dict]:
     return _opt(flag, action="store_true")
+
+
+class _Constant:
+    """A default that is ``flatgeom.<module>.<name>``, read when its command
+    is parsed, so that building the parser imports no command's module."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+
+    def value(self) -> Any:
+        return getattr(importlib.import_module(f".{self.module}", __package__), self.name)
 
 
 MATROID = _opt("--matroid", required=True, help="matroid JSON file or corpus:<name>")
@@ -313,7 +358,7 @@ COMMANDS: list[tuple[str, Callable[[argparse.Namespace], Result], tuple]] = [
     ("pregeom verify", cmd_pregeom_verify, (MATROID, *SAMPLING, _flag("--expect-pass"))),
     ("flatness", cmd_flatness, (
         MATROID,
-        _opt("--max-sigma", type=int, default=flatness.DEFAULT_MAX_SIGMA),
+        _opt("--max-sigma", type=int, default=_Constant("flatness", "DEFAULT_MAX_SIGMA")),
         _flag("--exhaustive"),
         *SAMPLING,
         _flag("--expect-flat"),
@@ -340,7 +385,7 @@ COMMANDS: list[tuple[str, Callable[[argparse.Namespace], Result], tuple]] = [
         _opt("--p", type=int),
         _opt("--ild", type=int),
         _opt("--set", default="", help="e.g. 0,1,omega"),
-        _opt("--horizon", type=int, default=spectrum.DEFAULT_HORIZON),
+        _opt("--horizon", type=int, default=_Constant("spectrum", "DEFAULT_HORIZON")),
     )),
     ("spectrum cases", cmd_spectrum_cases, (N,)),
     ("corpus list", cmd_corpus_list, ()),
@@ -349,7 +394,15 @@ COMMANDS: list[tuple[str, Callable[[argparse.Namespace], Result], tuple]] = [
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one InputError line, not the usage text."""
+    """Reports a usage error as one InputError line, not the usage text, and
+    reads each ``_Constant`` default that parsing leaves in place."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, rest = super().parse_known_args(args, namespace)
+        for dest, value in vars(namespace).items():
+            if isinstance(value, _Constant):
+                setattr(namespace, dest, value.value())
+        return namespace, rest
 
     def error(self, message: str):
         raise InputError(f"{self.prog}: {message}")

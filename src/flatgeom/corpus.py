@@ -5,22 +5,16 @@ re-verifies that claim.  The randomized generators at the bottom produce
 the structure and construction scenarios the property suites run over;
 they embed the ground truth the scenarios promise (growth contracts,
 witness availability), which is what makes the suites assertable.
+Each member or generator that builds a structure or a scenario imports
+its module itself, so the matroid members need only ``matroid``.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .effective import (
-    Delta2Schedule,
-    FlipEvent,
-    RelationalStructure,
-    Sigma1Schedule,
-    StagewisePresentation,
-)
-from .formula_closure import EnumeratedStructure, GeometricStructure, fiber_key
 from .matroid import (
     Matroid,
     closure_table_matroid,
@@ -30,6 +24,10 @@ from .matroid import (
     table_from_matroid,
     uniform_matroid,
 )
+
+if TYPE_CHECKING:
+    from .effective import Delta2Schedule, Sigma1Schedule, StagewisePresentation
+    from .formula_closure import EnumeratedStructure, GeometricStructure
 
 # -- matroid members ----------------------------------------------------------
 
@@ -117,6 +115,8 @@ MATROIDS: dict[str, Callable[[], Matroid]] = {
 def phi_demo() -> GeometricStructure:
     """Universe {0..3} on a rank-2 line, phi holding on two of the
     3-circuits."""
+    from .formula_closure import GeometricStructure
+
     return GeometricStructure.of(
         uniform_matroid(2, 4), [(0, 1, 2), (1, 2, 3)], fiber_bound=2
     )
@@ -139,6 +139,8 @@ def sigma1_chain(length: int = 6) -> EnumeratedStructure:
     any outside element walks the chain into the growth frontier and is
     never certified.
     """
+    from .formula_closure import EnumeratedStructure, GeometricStructure, fiber_key
+
     p = 101
     cols = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
     cols += [(k % p, 0, 1) for k in range(1, length + 1)]
@@ -158,6 +160,8 @@ def ild_pps(length: int = 8) -> EnumeratedStructure:
     """Alternating-paddle chain: growth fires only once both paddles and a
     chain element are present, so the least dimension with unbounded
     closure is 3 (= circuit size)."""
+    from .formula_closure import EnumeratedStructure, GeometricStructure, fiber_key
+
     p = 101
     cols = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     tuples = []
@@ -174,10 +178,17 @@ def ild_pps(length: int = 8) -> EnumeratedStructure:
     return EnumeratedStructure.of(g, reveal, counts, infinite_seeds=[(0, 1, 2)])
 
 
+def finite_complete() -> EnumeratedStructure:
+    """``phi_demo`` with all of phi revealed at one stage."""
+    from .formula_closure import EnumeratedStructure
+
+    return EnumeratedStructure.complete(phi_demo())
+
+
 SCENARIOS: dict[str, Callable[[], EnumeratedStructure]] = {
     "sigma1_chain": sigma1_chain,
     "ild_pps": ild_pps,
-    "finite_complete": lambda: EnumeratedStructure.complete(phi_demo()),
+    "finite_complete": finite_complete,
 }
 
 
@@ -188,6 +199,10 @@ def going_down_demo() -> tuple[StagewisePresentation, Delta2Schedule, Sigma1Sche
     """Twelve-element structure whose target is the eight-element plane
     spanned by ids 0 and 1; id 2 is wrongly approximated as a member until
     stage 5, forcing exactly one witness-remap event."""
+    from .effective import (
+        Delta2Schedule, FlipEvent, RelationalStructure, Sigma1Schedule, StagewisePresentation,
+    )
+
     p = 101
     cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     cols += [(1, k, 0) for k in range(1, 7)]
@@ -230,6 +245,8 @@ def random_geometric_structure(
     arity-1 (every arity-set a circuit) or a random prime-field matroid
     re-sampled until it owns a circuit of the right size.
     """
+    from .formula_closure import GeometricStructure
+
     n = rng.randint(arity + 1, max_universe)
     while True:
         if rng.random() < 0.5:
@@ -293,6 +310,10 @@ def random_going_down_scenario(
     replacement reserve, and elements outside the target flip in only
     early.  Flip budget stays at 3 per element.
     """
+    from .effective import (
+        Delta2Schedule, FlipEvent, RelationalStructure, Sigma1Schedule, StagewisePresentation,
+    )
+
     n = rng.randint(8, max_universe)
     n_classes = rng.randint(2, 3)
     # Round-robin keeps every class populated and puts the reserve

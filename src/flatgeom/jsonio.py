@@ -2,38 +2,25 @@
 
 All emitted JSON uses sorted keys and compact separators so identical
 inputs produce byte-identical outputs.  Loaders raise InputError with a
-line/column diagnostic on malformed documents.
+line/column diagnostic on malformed documents.  Each reader and writer
+imports the module whose objects it handles, so ``dumps`` and ``loads``
+need none of them.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .effective import (
-    Delta2Schedule,
-    FlipEvent,
-    Relation,
-    RelationalStructure,
-    Sigma1Schedule,
-    StagewisePresentation,
-)
 from .errors import GroundTooLarge, InputError
-from .formula_closure import EnumeratedStructure, GeometricStructure, fiber_key
-from .matroid import (
-    ClosureTableOracle,
-    GroundSet,
-    LinearOracle,
-    Matroid,
-    UniformOracle,
-    elements_of,
-    linear_matroid,
-    mask_of,
-    subsets,
-    table_masks,
-    uniform_matroid,
-)
+
+if TYPE_CHECKING:
+    from .effective import (
+        Delta2Schedule, RelationalStructure, Sigma1Schedule, StagewisePresentation,
+    )
+    from .formula_closure import EnumeratedStructure, GeometricStructure
+    from .matroid import Matroid
 
 SCHEMA_VERSION = 1
 
@@ -89,6 +76,8 @@ def load_file(path: str) -> Any:
 
 
 def matroid_to_json(m: Matroid) -> dict:
+    from .matroid import LinearOracle, UniformOracle, elements_of, mask_of, subsets
+
     oracle = m.oracle
     if isinstance(oracle, LinearOracle):
         columns = [list(c) for c in oracle.columns]
@@ -113,6 +102,10 @@ def matroid_to_json(m: Matroid) -> dict:
 
 
 def matroid_from_json(doc: Any) -> Matroid:
+    from .matroid import (
+        ClosureTableOracle, GroundSet, Matroid, linear_matroid, table_masks, uniform_matroid,
+    )
+
     if not isinstance(doc, dict) or "type" not in doc:
         raise InputError("matroid document must be an object with a 'type'")
     kind = doc["type"]
@@ -150,6 +143,8 @@ def structure_to_json(g: GeometricStructure) -> dict:
 
 
 def structure_from_json(doc: Any) -> GeometricStructure:
+    from .formula_closure import GeometricStructure
+
     try:
         m = matroid_from_json(doc["matroid"])
         tuples = [_ints(t, "phi tuple member") for t in doc["phi"]["tuples"]]
@@ -168,11 +163,12 @@ def _fiber_key_str(key) -> str:
     return f"{j}|" + ",".join(str(r) for r in rest)
 
 
-def _fiber_key_parse(text: str):
+def _fiber_key_parse(text: str) -> tuple[int, tuple[int, ...]]:
+    """The position and rest of a key that ``_fiber_key_str`` wrote."""
     try:
         j, rest = text.split("|", 1)
         parts = tuple(int(x) for x in rest.split(",")) if rest else ()
-        return fiber_key(int(j), parts)
+        return int(j), parts
     except ValueError:
         raise InputError(f"bad fiber key {text!r}") from None
 
@@ -191,6 +187,8 @@ def scenario_to_json(enum: EnumeratedStructure) -> dict:
 
 
 def scenario_from_json(doc: Any) -> EnumeratedStructure:
+    from .formula_closure import EnumeratedStructure, fiber_key
+
     g = structure_from_json(doc)
     try:
         # Without stages, phi is revealed in one stage.
@@ -199,7 +197,8 @@ def scenario_from_json(doc: Any) -> EnumeratedStructure:
             for stage in doc.get("stages", [])
         ] or [sorted(g.phi)]
         counts = {
-            _fiber_key_parse(k): _int(v, f"count {k}") for k, v in doc.get("counts", {}).items()
+            fiber_key(*_fiber_key_parse(k)): _int(v, f"count {k}")
+            for k, v in doc.get("counts", {}).items()
         }
         seeds = [frozenset(_ints(s, "infinite seed member")) for s in doc.get("infinite_seeds", [])]
         return EnumeratedStructure.of(g, reveal, counts, seeds)
@@ -221,6 +220,8 @@ def relational_to_json(s: RelationalStructure) -> dict:
 
 
 def relational_from_json(doc: Any) -> RelationalStructure:
+    from .effective import RelationalStructure
+
     try:
         n = _int(doc["universe"], "universe")
         rels = {
@@ -267,6 +268,8 @@ def effective_scenario_to_json(
 def effective_scenario_from_json(
     doc: Any,
 ) -> tuple[StagewisePresentation, Delta2Schedule, Sigma1Schedule, int]:
+    from .effective import Delta2Schedule, FlipEvent, Sigma1Schedule, StagewisePresentation
+
     try:
         struct_doc = doc["structure"]
         structure = relational_from_json(struct_doc)

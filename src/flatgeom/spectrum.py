@@ -19,7 +19,8 @@ reported as such, never as allowed or excluded.
 
 Theory profiles (n, optional prime-model dimension p, optional least
 infinite-closure dimension) carry their own inequality constraints,
-checked by ``validate_profile``.
+checked by ``validate_profile``; p and ild are dimensions, so neither is
+negative.
 """
 
 from __future__ import annotations
@@ -35,9 +36,11 @@ RULE_INITIAL_SEGMENT = "initial-segment"
 RULE_INITIAL_FROM_THREE = "initial-from-three"
 RULE_OMEGA_DOWNWARD = "omega-downward"
 
+RULE_P_GE_0 = "p-ge-0"
 RULE_P_LE_N_PLUS_1 = "p-le-n-plus-1"
 RULE_P_GE_N_WHEN_N_GT_3 = "p-ge-n-when-n-gt-3"
 RULE_P_GE_N_WHEN_N_EQ_3 = "p-ge-n-when-n-eq-3"
+RULE_ILD_GE_0 = "ild-ge-0"
 RULE_ILD_LE_N_PLUS_1 = "ild-le-n-plus-1"
 RULE_N_AT_LEAST_2 = "n-at-least-2"
 
@@ -125,6 +128,8 @@ def validate_profile(profile: TheoryProfile) -> ProfileReport:
     if n < 2:
         v.append(ProfileViolation(RULE_N_AT_LEAST_2, f"n={n} must be at least 2"))
     if p is not None:
+        if p < 0:
+            v.append(ProfileViolation(RULE_P_GE_0, f"p={p} must be at least 0"))
         if p > n + 1:
             v.append(
                 ProfileViolation(RULE_P_LE_N_PLUS_1, f"p={p} exceeds n+1={n + 1}")
@@ -141,6 +146,8 @@ def validate_profile(profile: TheoryProfile) -> ProfileReport:
                     RULE_P_GE_N_WHEN_N_EQ_3, f"n=3 requires p >= 3, got p={p}"
                 )
             )
+    if ild is not None and ild < 0:
+        v.append(ProfileViolation(RULE_ILD_GE_0, f"ild={ild} must be at least 0"))
     if ild is not None and ild > n + 1:
         v.append(
             ProfileViolation(RULE_ILD_LE_N_PLUS_1, f"ild={ild} exceeds n+1={n + 1}")

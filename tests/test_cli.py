@@ -3,7 +3,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import combinations, product
 from pathlib import Path
 
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatgeom import corpus, jsonio
+import flatgeom
+from flatgeom import corpus, flatness, jsonio, spectrum
 from flatgeom.cli import build_parser, run_command
 from flatgeom.errors import MatroidContractError
 from flatgeom.flatness import check_flat
@@ -340,15 +344,27 @@ class TestCommands:
         assert captured.err == "error: bad spectrum set '1,foo'\n"
 
     def test_invalid_profile_exits_two_naming_every_rule(self, capsys):
-        code = run_command(
-            ["spectrum", "check", "--n", "3", "--p", "1", "--ild", "9", "--set", "0"]
-        )
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == (
-            "error: invalid profile: p-ge-n-when-n-eq-3 (n=3 requires p >= 3, got p=1); "
-            "ild-le-n-plus-1 (ild=9 exceeds n+1=4)\n"
-        )
+        cases = [
+            (
+                "--n 3 --p 1 --ild 9 --set 0",
+                "p-ge-n-when-n-eq-3 (n=3 requires p >= 3, got p=1); "
+                "ild-le-n-plus-1 (ild=9 exceeds n+1=4)",
+            ),
+            # p and ild are dimensions: a negative one is refused, not answered.
+            ("--n 2 --set 1,omega --p -1", "p-ge-0 (p=-1 must be at least 0)"),
+            ("--n 2 --set 1,omega --ild -4", "ild-ge-0 (ild=-4 must be at least 0)"),
+            (
+                "--n 3 --p -1 --ild -1 --set 0",
+                "p-ge-0 (p=-1 must be at least 0); "
+                "p-ge-n-when-n-eq-3 (n=3 requires p >= 3, got p=-1); "
+                "ild-ge-0 (ild=-1 must be at least 0)",
+            ),
+        ]
+        for argv, rules in cases:
+            code = run_command(["spectrum", "check", *argv.split()])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "", argv
+            assert captured.err == f"error: invalid profile: {rules}\n"
 
     @pytest.mark.parametrize(
         "argv, doc, fault",
@@ -694,3 +710,111 @@ class TestFuzz:
         code, _, err = _run_in_process(command.split() + [str(target)])
         _assert_contained(code, err)
 
+
+
+#: Runs the CLI on its argv in a fresh interpreter, then prints the flatgeom
+#: modules it loaded as one JSON line after the command's own output.  With
+#: no argv it only imports ``flatgeom.cli``.
+IMPORT_PROBE = """
+import sys
+import flatgeom.cli
+code = flatgeom.cli.run_command(sys.argv[1:]) if sys.argv[1:] else 0
+import json
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "flatgeom")))
+sys.exit(code)
+"""
+
+
+def _probe(*argv):
+    """Exit code, stdout lines, stderr and loaded flatgeom modules of a child run."""
+    src = str(Path(flatgeom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("FLATGEOM_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE, *argv], env=env, capture_output=True, text=True
+    )
+    *out, modules = proc.stdout.splitlines()
+    return proc.returncode, out, proc.stderr, set(json.loads(modules))
+
+
+BASE_MODULES = {"flatgeom", "flatgeom.cli", "flatgeom.errors", "flatgeom.jsonio"}
+
+
+class TestStartup:
+    """A command imports only the modules it runs."""
+
+    def test_bare_import_loads_only_the_cli_core(self):
+        assert _probe()[3] == BASE_MODULES
+
+    def test_spectrum_check_adds_only_spectrum(self):
+        code, out, _, modules = _probe("spectrum", "check", "--n", "2", "--set", "1,omega")
+        assert code == 0 and len(out) == 1
+        assert modules == BASE_MODULES | {"flatgeom.spectrum"}
+
+    def test_flatness_loads_no_other_analysis(self):
+        code, out, _, modules = _probe("flatness", "--matroid", "corpus:gf2_3")
+        assert code == 0 and json.loads(out[0])["command"] == "flatness"
+        assert {"flatgeom.flatness", "flatgeom.matroid"} <= modules
+        unused = {"effective", "formula_closure", "pingpong", "spectrum"}
+        assert not modules & {f"flatgeom.{name}" for name in unused}
+
+    def test_malformed_file_still_exits_two_with_one_line(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"type": "uniform", "rank": 2,\n "size": }\n')
+        code, out, err, _ = _probe("flatness", "--matroid", str(path), "--max-sigma", "3")
+        assert code == 2 and out == []
+        assert err.startswith("error: malformed JSON") and err.count("\n") == 1
+
+    def test_parser_defaults_are_read_from_their_modules(self, monkeypatch):
+        parser = build_parser()
+        flatness_args = ["flatness", "--matroid", "corpus:gf2_3"]
+        spectrum_args = ["spectrum", "check", "--n", "2"]
+        assert parser.parse_args(flatness_args).max_sigma == flatness.DEFAULT_MAX_SIGMA
+        assert parser.parse_args(spectrum_args).horizon == spectrum.DEFAULT_HORIZON
+        monkeypatch.setattr(flatness, "DEFAULT_MAX_SIGMA", 7)
+        monkeypatch.setattr(spectrum, "DEFAULT_HORIZON", 9)
+        assert build_parser().parse_args(flatness_args).max_sigma == 7
+        assert build_parser().parse_args(spectrum_args).horizon == 9
+
+    @pytest.mark.parametrize(
+        "words, text",
+        [
+            (
+                "flatness",
+                """\
+usage: flatgeom flatness [-h] --matroid MATROID [--max-sigma MAX_SIGMA]
+                         [--exhaustive] [--max-ground MAX_GROUND]
+                         [--sample SAMPLE] [--seed SEED] [--expect-flat]
+
+options:
+  -h, --help            show this help message and exit
+  --matroid MATROID     matroid JSON file or corpus:<name>
+  --max-sigma MAX_SIGMA
+  --exhaustive
+  --max-ground MAX_GROUND
+  --sample SAMPLE
+  --seed SEED
+  --expect-flat
+""",
+            ),
+            (
+                "spectrum check",
+                """\
+usage: flatgeom spectrum check [-h] --n N [--p P] [--ild ILD] [--set SET]
+                               [--horizon HORIZON]
+
+options:
+  -h, --help         show this help message and exit
+  --n N
+  --p P
+  --ild ILD
+  --set SET          e.g. 0,1,omega
+  --horizon HORIZON
+""",
+            ),
+        ],
+    )
+    def test_help_text_is_unchanged(self, capsys, monkeypatch, words, text):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out = run(capsys, *words.split(), "--help")
+        assert (code, out) == (0, text)

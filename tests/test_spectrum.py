@@ -5,10 +5,12 @@ import pytest
 from flatgeom.errors import InputError, ProfileInvalid
 from flatgeom.spectrum import (
     OPEN_SETS,
+    RULE_ILD_GE_0,
     RULE_ILD_LE_N_PLUS_1,
     RULE_INITIAL_FROM_THREE,
     RULE_INITIAL_SEGMENT,
     RULE_OMEGA_DOWNWARD,
+    RULE_P_GE_0,
     RULE_P_GE_N_WHEN_N_GT_3,
     RULE_P_LE_N_PLUS_1,
     SpectrumSet,
@@ -55,11 +57,29 @@ class TestProfiles:
         assert validate_profile(TheoryProfile(3, p=3)).ok
         assert validate_profile(TheoryProfile(3, p=4)).ok
         assert validate_profile(TheoryProfile(2, p=0)).ok
+        assert validate_profile(TheoryProfile(2, p=0, ild=0)).ok
 
     def test_ild_cap(self):
         report = validate_profile(TheoryProfile(2, ild=4))
         assert not report.ok
         assert report.violations[0].rule == RULE_ILD_LE_N_PLUS_1
+
+    @pytest.mark.parametrize(
+        "profile, rules",
+        [
+            (TheoryProfile(2, p=-1), [RULE_P_GE_0]),
+            (TheoryProfile(2, ild=-4), [RULE_ILD_GE_0]),
+            (TheoryProfile(2, p=-1, ild=-1), [RULE_P_GE_0, RULE_ILD_GE_0]),
+            # A negative p also breaks the lower bounds that n sets on p.
+            (TheoryProfile(4, p=-2), [RULE_P_GE_0, RULE_P_GE_N_WHEN_N_GT_3]),
+        ],
+    )
+    def test_negative_dimensions_are_refused(self, profile, rules):
+        report = validate_profile(profile)
+        assert not report.ok
+        assert [v.rule for v in report.violations] == rules
+        with pytest.raises(ProfileInvalid):
+            classify(SpectrumSet.of([0]), profile)
 
     def test_classify_requires_valid_profile(self):
         with pytest.raises(ProfileInvalid):
