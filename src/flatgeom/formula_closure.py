@@ -10,8 +10,10 @@ phi-tuple, in any coordinate position.
 Every closure runs on one *fiber index*, mapping each fiber key
 ``(position, rest)`` to the elements completing ``rest`` to a phi-tuple at
 that position.  One step adds the completions of every fiber whose rest
-lies in the current set, and every closure below iterates that step.  A
-structure indexes phi once, and a staged structure each stage once.
+lies in the current set, and one loop, ``_iterate``, repeats a step until
+a fixpoint, a blocking fiber or the budget; every closure below runs on it.
+A structure indexes phi once.  A staged structure builds once, per stage,
+its fiber index and the sorted keys of the fibers not yet fully revealed.
 
 ``EnumeratedStructure`` is the staged view: phi-tuples are revealed
 monotonically stage by stage, and an exact count oracle says how many
@@ -28,9 +30,9 @@ closure covers a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidStructure, NotIndependent
 from .matroid import Matroid, elements_of, subsets
@@ -59,6 +61,29 @@ def _step(index: Fibers, cur: frozenset[int]) -> frozenset[int]:
         if cur.issuperset(rest):
             out.update(completions)
     return frozenset(out)
+
+
+def _iterate(
+    step: Callable[[frozenset[int]], frozenset[int]],
+    x: frozenset[int],
+    budget: int,
+    incomplete: Sequence[FiberKey] = (),
+) -> tuple[tuple[frozenset[int], ...], str, tuple[FiberKey, ...]]:
+    """The one fixpoint loop: at most ``budget`` steps from ``x``, giving
+    ``(chain, status, blocking)``.  Status is "pending" when keys of
+    ``incomplete`` (the blocking ones) have their rest in the current set,
+    "fixpoint" when a step adds nothing, and "budget" otherwise."""
+    chain = [x]
+    for _ in range(budget):
+        cur = chain[-1]
+        blocking = tuple(key for key in incomplete if cur.issuperset(key[1]))
+        if blocking:
+            return tuple(chain), "pending", blocking
+        nxt = step(cur)
+        if nxt == cur:
+            return tuple(chain), "fixpoint", ()
+        chain.append(nxt)
+    return tuple(chain), "budget", ()
 
 
 @dataclass(frozen=True)
@@ -169,13 +194,12 @@ def lambda_closure(
         budget = len(g.universe)
     if budget < 1:
         raise InvalidStructure("budget must be >= 1")
-    chain = [frozenset(elements_of(g.matroid._check(x)))]
-    for i in range(budget):
-        nxt = lambda_step(g, chain[-1])
-        if nxt == chain[-1]:
-            return LambdaResult(tuple(chain), "fixpoint", fixpoint_index=i)
-        chain.append(nxt)
-    return LambdaResult(tuple(chain), "diverging", budget=budget)
+    start = frozenset(elements_of(g.matroid._check(x)))
+    # lambda_step is looked up per step, so a wrapper on it sees every step.
+    chain, status, _ = _iterate(lambda cur: lambda_step(g, cur), start, budget)
+    if status == "fixpoint":
+        return LambdaResult(chain, status, fixpoint_index=len(chain) - 1)
+    return LambdaResult(chain, "diverging", budget=budget)
 
 
 # -- staged (enumerated) structures ----------------------------------------
@@ -240,20 +264,21 @@ class EnumeratedStructure:
         if self.stages[-1] != self.structure.phi:
             raise InvalidStructure("final stage must reveal exactly phi")
         arity = self.structure.arity
+        ground = set(self.structure.universe)
+        for seed in self.infinite_seeds:
+            if not seed <= ground:
+                raise InvalidStructure(f"infinite seed {sorted(seed)} leaves the universe")
         for key, count in self.counts.items():
             if key[0] not in range(arity) or len(key[1]) != arity - 1:
                 raise InvalidStructure(
                     f"count override {key} is not a fiber key of arity {arity}"
                 )
-            revealed = len(self.structure.fibers.get(key, ()))
-            if count < revealed:
-                raise InvalidStructure(
-                    f"count override {key} below its revealed size"
-                )
+            if not ground.issuperset(key[1]):
+                raise InvalidStructure(f"count override {key} leaves the universe")
+            if count < len(self.structure.fibers.get(key, ())):
+                raise InvalidStructure(f"count override {key} below its revealed size")
             if count >= self.structure.fiber_bound:
-                raise InvalidStructure(
-                    f"count override {key} violates the fiber bound"
-                )
+                raise InvalidStructure(f"count override {key} violates the fiber bound")
 
     def revealed(self, stage: int) -> frozenset[tuple[int, ...]]:
         if not 1 <= stage <= self.final_stage:
@@ -261,21 +286,23 @@ class EnumeratedStructure:
         return self.stages[stage - 1]
 
     @cached_property
-    def _stage_fibers(self) -> tuple[Fibers, ...]:
+    def _stage_views(self) -> tuple[tuple[Fibers, tuple[FiberKey, ...]], ...]:
+        """Per stage: its fiber index and the sorted keys whose revealed count
+        is below the count oracle's limit (only keys of phi or ``counts`` can)."""
+        limit = {**self.structure.fiber_sizes(), **self.counts}
         earlier = (_fibers(s, self.structure.arity) for s in self.stages[:-1])
-        return (*earlier, self.structure.fibers)
+        return tuple(
+            (index, tuple(k for k in sorted(limit) if len(index.get(k, ())) < limit[k]))
+            for index in (*earlier, self.structure.fibers)
+        )
+
+    def _stage_view(self, stage: int) -> tuple[Fibers, tuple[FiberKey, ...]]:
+        self.revealed(stage)  # rejects a stage out of range
+        return self._stage_views[stage - 1]
 
     def fibers(self, stage: int) -> Fibers:
         """Fiber index of the tuples revealed by the stage."""
-        self.revealed(stage)  # rejects a stage out of range
-        return self._stage_fibers[stage - 1]
-
-    def fiber_count(self, key: FiberKey) -> int:
-        """Exact limit size of the fiber, per the count oracle."""
-        override = self.counts.get(key)
-        if override is not None:
-            return override
-        return len(self.structure.fibers.get(key, ()))
+        return self._stage_view(stage)[0]
 
     def declared_infinite(self, x: Iterable[int]) -> bool:
         if not self.infinite_seeds:
@@ -289,13 +316,10 @@ def revealed_closure(
 ) -> frozenset[int]:
     """Plain fixpoint over the tuples revealed by the stage, with no
     completeness certification."""
-    index = enum.fibers(stage)
-    cur = frozenset(x)
-    while True:
-        nxt = _step(index, cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    # Each growing step adds a universe element, so |universe| growing
+    # steps and the one that adds nothing always reach the fixpoint.
+    bound = len(enum.structure.universe) + 1
+    return _iterate(partial(_step, enum.fibers(stage)), frozenset(x), bound)[0][-1]
 
 
 @dataclass(frozen=True)
@@ -317,25 +341,9 @@ class CertifiedLambda:
 def certified_lambda(
     enum: EnumeratedStructure, x: Iterable[int], stage: int, budget: int
 ) -> CertifiedLambda:
-    index = enum.fibers(stage)
-    # A key in neither the final index nor the overrides has revealed and
-    # limit count 0, so only these keys can ever block.
-    incomplete = sorted(
-        key
-        for key in enum.structure.fibers.keys() | enum.counts.keys()
-        if len(index.get(key, ())) != enum.fiber_count(key)
-    )
-    chain = [frozenset(x)]
-    for _ in range(budget):
-        cur = chain[-1]
-        blocking = tuple(key for key in incomplete if cur.issuperset(key[1]))
-        if blocking:
-            return CertifiedLambda("pending", tuple(chain), blocking)
-        nxt = _step(index, cur)
-        if nxt == cur:
-            return CertifiedLambda("finite", tuple(chain))
-        chain.append(nxt)
-    return CertifiedLambda("budget", tuple(chain))
+    index, incomplete = enum._stage_view(stage)
+    chain, status, blocking = _iterate(partial(_step, index), frozenset(x), budget, incomplete)
+    return CertifiedLambda("finite" if status == "fixpoint" else status, chain, blocking)
 
 
 @dataclass(frozen=True)
@@ -372,18 +380,16 @@ def acl_enumerate_via_lambda(
 
     last = min(enum.final_stage, budget)
     iter_budget = len(g.universe)
-    emitted: list[tuple[int, int]] = []
-    done: set[int] = set()
+    emitted: dict[int, int] = {}  # element -> stage, in emission order
     for stage in range(1, last + 1):
         for a in g.universe:
-            if a in done:
+            if a in emitted:
                 continue
             res = certified_lambda(enum, base | {a}, stage, iter_budget)
             if res.status == "finite":
-                emitted.append((a, stage))
-                done.add(a)
+                emitted[a] = stage
     status = "complete" if last == enum.final_stage else "budget-exceeded"
-    return AclEnumeration(tuple(emitted), status)
+    return AclEnumeration(tuple(emitted.items()), status)
 
 
 @dataclass(frozen=True)
@@ -480,24 +486,17 @@ def psi_witness_check(
 
     Checks totality (every z-tuple over the universe has a witness),
     boundedness (every fiber is below the declared bound), and that the
-    designated pair satisfies psi.  Report-style; never raises.
+    designated pair satisfies psi.  Report-style: a failed check is
+    reported, not raised; only a psi tuple of the wrong arity raises
+    ``InvalidStructure``.
     """
     for t in psi.tuples:
         if len(t) != psi.z_arity + psi.w_arity:
             raise InvalidStructure(f"psi tuple {t} has the wrong arity")
-
-    total = True
-    first_total = None
-    bounded = True
-    first_bound = None
-    for z in product(g.universe, repeat=psi.z_arity):
-        wits = psi.witnesses(z)
-        if not wits:
-            if total:
-                total, first_total = False, z
-        if len(wits) >= psi.fiber_bound:
-            if bounded:
-                bounded, first_bound = False, z
-    designated = tuple(xbar0) + tuple(xbar1)
-    holds = designated in psi.tuples
-    return PsiReport(total, bounded, psi.isolates, holds, first_total, first_bound)
+    sizes = {z: len(psi.witnesses(z)) for z in product(g.universe, repeat=psi.z_arity)}
+    first_total = next((z for z, n in sizes.items() if n == 0), None)
+    first_bound = next((z for z, n in sizes.items() if n >= psi.fiber_bound), None)
+    holds = tuple(xbar0) + tuple(xbar1) in psi.tuples
+    return PsiReport(
+        first_total is None, first_bound is None, psi.isolates, holds, first_total, first_bound
+    )

@@ -150,6 +150,18 @@ def ref_step(tuples, arity, cur) -> frozenset[int]:
     return frozenset(out)
 
 
+def ref_lambda_closure(tuples, arity, x, budget):
+    """(chain, status, fixpoint_index) of at most ``budget`` steps of
+    ``ref_step`` from x; status "diverging" when the budget runs out."""
+    chain = [frozenset(x)]
+    for i in range(budget):
+        nxt = ref_step(tuples, arity, chain[-1])
+        if nxt == chain[-1]:
+            return tuple(chain), "fixpoint", i
+        chain.append(nxt)
+    return tuple(chain), "diverging", None
+
+
 def ref_revealed_closure(enum, x, stage) -> frozenset[int]:
     tuples, arity = enum.stages[stage - 1], enum.structure.arity
     cur = frozenset(x)

@@ -529,6 +529,16 @@ class TestCommands:
                 },
                 "phi tuple member must be an integer, got True",
             ),
+            (
+                "ild --scenario",
+                {**jsonio.scenario_to_json(corpus.sigma1_chain()), "infinite_seeds": [[99]]},
+                "infinite seed [99] leaves the universe",
+            ),
+            (
+                "lambda acl --bbar 0,1 --scenario",
+                {**jsonio.scenario_to_json(corpus.sigma1_chain()), "counts": {"0|99,100": 1}},
+                "count override (0, (99, 100)) leaves the universe",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -555,6 +565,8 @@ class TestCommands:
             "float-in-phi-tuple",
             "float-in-infinite-seed",
             "boolean-in-relation-tuple",
+            "infinite-seed-off-universe",
+            "count-key-off-universe",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

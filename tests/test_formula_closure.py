@@ -3,7 +3,12 @@ from itertools import combinations
 
 import pytest
 
-from conftest import ref_certified_lambda, ref_revealed_closure, ref_step
+from conftest import (
+    ref_certified_lambda,
+    ref_lambda_closure,
+    ref_revealed_closure,
+    ref_step,
+)
 from flatgeom import corpus
 from flatgeom.errors import InvalidStructure, NotIndependent
 from flatgeom.formula_closure import (
@@ -287,6 +292,10 @@ class TestEngineAgainstReference:
         sets = [c for size in range(4) for c in combinations(g.universe, size)]
         for x in sets:
             assert lambda_step(g, x) == ref_step(g.phi, g.arity, frozenset(x))
+            for budget in (1, 2, None):
+                res = lambda_closure(g, x, budget)
+                want = ref_lambda_closure(g.phi, g.arity, x, budget or len(g.universe))
+                assert (res.chain, res.status, res.fixpoint_index) == want, (x, budget)
             for stage in range(1, enum.final_stage + 1):
                 assert revealed_closure(enum, x, stage) == ref_revealed_closure(enum, x, stage)
                 for budget in (1, len(g.universe)):
