@@ -450,7 +450,6 @@ def delta2_acl_schedule(
     presentation: StagewisePresentation,
     bbar: Iterable[int],
     delay_script: Mapping[int, Sequence[int]] | None = None,
-    max_flips_per_element: int = 3,
 ) -> Delta2Schedule:
     """Build a membership approximation whose limit is the closure of bbar.
 
@@ -460,7 +459,8 @@ def delta2_acl_schedule(
     agree.  The delay script only schedules flip stages per element; the
     limit is script-independent.  An element with r scripted stages
     toggles r times and starts on the opposite parity, so it always
-    settles on the truth.
+    settles on the truth; more than three stages for one element exceed
+    the ``Delta2Schedule`` flip budget (IncoherentSchedule).
     """
     m = presentation.matroid
     if m is None:
@@ -498,6 +498,6 @@ def delta2_acl_schedule(
             value = truth if (len(stages) - 1 - i) % 2 == 0 else not truth
             flips.append(FlipEvent(x, s, value))
     flips.sort(key=lambda ev: (ev.stage, ev.elem))
-    sched = Delta2Schedule(target, tuple(flips), max_flips_per_element)
+    sched = Delta2Schedule(target, tuple(flips))
     sched.validate()
     return sched

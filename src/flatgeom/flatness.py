@@ -50,8 +50,9 @@ from .matroid import (
     DEFAULT_VERIFY_BOUND, Flat, Matroid, Memo, canon, elements_of, mask_of, size_lex, subset_universe,
 )
 
-#: Default cap on |Sigma| in the violation search; the classic violations
-#: need four flats.
+#: Default cap on |Sigma| in the violation search.  It bounds the search
+#: and guarantees nothing past it: some hosts are flat up to four flats
+#: yet have a violation of five.
 DEFAULT_MAX_SIGMA = 4
 
 #: Rough work budget for the collection search (number of subset terms);

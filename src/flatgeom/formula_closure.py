@@ -275,6 +275,8 @@ class EnumeratedStructure:
                 )
             if not ground.issuperset(key[1]):
                 raise InvalidStructure(f"count override {key} leaves the universe")
+            if len(set(key[1])) != arity - 1:
+                raise InvalidStructure(f"count override {key} repeats an element")
             if count < len(self.structure.fibers.get(key, ())):
                 raise InvalidStructure(f"count override {key} below its revealed size")
             if count >= self.structure.fiber_bound:

@@ -13,19 +13,16 @@ import json
 from itertools import chain
 from typing import TYPE_CHECKING, Any
 
-from .errors import GroundTooLarge, InputError
+from .errors import InputError
 
 if TYPE_CHECKING:
+    from . import matroid
     from .effective import (
         Delta2Schedule, RelationalStructure, Sigma1Schedule, StagewisePresentation,
     )
     from .formula_closure import EnumeratedStructure, GeometricStructure
-    from .matroid import Matroid
 
 SCHEMA_VERSION = 1
-
-#: Most elements a closure-table document, one row per subset, is written for.
-TABLE_BOUND = 16
 
 #: What reading a missing key or a value of the wrong type or size raises.
 _BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
@@ -75,56 +72,36 @@ def load_file(path: str) -> Any:
 # -- matroids ----------------------------------------------------------------
 
 
-def matroid_to_json(m: Matroid) -> dict:
-    from .matroid import LinearOracle, UniformOracle, elements_of, mask_of, subsets
+def matroid_to_json(m: matroid.Matroid) -> dict:
+    from .matroid import LinearOracle, UniformOracle, table_rows
 
     oracle = m.oracle
     if isinstance(oracle, LinearOracle):
         columns = [list(c) for c in oracle.columns]
-        out: dict[str, Any] = {"type": "linear", "field": oracle.field, "columns": columns}
-        if m.ground.labels:
-            out["labels"] = [m.ground.labels.get(e, str(e)) for e in m.ground.elements]
-        return out
+        return {"type": "linear", "field": oracle.field, "columns": columns}
     if isinstance(oracle, UniformOracle) and not oracle.nonbases:
         return {"type": "uniform", "rank": oracle.rank_bound, "size": len(m.ground)}
     # A table, or a sparse paving host tabulated through its oracle.
-    n, ground = len(m.ground), mask_of(m.ground.elements)
-    if n > TABLE_BOUND:
-        raise GroundTooLarge(f"refusing to tabulate 2**{n} subsets (> 2**{TABLE_BOUND})")
-    return {
-        "type": "closure-table",
-        "ground": n,
-        "closure": [
-            {"set": list(s), "cl": list(elements_of(oracle.closure(mask_of(s), ground)))}
-            for s in subsets(m.ground.elements)
-        ],
-    }
+    rows = [{"set": list(s), "cl": list(cl)} for s, cl in table_rows(m)]
+    return {"type": "closure-table", "ground": len(m.ground), "closure": rows}
 
 
-def matroid_from_json(doc: Any) -> Matroid:
-    from .matroid import (
-        ClosureTableOracle, GroundSet, Matroid, linear_matroid, table_masks, uniform_matroid,
-    )
+def matroid_from_json(doc: Any) -> matroid.Matroid:
+    from .matroid import closure_table_matroid, linear_matroid, uniform_matroid
 
     if not isinstance(doc, dict) or "type" not in doc:
         raise InputError("matroid document must be an object with a 'type'")
     kind = doc["type"]
     try:
         if kind == "linear":
-            labels = None
-            if "labels" in doc:
-                labels = {i: lab for i, lab in enumerate(doc["labels"])}
-            return linear_matroid(_int(doc["field"], "field"), doc["columns"], labels)
+            return linear_matroid(_int(doc["field"], "field"), doc["columns"])
         if kind == "uniform":
             return uniform_matroid(_int(doc["rank"], "rank"), _int(doc["size"], "size"))
         if kind == "closure-table":
             n = _int(doc["ground"], "ground")
-            if n < 0:
-                raise InputError(f"closure table ground must be non-negative, got {n}")
             rows = [(entry["set"], entry["cl"]) for entry in doc["closure"]]
             _ints(chain.from_iterable(chain.from_iterable(rows)), "closure table member")
-            table = table_masks(n, rows)
-            return Matroid(GroundSet(tuple(range(n))), ClosureTableOracle(table))
+            return closure_table_matroid(n, {tuple(s): cl for s, cl in rows})
     except _BAD_VALUE as e:
         raise InputError(f"bad matroid document: {e}") from None
     raise InputError(f"unknown matroid type {kind!r}")

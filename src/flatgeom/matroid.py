@@ -16,7 +16,9 @@ itself, as ``rank(s, ground)`` and ``closure(s, ground)``:
   a nonbasis, the nonbasis A spans (else A) when |A| = k - 1, and the
   whole ground set otherwise.
 * ``ClosureTableOracle`` - an explicit, complete map from subset masks to
-  closure masks.  Rank is recovered greedily from the same table.
+  closure masks.  Rank is recovered greedily from the same table.  Every
+  table is built by ``closure_table_matroid`` and every tabulation of a
+  matroid is read from ``table_rows``, closure-table documents included.
 
 A ``Matroid`` memoises rank and closure in one unbounded dict cache each,
 keyed by mask; the scans here and in the analyses (flats, circuits, the
@@ -61,6 +63,10 @@ from .errors import (
 #: Exhaustive axiom checks refuse ground sets bigger than this unless the
 #: caller opts into sampling.  2**12 subsets is still desk scale.
 DEFAULT_VERIFY_BOUND = 12
+
+#: Most elements a complete closure table, one row per subset, is
+#: tabulated for: 2**16 rows.
+TABLE_BOUND = 16
 
 
 def canon(elements: Iterable[int]) -> tuple[int, ...]:
@@ -194,7 +200,6 @@ class GroundSet:
     """
 
     elements: tuple[int, ...]
-    labels: Optional[Mapping[int, str]] = None
 
     def __post_init__(self):
         elems = tuple(self.elements)
@@ -629,14 +634,9 @@ class Matroid:
 # -- convenience constructors ---------------------------------------------
 
 
-def linear_matroid(
-    field: int,
-    columns: Sequence[Sequence[int]],
-    labels: Optional[Mapping[int, str]] = None,
-) -> Matroid:
+def linear_matroid(field: int, columns: Sequence[Sequence[int]]) -> Matroid:
     cols = tuple(tuple(c) for c in columns)
-    ground = GroundSet(tuple(range(len(cols))), labels)
-    return Matroid(ground, LinearOracle(field, cols))
+    return Matroid(GroundSet(tuple(range(len(cols)))), LinearOracle(field, cols))
 
 
 def uniform_matroid(rank: int, size: int) -> Matroid:
@@ -649,14 +649,17 @@ def free_matroid(size: int) -> Matroid:
     return uniform_matroid(size, size)
 
 
-def table_masks(
-    size: int, rows: Iterable[tuple[Iterable[int], Iterable[int]]]
-) -> dict[int, int]:
-    """A closure table from (subset, closure) pairs of ids to masks; an
-    entry with an id outside 0..size-1 is an InvalidStructure that names it."""
+def closure_table_matroid(
+    size: int, table: Mapping[Iterable[int], Iterable[int]]
+) -> Matroid:
+    """The matroid on ids 0..size-1 whose closure is ``table``, a map from
+    each subset to its closure, both given as ids; an entry with an id
+    outside the ground set is an InvalidStructure that names it."""
+    if size < 0:
+        raise InvalidStructure(f"closure table ground must be non-negative, got {size}")
     bit = {e: 1 << e for e in range(size)}
-    table: dict[int, int] = {}
-    for key, cl in rows:
+    masks: dict[int, int] = {}
+    for key, cl in table.items():
         k = v = 0
         try:
             for e in key:
@@ -668,25 +671,25 @@ def table_masks(
                 f"closure table entry {sorted(key)} -> {sorted(cl)} "
                 f"leaves the ground set 0..{size - 1}"
             ) from None
-        table[k] = v
-    return table
+        masks[k] = v
+    return Matroid(GroundSet(tuple(range(size))), ClosureTableOracle(masks))
 
 
-def closure_table_matroid(
-    size: int, table: Mapping[frozenset[int], frozenset[int]]
-) -> Matroid:
-    return Matroid(
-        GroundSet(tuple(range(size))),
-        ClosureTableOracle(table_masks(size, table.items())),
-    )
+def table_rows(m: Matroid) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every subset of the ground set with its closure, as id tuples, in
+    (size, lex) order.  The oracle answers, so ``m``'s memo is left as it
+    was; GroundTooLarge past TABLE_BOUND elements."""
+    n = len(m.ground)
+    if n > TABLE_BOUND:
+        raise GroundTooLarge(f"refusing to tabulate 2**{n} subsets (> 2**{TABLE_BOUND})")
+    closure, whole = m.oracle.closure, m._ground_mask
+    return ((s, elements_of(closure(mask_of(s), whole))) for s in subsets(m.ground.elements))
 
 
 def table_from_matroid(m: Matroid) -> dict[frozenset[int], frozenset[int]]:
-    """Materialise any (small) matroid as a complete closure table."""
-    n = len(m.ground)
-    if n > DEFAULT_VERIFY_BOUND:
-        raise GroundTooLarge(f"refusing to tabulate 2**{n} subsets")
-    return {frozenset(c): m.closure(c) for c in subsets(m.ground.elements)}
+    """Materialise a matroid of at most TABLE_BOUND elements as a complete
+    closure table."""
+    return {frozenset(s): frozenset(cl) for s, cl in table_rows(m)}
 
 
 def sparse_paving_matroid(

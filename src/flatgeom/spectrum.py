@@ -229,7 +229,7 @@ class CaseAnalysis:
     excluded: tuple[SpectrumSet, ...]
 
 
-def enumerate_case_analysis(profile: TheoryProfile, horizon: int = DEFAULT_HORIZON) -> CaseAnalysis:
+def enumerate_case_analysis(profile: TheoryProfile) -> CaseAnalysis:
     """The fixed 8/4/4 partition of subsets of {0,1,2,omega} for n = 2.
 
     Listed in a fixed canonical order; ``classify`` must agree with it
@@ -242,7 +242,7 @@ def enumerate_case_analysis(profile: TheoryProfile, horizon: int = DEFAULT_HORIZ
         raise ProfileInvalid("; ".join(v.message for v in report.violations))
 
     def sset(*members: Union[int, str]) -> SpectrumSet:
-        return SpectrumSet.of(members, horizon)
+        return SpectrumSet.of(members)
 
     shape_covered = (
         sset(),

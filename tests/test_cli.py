@@ -52,6 +52,11 @@ class TestRoundTrips:
         again = jsonio.matroid_from_json(json.loads(jsonio.dumps(doc)))
         assert jsonio.matroid_to_json(again) == doc
 
+    def test_linear_labels_are_ignored(self):
+        doc = {"type": "linear", "field": 2, "columns": [[0, 1], [1, 0]]}
+        m = jsonio.matroid_from_json({**doc, "labels": [[1], {"a": 2}, 7]})
+        assert jsonio.matroid_to_json(m) == doc
+
     def test_closure_table_round_trip(self):
         m = corpus.MATROIDS["ct_u23"]()
         doc = jsonio.matroid_to_json(m)
@@ -539,6 +544,11 @@ class TestCommands:
                 {**jsonio.scenario_to_json(corpus.sigma1_chain()), "counts": {"0|99,100": 1}},
                 "count override (0, (99, 100)) leaves the universe",
             ),
+            (
+                "lambda acl --bbar 0,1 --scenario",
+                {**jsonio.scenario_to_json(corpus.sigma1_chain()), "counts": {"0|1,1": 1}},
+                "count override (0, (1, 1)) repeats an element",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -567,6 +577,7 @@ class TestCommands:
             "boolean-in-relation-tuple",
             "infinite-seed-off-universe",
             "count-key-off-universe",
+            "count-key-repeats-an-element",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GF2_COLS, brute_span, powerset, seeded_nonbases
+from conftest import GF2_COLS, brute_rank, brute_span, powerset, seeded_nonbases
 from flatgeom import corpus, flatness
 from flatgeom.errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
 from flatgeom.flatness import _MeetTable, check_flat, delta, is_disintegrated
@@ -198,6 +198,23 @@ class TestCheckFlat:
                     sigma = [flats[i], flats[j]]
                     d = delta(m, sigma)
                     assert d >= m.rank(flats[i] | flats[j])
+
+    def test_sigma5_violation_that_sigma4_misses(self):
+        # Seven points of the GF(3) plane with 20 flats: no violation of
+        # four flats, but five of its lines have delta 2 below dim 3.
+        cols = [(1, 2, 2), (2, 2, 2), (2, 1, 2), (0, 2, 2), (0, 1, 2), (2, 0, 1), (0, 0, 2)]
+        m = linear_matroid(3, cols)
+        assert check_flat(m, 4) == flatness.FlatnessVerdict("flat-up-to", bound=4)
+        v = check_flat(m, 5)
+        lines = [{0, 1, 3}, {0, 2, 6}, {1, 4, 5}, {2, 3, 5}, {3, 4, 6}]
+        assert (v.kind, [set(s) for s in v.witness.sets()]) == ("not-flat", lines)
+        assert (v.delta, v.union_dim) == (2, 3)
+        # Inclusion-exclusion over brute ranks, independent of the search.
+        brute = 0
+        for subset in powerset(range(5), min_size=1):
+            inter = set.intersection(*(lines[i] for i in subset))
+            brute += (-1) ** (len(subset) + 1) * brute_rank(3, cols, inter)
+        assert brute == 2 and brute_rank(3, cols, set().union(*lines)) == 3
 
     def test_witness_deterministic(self, gf2):
         v1 = check_flat(gf2, 4)

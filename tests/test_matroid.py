@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -283,6 +285,10 @@ class TestVerify:
     def test_closure_table_must_be_complete(self):
         with pytest.raises(InvalidStructure):
             closure_table_matroid(3, {frozenset(): frozenset()})
+
+    def test_closure_table_ground_must_be_non_negative(self):
+        with pytest.raises(InvalidStructure, match="ground must be non-negative, got -1"):
+            closure_table_matroid(-1, {})
 
     def test_closure_table_key_off_the_ground_set_rejected(self):
         table = table_from_matroid(free_matroid(2))
@@ -578,6 +584,45 @@ class TestSparsePaving:
         assert len(m.ground) == length + 2 and len(m.flats()) == flats
         found = pps_find_cycle(m)
         assert (found.status, found.configs_searched) == ("none", configs)
+
+
+class TestTabulator:
+    """``table_from_matroid`` and the closure-table writer read one row loop."""
+
+    @staticmethod
+    def written_rows(m):
+        doc = jsonio.matroid_to_json(m)
+        if doc["type"] != "closure-table":
+            # Linear and uniform documents list no rows: write a table of
+            # the memo's closures instead.
+            table = {s: m.closure(s) for s in powerset(m.ground.elements)}
+            doc = jsonio.matroid_to_json(closure_table_matroid(len(m.ground), table))
+        return [(frozenset(row["set"]), frozenset(row["cl"])) for row in doc["closure"]]
+
+    @pytest.mark.parametrize("name", [*corpus.MATROIDS, *TABLE_DIGESTS])
+    def test_table_is_the_written_rows_and_leaves_the_memo(self, name):
+        m = corpus.MATROIDS[name]() if name in corpus.MATROIDS else TABLE_DIGESTS[name][0]()
+        table = table_from_matroid(m)
+        assert not m._closures
+        assert list(table.items()) == self.written_rows(m)
+
+    def test_refuses_past_the_bound(self):
+        with pytest.raises(GroundTooLarge, match=r"2\*\*17 subsets \(> 2\*\*16\)"):
+            table_from_matroid(corpus.pps_chain(15))
+
+    def test_jsonio_reaches_tables_only_through_the_matroid_module(self):
+        tree = ast.parse(Path(jsonio.__file__).read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        internals = {
+            "ClosureTableOracle", "GroundSet", "Matroid", "table_masks", "subsets", "mask_of",
+            "elements_of",
+        }
+        assert {"closure_table_matroid", "table_rows"} <= imported
+        assert not imported & internals
 
 
 def test_linear_matroid_requires_prime_field():
