@@ -139,7 +139,7 @@ def sigma1_chain(length: int = 6) -> EnumeratedStructure:
     any outside element walks the chain into the growth frontier and is
     never certified.
     """
-    from .formula_closure import EnumeratedStructure, GeometricStructure, fiber_key
+    from .formula_closure import EnumeratedStructure, GeometricStructure
 
     p = 101
     cols = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
@@ -152,7 +152,7 @@ def sigma1_chain(length: int = 6) -> EnumeratedStructure:
     reveal = [[(0, 1, 2), (0, 3, 4)]]
     for k in range(1, length):
         reveal.append([(0, 3 + k, 4 + k)])
-    counts = {fiber_key(2, (0, 3 + length)): 1}
+    counts = {(2, (0, 3 + length)): 1}
     return EnumeratedStructure.of(g, reveal, counts, infinite_seeds=[(0, 3)])
 
 
@@ -160,7 +160,7 @@ def ild_pps(length: int = 8) -> EnumeratedStructure:
     """Alternating-paddle chain: growth fires only once both paddles and a
     chain element are present, so the least dimension with unbounded
     closure is 3 (= circuit size)."""
-    from .formula_closure import EnumeratedStructure, GeometricStructure, fiber_key
+    from .formula_closure import EnumeratedStructure, GeometricStructure
 
     p = 101
     cols = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -174,7 +174,7 @@ def ild_pps(length: int = 8) -> EnumeratedStructure:
     g = GeometricStructure.of(m, tuples, fiber_bound=2)
     reveal = [[t] for t in tuples]
     next_paddle = 0 if length % 2 == 1 else 1
-    counts = {fiber_key(2, (next_paddle, length + 1)): 1}
+    counts = {(2, (next_paddle, length + 1)): 1}
     return EnumeratedStructure.of(g, reveal, counts, infinite_seeds=[(0, 1, 2)])
 
 

@@ -7,13 +7,16 @@ uniform bound K.  The closure of a set X under phi is built by repeatedly
 adding every element completing an (m-1)-tuple from the current set to a
 phi-tuple, in any coordinate position.
 
-Every closure runs on one *fiber index*, mapping each fiber key
-``(position, rest)`` to the elements completing ``rest`` to a phi-tuple at
-that position.  One step adds the completions of every fiber whose rest
-lies in the current set, and one loop, ``_iterate``, repeats a step until
-a fixpoint, a blocking fiber or the budget; every closure below runs on it.
-A structure indexes phi once.  A staged structure builds once, per stage,
-its fiber index and the sorted keys of the fibers not yet fully revealed.
+Closures step on the matroid's masks (bit e for element e) and hand back
+frozensets.  Every closure runs on one *fiber index*, mapping each fiber
+key ``(position, rest)`` to the masks of ``rest`` and of the elements
+completing it to a phi-tuple at that position.  One step adds the
+completions of every fiber whose rest lies in the current set, and one
+loop, ``_iterate``, repeats a step until a fixpoint, a blocking fiber or
+the budget, by default |universe| + 1 steps, which always reach the
+fixpoint.  A structure indexes phi once.  A staged structure builds once,
+per stage, its fiber index and the sorted keys of the fibers not yet
+fully revealed.
 
 ``EnumeratedStructure`` is the staged view: phi-tuples are revealed
 monotonically stage by stage, and an exact count oracle says how many
@@ -35,55 +38,61 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidStructure, NotIndependent
-from .matroid import Matroid, elements_of, subsets
+from .matroid import Matroid, elements_of, mask_of, subsets
 
 FiberKey = tuple[int, tuple[int, ...]]
-Fibers = dict[FiberKey, list[int]]
-
-
-def fiber_key(position: int, rest: Sequence[int]) -> FiberKey:
-    return (position, tuple(rest))
+#: Each fiber key's rest mask and completions mask.
+Fibers = dict[FiberKey, tuple[int, int]]
+#: A stage's fiber index and its blocking keys, each with its rest mask.
+StageView = tuple[Fibers, tuple[tuple[FiberKey, int], ...]]
 
 
 def _fibers(tuples: Iterable[tuple[int, ...]], arity: int) -> Fibers:
-    """Fiber index of the tuples: each key's completions, one per tuple."""
+    """Fiber index of the tuples (a set, so no key gets a completion twice)."""
     index: Fibers = {}
     for t in tuples:
         for j in range(arity):
-            index.setdefault(fiber_key(j, t[:j] + t[j + 1 :]), []).append(t[j])
+            rest = t[:j] + t[j + 1 :]
+            rest_mask, completions = index.get((j, rest)) or (mask_of(rest), 0)
+            index[(j, rest)] = (rest_mask, completions | 1 << t[j])
     return index
 
 
-def _step(index: Fibers, cur: frozenset[int]) -> frozenset[int]:
+def _step(index: Fibers, cur: int) -> int:
     """Add the completions of every fiber whose rest lies in ``cur``."""
-    out = set(cur)
-    for (_, rest), completions in index.items():
-        if cur.issuperset(rest):
-            out.update(completions)
-    return frozenset(out)
+    out = cur
+    for rest, completions in index.values():
+        if not rest & ~cur:
+            out |= completions
+    return out
 
 
 def _iterate(
-    step: Callable[[frozenset[int]], frozenset[int]],
-    x: frozenset[int],
+    step: Callable[[int], int],
+    x: int,
     budget: int,
-    incomplete: Sequence[FiberKey] = (),
+    incomplete: Sequence[tuple[FiberKey, int]] = (),
 ) -> tuple[tuple[frozenset[int], ...], str, tuple[FiberKey, ...]]:
-    """The one fixpoint loop: at most ``budget`` steps from ``x``, giving
-    ``(chain, status, blocking)``.  Status is "pending" when keys of
-    ``incomplete`` (the blocking ones) have their rest in the current set,
-    "fixpoint" when a step adds nothing, and "budget" otherwise."""
-    chain = [x]
+    """The one fixpoint loop: at most ``budget`` steps from the mask ``x``,
+    giving ``(chain, status, blocking)``.  Status is "pending" when keys of
+    ``incomplete`` (the blocking ones) have their rest mask in the current
+    set, "fixpoint" when a step adds nothing, and "budget" otherwise."""
+    chain, status, blocking = [x], "budget", ()
     for _ in range(budget):
         cur = chain[-1]
-        blocking = tuple(key for key in incomplete if cur.issuperset(key[1]))
-        if blocking:
-            return tuple(chain), "pending", blocking
-        nxt = step(cur)
+        blocking = tuple(key for key, rest in incomplete if not rest & ~cur)
+        nxt = cur if blocking else step(cur)
         if nxt == cur:
-            return tuple(chain), "fixpoint", ()
+            status = "pending" if blocking else "fixpoint"
+            break
         chain.append(nxt)
-    return tuple(chain), "budget", ()
+    return tuple(frozenset(elements_of(s)) for s in chain), status, blocking
+
+
+def _budget(g: GeometricStructure) -> int:
+    """Steps that always reach a fixpoint: each growing step adds an
+    element of the universe, and one more step adds nothing."""
+    return len(g.universe) + 1
 
 
 @dataclass(frozen=True)
@@ -148,7 +157,7 @@ class GeometricStructure:
         return _fibers(self.phi, self.arity)
 
     def fiber_sizes(self) -> dict[FiberKey, int]:
-        return {key: len(completions) for key, completions in self.fibers.items()}
+        return {key: completions.bit_count() for key, (_, completions) in self.fibers.items()}
 
 
 @dataclass(frozen=True)
@@ -157,8 +166,8 @@ class LambdaResult:
 
     status "fixpoint" with index i means the i-th iterate equals the next
     one; "diverging" means the iteration budget ran out while still
-    growing (possible only with a budget below the universe size, since
-    the chain is monotone and bounded by the universe).
+    growing (possible only with a budget of at most the universe size,
+    since each growing step adds an element of the universe).
     """
 
     chain: tuple[frozenset[int], ...]
@@ -178,7 +187,7 @@ class LambdaResult:
 def lambda_step(g: GeometricStructure, xi: Iterable[int]) -> frozenset[int]:
     """One closure step: add every phi-fiber member whose remaining
     coordinates all lie in ``xi``."""
-    return _step(g.fibers, frozenset(xi))
+    return frozenset(elements_of(_step(g.fibers, g.matroid._check(xi))))
 
 
 def lambda_closure(
@@ -186,17 +195,16 @@ def lambda_closure(
 ) -> LambdaResult:
     """Iterate ``lambda_step`` to a fixpoint or to the budget.
 
-    The default budget is the universe size: each non-final step adds at
-    least one element and the chain is monotone, so a finite structure
+    The default budget is the universe size plus one: each growing step
+    adds an element and one more step adds nothing, so a finite structure
     always reaches its fixpoint within that many steps.
     """
-    if budget is None:
-        budget = len(g.universe)
+    budget = _budget(g) if budget is None else budget
     if budget < 1:
         raise InvalidStructure("budget must be >= 1")
-    start = frozenset(elements_of(g.matroid._check(x)))
     # lambda_step is looked up per step, so a wrapper on it sees every step.
-    chain, status, _ = _iterate(lambda cur: lambda_step(g, cur), start, budget)
+    step = lambda cur: mask_of(lambda_step(g, elements_of(cur)))
+    chain, status, _ = _iterate(step, g.matroid._check(x), budget)
     if status == "fixpoint":
         return LambdaResult(chain, status, fixpoint_index=len(chain) - 1)
     return LambdaResult(chain, "diverging", budget=budget)
@@ -268,16 +276,17 @@ class EnumeratedStructure:
         for seed in self.infinite_seeds:
             if not seed <= ground:
                 raise InvalidStructure(f"infinite seed {sorted(seed)} leaves the universe")
+        sizes = self.structure.fiber_sizes()
         for key, count in self.counts.items():
             if key[0] not in range(arity) or len(key[1]) != arity - 1:
                 raise InvalidStructure(
                     f"count override {key} is not a fiber key of arity {arity}"
                 )
-            if not ground.issuperset(key[1]):
+            if not set(key[1]) <= ground:
                 raise InvalidStructure(f"count override {key} leaves the universe")
             if len(set(key[1])) != arity - 1:
                 raise InvalidStructure(f"count override {key} repeats an element")
-            if count < len(self.structure.fibers.get(key, ())):
+            if count < sizes.get(key, 0):
                 raise InvalidStructure(f"count override {key} below its revealed size")
             if count >= self.structure.fiber_bound:
                 raise InvalidStructure(f"count override {key} violates the fiber bound")
@@ -288,23 +297,21 @@ class EnumeratedStructure:
         return self.stages[stage - 1]
 
     @cached_property
-    def _stage_views(self) -> tuple[tuple[Fibers, tuple[FiberKey, ...]], ...]:
-        """Per stage: its fiber index and the sorted keys whose revealed count
-        is below the count oracle's limit (only keys of phi or ``counts`` can)."""
+    def _stage_views(self) -> tuple[StageView, ...]:
+        """Per stage: its fiber index and the sorted keys, with their rest
+        masks, whose revealed count is below the count oracle's limit (only
+        keys of phi or ``counts`` can be)."""
         limit = {**self.structure.fiber_sizes(), **self.counts}
+        keys = [(k, mask_of(k[1]), n) for k, n in sorted(limit.items())]
         earlier = (_fibers(s, self.structure.arity) for s in self.stages[:-1])
         return tuple(
-            (index, tuple(k for k in sorted(limit) if len(index.get(k, ())) < limit[k]))
+            (index, tuple((k, r) for k, r, n in keys if index.get(k, (r, 0))[1].bit_count() < n))
             for index in (*earlier, self.structure.fibers)
         )
 
-    def _stage_view(self, stage: int) -> tuple[Fibers, tuple[FiberKey, ...]]:
+    def _stage_view(self, stage: int) -> StageView:
         self.revealed(stage)  # rejects a stage out of range
         return self._stage_views[stage - 1]
-
-    def fibers(self, stage: int) -> Fibers:
-        """Fiber index of the tuples revealed by the stage."""
-        return self._stage_view(stage)[0]
 
     def declared_infinite(self, x: Iterable[int]) -> bool:
         if not self.infinite_seeds:
@@ -318,10 +325,8 @@ def revealed_closure(
 ) -> frozenset[int]:
     """Plain fixpoint over the tuples revealed by the stage, with no
     completeness certification."""
-    # Each growing step adds a universe element, so |universe| growing
-    # steps and the one that adds nothing always reach the fixpoint.
-    bound = len(enum.structure.universe) + 1
-    return _iterate(partial(_step, enum.fibers(stage)), frozenset(x), bound)[0][-1]
+    step = partial(_step, enum._stage_view(stage)[0])
+    return _iterate(step, enum.structure.matroid._check(x), _budget(enum.structure))[0][-1]
 
 
 @dataclass(frozen=True)
@@ -344,7 +349,8 @@ def certified_lambda(
     enum: EnumeratedStructure, x: Iterable[int], stage: int, budget: int
 ) -> CertifiedLambda:
     index, incomplete = enum._stage_view(stage)
-    chain, status, blocking = _iterate(partial(_step, index), frozenset(x), budget, incomplete)
+    start = enum.structure.matroid._check(x)
+    chain, status, blocking = _iterate(partial(_step, index), start, budget, incomplete)
     return CertifiedLambda("finite" if status == "fixpoint" else status, chain, blocking)
 
 
@@ -381,13 +387,12 @@ def acl_enumerate_via_lambda(
         raise NotIndependent("bbar must be independent")
 
     last = min(enum.final_stage, budget)
-    iter_budget = len(g.universe)
     emitted: dict[int, int] = {}  # element -> stage, in emission order
     for stage in range(1, last + 1):
         for a in g.universe:
             if a in emitted:
                 continue
-            res = certified_lambda(enum, base | {a}, stage, iter_budget)
+            res = certified_lambda(enum, base | {a}, stage, _budget(g))
             if res.status == "finite":
                 emitted[a] = stage
     status = "complete" if last == enum.final_stage else "budget-exceeded"
@@ -417,15 +422,13 @@ def ild_estimate(enum: EnumeratedStructure, budget: Optional[int] = None) -> Ild
     (size, lex) order.
     """
     g = enum.structure
-    matroid = g.matroid
-    if budget is None:
-        budget = len(g.universe)
+    budget = _budget(g) if budget is None else budget
     if budget < 1:
         raise InvalidStructure("budget must be >= 1")
 
     buckets: dict[int, list[tuple[int, ...]]] = {}
     for combo in subsets(g.universe, g.arity):
-        buckets.setdefault(matroid.rank(combo), []).append(combo)
+        buckets.setdefault(g.matroid.rank(combo), []).append(combo)
 
     for dim in sorted(buckets):
         saw_budget = False

@@ -99,9 +99,14 @@ def matroid_from_json(doc: Any) -> matroid.Matroid:
             return uniform_matroid(_int(doc["rank"], "rank"), _int(doc["size"], "size"))
         if kind == "closure-table":
             n = _int(doc["ground"], "ground")
-            rows = [(entry["set"], entry["cl"]) for entry in doc["closure"]]
+            rows = [(tuple(entry["set"]), entry["cl"]) for entry in doc["closure"]]
             _ints(chain.from_iterable(chain.from_iterable(rows)), "closure table member")
-            return closure_table_matroid(n, {tuple(s): cl for s, cl in rows})
+            table: dict = {}
+            for s, cl in rows:
+                if s in table:
+                    raise InputError(f"closure table lists subset {sorted(s)} twice")
+                table[s] = cl
+            return closure_table_matroid(n, table)
     except _BAD_VALUE as e:
         raise InputError(f"bad matroid document: {e}") from None
     raise InputError(f"unknown matroid type {kind!r}")
@@ -164,7 +169,7 @@ def scenario_to_json(enum: EnumeratedStructure) -> dict:
 
 
 def scenario_from_json(doc: Any) -> EnumeratedStructure:
-    from .formula_closure import EnumeratedStructure, fiber_key
+    from .formula_closure import EnumeratedStructure
 
     g = structure_from_json(doc)
     try:
@@ -174,7 +179,7 @@ def scenario_from_json(doc: Any) -> EnumeratedStructure:
             for stage in doc.get("stages", [])
         ] or [sorted(g.phi)]
         counts = {
-            fiber_key(*_fiber_key_parse(k)): _int(v, f"count {k}")
+            _fiber_key_parse(k): _int(v, f"count {k}")
             for k, v in doc.get("counts", {}).items()
         }
         seeds = [frozenset(_ints(s, "infinite seed member")) for s in doc.get("infinite_seeds", [])]

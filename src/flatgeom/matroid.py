@@ -654,7 +654,8 @@ def closure_table_matroid(
 ) -> Matroid:
     """The matroid on ids 0..size-1 whose closure is ``table``, a map from
     each subset to its closure, both given as ids; an entry with an id
-    outside the ground set is an InvalidStructure that names it."""
+    outside the ground set, or a subset given twice (say as (0, 1) and
+    (1, 0)), is an InvalidStructure that names it."""
     if size < 0:
         raise InvalidStructure(f"closure table ground must be non-negative, got {size}")
     bit = {e: 1 << e for e in range(size)}
@@ -671,6 +672,8 @@ def closure_table_matroid(
                 f"closure table entry {sorted(key)} -> {sorted(cl)} "
                 f"leaves the ground set 0..{size - 1}"
             ) from None
+        if k in masks:
+            raise InvalidStructure(f"closure table lists subset {sorted(key)} twice")
         masks[k] = v
     return Matroid(GroundSet(tuple(range(size))), ClosureTableOracle(masks))
 

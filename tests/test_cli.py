@@ -35,6 +35,10 @@ README = (Path(__file__).parent.parent / "README.md").read_text()
 #: The going-down demo as a scenario document.
 DEMO_EFFECTIVE = jsonio.effective_scenario_to_json(*corpus.going_down_demo())
 
+#: The uniform U(2,3) as a closure-table document; its rows are in (size,
+#: lex) order, so row 0 is the empty set and row 1 is [0].
+CT_U23 = jsonio.matroid_to_json(corpus.MATROIDS["ct_u23"]())
+
 
 def run(capsys, *argv):
     code = run_command(list(argv))
@@ -302,6 +306,25 @@ class TestCommands:
         (doc,) = parse_lines(out)
         assert doc["value"] == 3 and doc["certainty"] == "certified"
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            ("lambda closure --structure", {"status": "fixpoint", "fixpoint_index": 1}),
+            ("ild --scenario", {"value": None, "certainty": "certified"}),
+        ],
+    )
+    def test_default_budget_reaches_the_fixpoint_on_a_loop(self, capsys, tmp_path, argv, want):
+        # Universe {0}, a loop, phi = {(0,)}: the closure of the empty set
+        # grows once, so the fixpoint needs |universe| + 1 = 2 steps.
+        path = tmp_path / "loop.json"
+        m = {"type": "linear", "field": 2, "columns": [[0]]}
+        path.write_text(json.dumps(
+            {"universe": 1, "matroid": m, "phi": {"arity": 1, "tuples": [[0]]}, "K": 2}
+        ))
+        code, out = run(capsys, *argv.split(), str(path))
+        (doc,) = parse_lines(out)
+        assert code == 0 and {k: doc[k] for k in want} == want
+
     def test_effective_command_writes_trace(self, capsys, tmp_path):
         trace_path = tmp_path / "trace.json"
         code, out = run(
@@ -549,6 +572,24 @@ class TestCommands:
                 {**jsonio.scenario_to_json(corpus.sigma1_chain()), "counts": {"0|1,1": 1}},
                 "count override (0, (1, 1)) repeats an element",
             ),
+            (
+                "pregeom verify --matroid",
+                {
+                    **CT_U23,
+                    "closure": [*CT_U23["closure"], {"set": [1, 0], "cl": [0, 1]}],
+                },
+                "closure table lists subset [0, 1] twice",
+            ),
+            (
+                "pregeom verify --matroid",
+                {
+                    **CT_U23,
+                    "closure": [
+                        CT_U23["closure"][0], {"set": [0], "cl": [7]}, *CT_U23["closure"][1:]
+                    ],
+                },
+                "closure table lists subset [0] twice",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -578,6 +619,8 @@ class TestCommands:
             "infinite-seed-off-universe",
             "count-key-off-universe",
             "count-key-repeats-an-element",
+            "table-subset-twice-in-two-orders",
+            "table-set-list-twice",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

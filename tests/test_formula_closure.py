@@ -9,8 +9,8 @@ from conftest import (
     ref_revealed_closure,
     ref_step,
 )
-from flatgeom import corpus
-from flatgeom.errors import InvalidStructure, NotIndependent
+from flatgeom import corpus, formula_closure
+from flatgeom.errors import InvalidElement, InvalidStructure, NotIndependent
 from flatgeom.formula_closure import (
     EnumeratedStructure,
     GeometricStructure,
@@ -23,7 +23,7 @@ from flatgeom.formula_closure import (
     psi_witness_check,
     revealed_closure,
 )
-from flatgeom.matroid import uniform_matroid
+from flatgeom.matroid import linear_matroid, uniform_matroid
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,33 @@ class TestLambdaClosure:
         res = lambda_closure(demo, {0, 1}, budget=1)
         assert res.status == "diverging"
         assert res.growth_trace == (2, 3)
+
+    @pytest.mark.parametrize("x, budget", [({0, 1}, None), ({0, 1}, 1), ({3}, None), ((), 2)])
+    def test_one_lambda_step_call_per_step(self, demo, monkeypatch, x, budget):
+        # A wrapper on the module's lambda_step sees every step of the loop.
+        calls = []
+        step = formula_closure.lambda_step
+
+        def counted(g, xi):
+            calls.append(xi)
+            return step(g, xi)
+
+        monkeypatch.setattr(formula_closure, "lambda_step", counted)
+        res = lambda_closure(demo, x, budget)
+        want = res.fixpoint_index + 1 if res.status == "fixpoint" else res.budget
+        assert len(calls) == want
+
+    def test_id_outside_the_universe_is_refused(self):
+        enum = corpus.sigma1_chain()
+        g, stray = enum.structure, len(enum.structure.universe)
+        for call in (
+            lambda: lambda_step(g, {0, stray}),
+            lambda: lambda_closure(g, {0, stray}),
+            lambda: revealed_closure(enum, {0, stray}, 1),
+            lambda: certified_lambda(enum, {0, stray}, 1, 5),
+        ):
+            with pytest.raises(InvalidElement, match=rf"\[{stray}\]"):
+                call()
 
     def test_monotone_in_the_seed(self, demo):
         rng = random.Random(7)
@@ -255,10 +282,11 @@ class TestRandomizedStructures:
                 assert size < g.fiber_bound
 
 
-def random_staged_scenario(rng: random.Random) -> EnumeratedStructure:
-    """A random structure revealed in up to four batches, with count
-    overrides on some revealed fibers and on one fiber phi never fills."""
-    g = corpus.random_geometric_structure(rng, arity=rng.choice((2, 3)))
+def random_staged_scenario(rng: random.Random, arity: int = 0) -> EnumeratedStructure:
+    """A random structure of the arity (2 or 3 at random by default),
+    revealed in up to four batches, with count overrides on some revealed
+    fibers and on one fiber phi never fills."""
+    g = corpus.random_geometric_structure(rng, arity=arity or rng.choice((2, 3)))
     tuples = sorted(g.phi)
     rng.shuffle(tuples)
     n = len(tuples)
@@ -281,6 +309,13 @@ def staged_cases():
     rng = random.Random(2024)
     for i in range(25):
         yield pytest.param(random_staged_scenario(rng), id=f"random#{i}")
+    # Arity 1: phi-tuples are loops, each fiber has the empty rest, and so
+    # it fires from the empty set.
+    rng = random.Random(2025)
+    for i in range(6):
+        yield pytest.param(random_staged_scenario(rng, arity=1), id=f"arity1#{i}")
+    loop = GeometricStructure.of(linear_matroid(2, [(0,)]), [(0,)], 2)
+    yield pytest.param(EnumeratedStructure.complete(loop), id="arity1-one-loop")
 
 
 class TestEngineAgainstReference:
@@ -294,7 +329,7 @@ class TestEngineAgainstReference:
             assert lambda_step(g, x) == ref_step(g.phi, g.arity, frozenset(x))
             for budget in (1, 2, None):
                 res = lambda_closure(g, x, budget)
-                want = ref_lambda_closure(g.phi, g.arity, x, budget or len(g.universe))
+                want = ref_lambda_closure(g.phi, g.arity, x, budget or len(g.universe) + 1)
                 assert (res.chain, res.status, res.fixpoint_index) == want, (x, budget)
             for stage in range(1, enum.final_stage + 1):
                 assert revealed_closure(enum, x, stage) == ref_revealed_closure(enum, x, stage)
