@@ -35,6 +35,14 @@ collection with the same union already is one, the least (size, lex)
 violation is always an antichain, and the search skips every collection
 that is not one.  The first violation it meets is therefore the least one
 over all collections.
+
+Within the work cap, the search of three or more flats is skipped when
+Mason's alpha is >= 0 on every set (``_alpha_nonnegative``): the matroid
+is then a strict gammoid (Mason, Proc. London Math. Soc. 1972), and a
+pregeometry is flat iff it is one (Evans, arXiv:1105.3822), so no
+collection violates.  The verdict strings are the ones the search would
+give.  Pairs are still searched and every meet and join still read, so a
+table that is no pregeometry fails as the search would make it fail.
 """
 
 from __future__ import annotations
@@ -47,13 +55,20 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
 from .matroid import (
-    DEFAULT_VERIFY_BOUND, Flat, Matroid, Memo, canon, elements_of, mask_of, size_lex, subset_universe,
+    DEFAULT_VERIFY_BOUND, Flat, Matroid, Memo, _low_bits, canon, elements_of, mask_of, size_lex,
+    subset_universe,
 )
 
 #: Default cap on |Sigma| in the violation search.  It bounds the search
 #: and guarantees nothing past it: some hosts are flat up to four flats
 #: yet have a violation of five.
 DEFAULT_MAX_SIGMA = 4
+
+#: Most sets, positive cyclic flats and their unions, that the walk of
+#: ``_alpha_nonnegative`` visits before it leaves the verdict to the
+#: collection search.  pps_chain(16), the longest chain the work cap lets
+#: through at sigma 3, needs 6 121; the walk costs a few microseconds a set.
+_ALPHA_WALK_BOUND = 10_000
 
 #: Rough work budget for the collection search (number of subset terms);
 #: beyond it the caller must sample.
@@ -180,6 +195,16 @@ class _MeetTable:
             self._joins[key] = j
         return j
 
+    def check_lattice(self) -> None:
+        """Read every meet row and every join, so that a table that is no
+        lattice of flats raises the MatroidContractError that a search of
+        any size could raise."""
+        n = len(self.sets)
+        for i in range(n):
+            self.meet[i]
+            for j in range(i + 1, n):
+                self.join(i, j)
+
     def after(self, gains: list[int], f: int) -> list[int]:
         """The gain vector of S + F, from the gain vector ``gains`` of S
         (see the module docstring)."""
@@ -232,6 +257,48 @@ class _MeetTable:
             return None
         finally:
             del extend  # it refers to itself: free it without the cyclic collector
+
+
+def _alpha_nonnegative(m: Matroid, flats: Iterable[Flat]) -> Optional[bool]:
+    """Whether Mason's alpha is >= 0 on every subset of the ground set, or
+    None when the walk would visit more than _ALPHA_WALK_BOUND sets.
+
+    alpha(X) = |X| - r(X) - sum of alpha(F) over the cyclic flats F < X
+    (Mason, Proc. London Math. Soc. 1972); alpha >= 0 everywhere iff the
+    matroid is a strict gammoid, which for a pregeometry is flatness in
+    Hrushovski's sense (Evans, arXiv:1105.3822).  A flat F is cyclic iff
+    no F - e is a flat.  Only the cyclic flats with alpha > 0 enter a sum,
+    and the least alpha lies on a cyclic flat or on a union of these: for
+    any X, let U be the union of the positive cyclic flats inside X; then
+    alpha(X) >= alpha(U) unless U is itself a positive cyclic flat, where
+    alpha(X) = nullity(X) - nullity(U) >= 0.  So alpha is computed on the
+    cyclic flats in size order, then on the unions of positive ones,
+    stopping at the first negative value.
+    """
+    dims = {mask_of(f.elements): f.dim for f in flats}
+    positive: dict[int, int] = {}
+    for f in sorted(dims, key=int.bit_count):
+        if any(f ^ b in dims for b in _low_bits(f)):
+            continue
+        a = f.bit_count() - dims[f] - sum(v for g, v in positive.items() if not g & ~f)
+        if a < 0:
+            return False
+        if a:
+            positive[f] = a
+    rank, unions = m._rank_mask, list(positive)
+    seen = set(unions)
+    for u in unions:
+        for g in positive:
+            x = u | g
+            if x in seen:
+                continue
+            if len(seen) >= _ALPHA_WALK_BOUND:
+                return None
+            seen.add(x)
+            if x.bit_count() - rank(x) < sum(v for h, v in positive.items() if not h & ~x):
+                return False
+            unions.append(x)
+    return True
 
 
 def is_disintegrated(
@@ -298,6 +365,13 @@ def check_flat(
     without a ``sample`` count GroundTooLarge is raised.  The estimate is the number
     of subset terms in scoring every collection from scratch, the sum over
     sizes s of C(n, s) * 2**s for n flats.
+
+    Within the work cap a flat verdict may come from Mason's alpha
+    criterion (Mason 1972; Evans, arXiv:1105.3822) instead of the search
+    of three or more flats; it is the same "flat-up-to" or
+    "flat-exhaustive" verdict.  Where alpha < 0 the search runs, and a
+    search of every collection that finds nothing raises
+    MatroidContractError, since the two criteria must agree.
     """
     if max_collection_size < 1:
         raise EmptyCollection("max_collection_size must be >= 1")
@@ -318,7 +392,19 @@ def check_flat(
     table = _MeetTable(m, flats)
 
     if not sampled:
-        hit = table.least_violation(top)
+        # With alpha >= 0 the pairs are still searched and every meet and
+        # join read (see the module docstring); at top 2 that is the search.
+        alpha_ok = _alpha_nonnegative(m, flats) if top >= 3 else None
+        if alpha_ok:
+            hit = table.least_violation(2)
+            if not hit:
+                table.check_lattice()
+        else:
+            hit = table.least_violation(top)
+            if not hit and alpha_ok is False and top == nflats:
+                raise MatroidContractError(
+                    "no collection of flats violates flatness, yet Mason's alpha is negative"
+                )
     else:
         rng = random.Random(seed)
         hit = None

@@ -106,6 +106,22 @@ def ref_flats(m) -> list[frozenset[int]]:
     ]
 
 
+def ref_alpha_min(m, rank) -> int:
+    """The least Mason alpha over every subset X of ``m``'s ground set, at
+    most 10 elements, from the definition alone: alpha(X) = |X| - rank(X)
+    minus the alpha of each cyclic flat strictly inside X, where a cyclic
+    flat is one of ``ref_flats`` whose rank drops on removing no element.
+    ``rank`` maps a frozenset to its rank (``brute_rank``,
+    ``sparse_paving_rank``); no union walk, no flat enumerator."""
+    assert len(m.ground) <= 10
+    cyclic = [f for f in ref_flats(m) if all(rank(f - {e}) == rank(f) for e in f)]
+    alpha: dict[frozenset[int], int] = {}
+    for x in powerset(m.ground.elements):
+        s = frozenset(x)
+        alpha[s] = len(s) - rank(s) - sum(alpha[f] for f in cyclic if f < s)
+    return min(alpha.values())
+
+
 def seeded_nonbases(rng, size: int, rank: int, tries: int) -> list[frozenset[int]]:
     """Random rank-sets drawn ``tries`` times, each kept if it meets every
     kept one in at most rank-2 elements: the nonbases of a sparse paving

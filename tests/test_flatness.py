@@ -1,17 +1,33 @@
 import gc
 import random
 import weakref
+from functools import cache
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GF2_COLS, brute_rank, brute_span, powerset, seeded_nonbases
+from conftest import (
+    GF2_COLS,
+    brute_rank,
+    brute_span,
+    powerset,
+    ref_alpha_min,
+    seeded_nonbases,
+    sparse_paving_rank,
+)
 from flatgeom import corpus, flatness
 from flatgeom.errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
 from flatgeom.flatness import _MeetTable, check_flat, delta, is_disintegrated
-from flatgeom.matroid import free_matroid, linear_matroid, sparse_paving_matroid, uniform_matroid
+from flatgeom.matroid import (
+    closure_table_matroid,
+    free_matroid,
+    linear_matroid,
+    sparse_paving_matroid,
+    subsets,
+    uniform_matroid,
+)
 
 
 def paper_example_flats(gf2):
@@ -263,8 +279,9 @@ class TestCheckFlat:
         ids=["PG(3,2)", "PG(2,5)", "pps_chain(10)", "U(4,7)"],
     )
     def test_sigma4_verdicts_past_the_work_cap(self, monkeypatch, m, expected):
-        # The work estimate refuses these at sigma 4; with the cap lifted
-        # the search answers each in about a second or less.
+        # The work estimate refuses these at sigma 4.  With the cap lifted,
+        # the search answers PG(3,2) and PG(2,5) in about a second or less,
+        # and Mason's alpha criterion answers pps_chain(10) and U(4,7).
         monkeypatch.setattr(flatness, "DEFAULT_WORK_CAP", 10**9)
         v = check_flat(m, 4, max_ground=len(m.ground))
         witness = sorted(sorted(s) for s in v.witness.sets()) if v.witness else None
@@ -302,3 +319,130 @@ class TestCheckFlat:
         # 16 flats: 3**16 - 1 subset terms, over the default cap.
         with pytest.raises(GroundTooLarge):
             check_flat(gf2, exhaustive=True)
+
+
+# Seven points of the GF(3) plane, flat up to four flats but not five.
+SIGMA5_COLS = [(1, 2, 2), (2, 2, 2), (2, 1, 2), (0, 2, 2), (0, 1, 2), (2, 0, 1), (0, 0, 2)]
+SIGMA3_NONBASES = [(2, 3, 4, 6), (1, 2, 4, 5), (1, 3, 5, 6)]
+
+
+def paving_host(size, rank, nonbases):
+    nb = {frozenset(s) for s in nonbases}
+    m = sparse_paving_matroid(size, rank, nonbases)
+    return m, cache(lambda s: sparse_paving_rank(rank, nb, s))
+
+
+def linear_host(q, cols):
+    return linear_matroid(q, cols), cache(lambda s: brute_rank(q, cols, s))
+
+
+def alpha_pool():
+    """(name, matroid, rank) for 117 seeded hosts of at most 7 elements:
+    sparse paving hosts packed with nonbases (mostly not flat) or with two
+    (flat), random GF(2) and GF(3) hosts with loops and parallel elements,
+    and the sigma-3 and sigma-5 hosts.  ``rank`` is the definition or a
+    brute-force rank, for ``ref_alpha_min``."""
+    pool = [
+        ("sigma3 host", *paving_host(7, 4, SIGMA3_NONBASES)),
+        ("sigma5 host", *linear_host(3, SIGMA5_COLS)),
+    ]
+    shapes = ((6, 3, 200, 25), (7, 3, 200, 15), (6, 4, 200, 10), (6, 3, 2, 25))
+    for size, rank, tries, count in shapes:
+        for seed in range(count):
+            rng = random.Random(f"alpha/{size}/{rank}/{tries}/{seed}")
+            nonbases = seeded_nonbases(rng, size, rank, tries)
+            pool.append((f"paving{size, rank, tries}#{seed}", *paving_host(size, rank, nonbases)))
+    for q in (2, 3):
+        for seed in range(20):
+            rng = random.Random(f"alpha/gf{q}/{seed}")
+            d = rng.randint(2, 3)
+            cols = [tuple(rng.randrange(q) for _ in range(d)) for _ in range(rng.randint(4, 6))]
+            pool.append((f"gf{q}#{seed} {cols}", *linear_host(q, cols)))
+    return pool
+
+
+def search_sizes(monkeypatch) -> list[int]:
+    """The ``top`` of every later call of ``_MeetTable.least_violation``."""
+    tops = []
+    search = _MeetTable.least_violation
+    monkeypatch.setattr(
+        _MeetTable, "least_violation", lambda self, top: tops.append(top) or search(self, top)
+    )
+    return tops
+
+
+class TestMasonAlpha:
+    def test_alpha_nonnegative_iff_exhaustive_search_finds_nothing(self):
+        pool = alpha_pool()
+        not_flat = 0
+        for name, m, rank in pool:
+            flats = m.flats()
+            clean = _MeetTable(m, flats).least_violation(len(flats)) is None
+            alpha_ok = ref_alpha_min(m, rank) >= 0
+            assert alpha_ok == clean, name
+            assert flatness._alpha_nonnegative(m, flats) == alpha_ok, name
+            not_flat += not clean
+        assert len(pool) >= 100 and not_flat >= 25
+
+    def test_search_that_ends_clean_despite_negative_alpha_is_an_error(self, monkeypatch):
+        # U(2,3) has five flats: a search of all five that finds nothing
+        # contradicts alpha < 0; a search of four claims no more.
+        monkeypatch.setattr(flatness, "_alpha_nonnegative", lambda m, flats: False)
+        m = uniform_matroid(2, 3)
+        assert check_flat(m, 4) == flatness.FlatnessVerdict("flat-up-to", bound=4)
+        with pytest.raises(MatroidContractError, match="alpha is negative"):
+            check_flat(m, exhaustive=True)
+        with pytest.raises(MatroidContractError, match="alpha is negative"):
+            check_flat(m, 5)
+
+    @pytest.mark.parametrize(
+        "ground, changed, reason",
+        [
+            (3, {(2,): (1, 2), (0, 1): (0, 1, 2)}, "intersection of two flats"),
+            (4, {(1,): (1, 3), (0, 1): (0, 1, 2, 3), (1, 2): (0, 1, 2, 3),
+                 (1, 3): (0, 1, 2, 3), (2, 3): (1, 2, 3)}, "not among the flats"),
+        ],
+        ids=["meet", "join"],
+    )
+    def test_non_pregeometries_with_nonnegative_alpha_still_raise(
+        self, monkeypatch, ground, changed, reason
+    ):
+        # The two closure tables of the CLI's non-pregeometry test: alpha
+        # answers past pairs, and reading the lattice raises as before.
+        table = {s: changed.get(s, s) for s in subsets(tuple(range(ground)))}
+        m = closure_table_matroid(ground, table)
+        assert flatness._alpha_nonnegative(m, m.flats())
+        tops = search_sizes(monkeypatch)
+        with pytest.raises(MatroidContractError, match=reason):
+            check_flat(m)
+        assert tops == [2]
+
+    @pytest.mark.parametrize(
+        "m", [corpus.pps_chain(6), uniform_matroid(3, 7)], ids=["pps_chain(6)", "U(3,7)"]
+    )
+    def test_flat_hosts_are_answered_without_a_search_past_pairs(self, monkeypatch, m):
+        tops = search_sizes(monkeypatch)
+        assert check_flat(m, 4) == flatness.FlatnessVerdict("flat-up-to", bound=4)
+        assert tops == [2]
+
+    def test_walk_past_its_bound_leaves_the_verdict_to_the_search(self, monkeypatch):
+        # pps_chain(6) has positive cyclic flats whose unions need walking.
+        m = corpus.pps_chain(6)
+        assert flatness._alpha_nonnegative(m, m.flats()) is True
+        expected = check_flat(corpus.pps_chain(6), 4)
+        monkeypatch.setattr(flatness, "_ALPHA_WALK_BOUND", 0)
+        assert flatness._alpha_nonnegative(m, m.flats()) is None
+        tops = search_sizes(monkeypatch)
+        assert check_flat(corpus.pps_chain(6), 4) == expected
+        assert tops == [4]
+
+    def test_criterion_verdict_frees_its_matroid_without_the_cyclic_collector(self):
+        m = corpus.pps_chain(6)
+        ref = weakref.ref(m)
+        gc.disable()
+        try:
+            assert check_flat(m, 4).kind == "flat-up-to"
+            del m
+            assert ref() is None
+        finally:
+            gc.enable()
