@@ -292,7 +292,7 @@ def cmd_corpus_check(args) -> Result:
     results = {}
     for name, make in corpus.MATROIDS.items():
         m = make()
-        results[name] = m.verify_pregeometry(max_ground=max(len(m.ground), 12)).ok
+        results[name] = m.verify_pregeometry(max_ground=len(m.ground)).ok
     for name, make in {**corpus.STRUCTURES, **corpus.SCENARIOS}.items():
         make().validate()
         results[name] = True

@@ -106,6 +106,26 @@ def ref_flats(m) -> list[frozenset[int]]:
     ]
 
 
+def ref_pregeometry_ok(n: int, closure) -> bool:
+    """Whether ``closure``, a map from every frozenset of 0..n-1 to a
+    frozenset, satisfies the four pregeometry axioms, read off their
+    definitions over all subsets S, T and all pairs a, b: S <= cl(S);
+    S <= T implies cl(S) <= cl(T); cl(cl(S)) = cl(S); and a in
+    cl(S + b) - cl(S) implies b in cl(S + a)."""
+    subs = [frozenset(s) for s in powerset(range(n))]
+    cl = closure
+    if any(not s <= cl[s] or cl[cl[s]] != cl[s] for s in subs):
+        return False
+    if any(s <= t and not cl[s] <= cl[t] for s in subs for t in subs):
+        return False
+    return not any(
+        a in cl[s | {b}] - cl[s] and b not in cl[s | {a}]
+        for s in subs
+        for a in range(n)
+        for b in range(n)
+    )
+
+
 def ref_alpha_min(m, rank) -> int:
     """The least Mason alpha over every subset X of ``m``'s ground set, at
     most 10 elements, from the definition alone: alpha(X) = |X| - rank(X)

@@ -15,6 +15,7 @@ from conftest import (
     brute_span,
     powerset,
     ref_flats,
+    ref_pregeometry_ok,
     seeded_nonbases,
     sparse_paving_rank,
 )
@@ -31,6 +32,7 @@ from flatgeom.matroid import (
     PRIME_TEST_BOUND,
     LinearOracle,
     Matroid,
+    PregeometryReport,
     UniformOracle,
     Violation,
     _is_prime,
@@ -303,6 +305,100 @@ class TestVerify:
         table[frozenset({2})] = frozenset({1, 2, 8})
         report = closure_table_matroid(9, table).verify_pregeometry()
         assert report.violation == Violation("exchange", 1, 2, ())
+
+
+def seeded_closure_tables(count: int) -> list[tuple[int, dict[frozenset[int], frozenset[int]]]]:
+    """``count`` seeded closure tables of 1 to 6 elements, as (n, table):
+    linear tables over GF(2) or GF(3), uniform tables and the closure maps
+    of random intersection-closed families, each with up to two entries
+    perturbed by one element or replaced by a random subset."""
+    rng = random.Random("closure-table-pool")
+    pool = []
+    for i in range(count):
+        n = rng.randint(1, 6)
+        subs = [frozenset(s) for s in powerset(range(n))]
+        if i % 3 == 0:
+            q = rng.choice((2, 3))
+            d = rng.randint(1, 3)
+            table = table_from_matroid(
+                linear_matroid(q, [[rng.randrange(q) for _ in range(d)] for _ in range(n)])
+            )
+        elif i % 3 == 1:
+            table = table_from_matroid(uniform_matroid(rng.randint(0, n), n))
+        else:
+            family = {frozenset(range(n))} | {rng.choice(subs) for _ in range(rng.randint(1, 2 * n))}
+            table = {s: frozenset.intersection(*(f for f in family if s <= f)) for s in subs}
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            s = rng.choice(subs)
+            if rng.random() < 0.7:
+                table[s] = table[s] ^ {rng.randrange(n)}
+            else:
+                table[s] = rng.choice(subs)
+        pool.append((n, table))
+    return pool
+
+
+@pytest.fixture(scope="module")
+def closure_table_pool():
+    return seeded_closure_tables(2000)
+
+
+class TestVerifyCriterion:
+    """The exhaustive check decides a pass from closed sets and their
+    covers; the (size, lex) scan runs only to name the least violation."""
+
+    def test_verdict_matches_the_axioms_on_a_seeded_pool(self, closure_table_pool):
+        failing = 0
+        for n, table in closure_table_pool:
+            want = ref_pregeometry_ok(n, table)
+            assert closure_table_matroid(n, table).verify_pregeometry().ok == want, (n, table)
+            failing += not want
+        assert len(closure_table_pool) >= 2000
+        assert failing >= len(closure_table_pool) / 4
+
+    def test_scan_alone_gives_the_same_reports(self, closure_table_pool, small_corpus, monkeypatch):
+        hosts = [lambda n=n, t=t: closure_table_matroid(n, t) for n, t in closure_table_pool]
+        hosts += [lambda m=m: Matroid(m.ground, m.oracle) for m in small_corpus.values()]
+        default = [make().verify_pregeometry() for make in hosts]
+        monkeypatch.setattr(Matroid, "_is_pregeometry", lambda self: False)
+        assert [make().verify_pregeometry() for make in hosts] == default
+
+    def test_monotonicity_fails_only_below_a_closed_set(self):
+        # cl({0}) = cl({1}) = {0, 1} on free(3): every closed set passes,
+        # and monotonicity fails only at {0}, which is not closed.
+        table = table_from_matroid(free_matroid(3))
+        table[frozenset({0})] = table[frozenset({1})] = frozenset({0, 1})
+        report = closure_table_matroid(3, table).verify_pregeometry()
+        assert report == PregeometryReport(False, Violation("monotonicity", 1, 2, (0,)), 2, False)
+
+    def test_spanning_cover_mixed_with_a_proper_one(self):
+        # The closure of the family {{}, {0}, E}: the covers of the empty
+        # flat are {0} and the spanning E.
+        family = [frozenset(), frozenset({0}), frozenset(range(3))]
+        table = {s: min((f for f in family if s <= f), key=len) for s in map(frozenset, powerset(range(3)))}
+        report = closure_table_matroid(3, table).verify_pregeometry()
+        assert report == PregeometryReport(False, Violation("exchange", 0, 1, ()), 1, False)
+
+    def test_idempotence_table_reports_the_least_exchange(self):
+        # The table of TestVerify.test_idempotence_violation_reported.
+        table = table_from_matroid(free_matroid(3))
+        table[frozenset({0})] = frozenset({0, 1})
+        table[frozenset({0, 1})] = frozenset({0, 1, 2})
+        report = closure_table_matroid(3, table).verify_pregeometry()
+        assert report == PregeometryReport(False, Violation("exchange", 1, 0, ()), 1, False)
+
+    def test_pass_looks_up_at_most_three_closures_per_subset(self):
+        m = uniform_matroid(3, 12)
+        lookup, calls = m._closure_mask, []
+
+        def counting(s: int) -> int:
+            calls.append(s)
+            return lookup(s)
+
+        m._closure_mask = counting
+        report = m.verify_pregeometry(max_ground=12)
+        assert report == PregeometryReport(True, None, 2**12, False)
+        assert len(calls) <= 3 * 2**12
 
 
 class TestCircuits:
