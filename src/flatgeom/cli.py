@@ -45,7 +45,7 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(jsonio.dumps(doc) + "\n")
 
 
-def _budget(args, default: Optional[int] = 64) -> Optional[int]:
+def _budget(args, default: Optional[int]) -> Optional[int]:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("FLATGEOM_BUDGET")
@@ -154,7 +154,7 @@ def cmd_pps_run(args) -> Result:
 
     m = _load_matroid(args.matroid)
     cfg = pingpong.PPSConfig.of(_ids(args.x), args.a1, args.a2, args.t1)
-    runs = pingpong.pps_run(m, cfg, args.strategy, _budget(args))
+    runs = pingpong.pps_run(m, cfg, args.strategy, _budget(args, pingpong.DEFAULT_BUDGET))
     doc = {"strategy": args.strategy, "runs": [{"status": r.status, **_run_doc(r)} for r in runs]}
     return doc, False
 
@@ -162,7 +162,7 @@ def cmd_pps_run(args) -> Result:
 def cmd_pps_search_cycle(args) -> Result:
     from . import pingpong
 
-    res = pingpong.pps_find_cycle(_load_matroid(args.matroid), _budget(args))
+    res = pingpong.pps_find_cycle(_load_matroid(args.matroid), _budget(args, pingpong.DEFAULT_BUDGET))
     doc: dict[str, Any] = {"status": res.status, "configs_searched": res.configs_searched}
     if res.run is not None:
         cfg = res.run.sequence.config
@@ -335,7 +335,7 @@ BUDGET = _opt("--budget", type=int)
 N = _opt("--n", type=int, required=True)
 #: The exhaustive scan's bound, and the random subsets checked past it.
 SAMPLING = (
-    _opt("--max-ground", type=int, default=12),
+    _opt("--max-ground", type=int, default=_Constant("matroid", "DEFAULT_VERIFY_BOUND")),
     _opt("--sample", type=int),
     _opt("--seed", type=int, default=0),
 )

@@ -14,6 +14,11 @@ Committed facts are permanent: they are pulled back from N when an element
 or symbol is added, and any later remap must respect them.  That is what
 makes the limit map an isomorphism onto the substructure on M.
 
+An element counts as a member at stage s when it has entered A_s or M_s
+says so.  That one rule gives ``ConstructionTrace.corrected_member``, and
+the stage loop reads it at stage 1 and at each stage where a flip or an A
+entry is scripted, the only stages where membership can change.
+
 A run that reaches the horizon with an unresolved wait reports "stuck";
 it is a diagnostic that the scenario broke its witness contract, not a
 tool error.
@@ -25,7 +30,7 @@ from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import IncoherentSchedule, InvalidStructure, MatroidContractError, NotExtendable
 from .matroid import Matroid, canon
@@ -126,9 +131,6 @@ class Delta2Schedule:
                     f"element {elem} does not settle on its target membership"
                 )
 
-    def last_flip_stage(self) -> int:
-        return max((ev.stage for ev in self.flips), default=0)
-
     @cached_property
     def _flips_of(self) -> dict[int, list[FlipEvent]]:
         """Each element's flips, in schedule order."""
@@ -171,12 +173,18 @@ class Sigma1Schedule:
     def target(self) -> frozenset[int]:
         return frozenset(e for e, _ in self.entries)
 
-    def last_stage(self) -> int:
-        return max((s for _, s in self.entries), default=0)
-
     def at(self, stage: int) -> list[int]:
         """Elements enumerated by the stage, in enumeration order."""
         return [e for e, s in self.entries if s <= stage]
+
+
+def _corrected_at(
+    membership: Delta2Schedule, enumeration: Sigma1Schedule, stage: int
+) -> Callable[[int], bool]:
+    """Membership at ``stage``: an element counts once it has entered A, and
+    otherwise as the approximation says."""
+    entered = frozenset(enumeration.at(stage))
+    return lambda elem: elem in entered or membership.member_at(elem, stage)
 
 
 @dataclass(frozen=True)
@@ -207,39 +215,7 @@ class ConstructionTrace:
 
     def corrected_member(self, elem: int, stage: int) -> bool:
         """Membership after forcing enumerated A-elements in."""
-        return elem in self.enumeration.at(stage) or self.membership.member_at(elem, stage)
-
-
-def _corrected_members(
-    universe: Sequence[int],
-    membership: Delta2Schedule,
-    enumeration: Sigma1Schedule,
-    horizon: int,
-) -> Iterator[frozenset[int]]:
-    """The members of ``universe`` at stages 1..``horizon``, an enumerated
-    A-element counting as a member from its entry on.  The set is kept
-    running and changes only at the stages where a flip or an A entry is
-    scripted."""
-    ground = frozenset(universe)
-    flips: dict[int, list[FlipEvent]] = {}
-    for ev in membership.flips:
-        flips.setdefault(ev.stage, []).append(ev)
-    entries: dict[int, list[int]] = {}
-    for e, s in enumeration.entries:
-        entries.setdefault(s, []).append(e)
-    approx = {e for e in ground if membership.member_at(e, 0)}
-    in_a: set[int] = set()
-    members = frozenset(approx)
-    for stage in range(1, horizon + 1):
-        if stage in flips or stage in entries:
-            for ev in flips.get(stage, ()):
-                if ev.value:
-                    approx.add(ev.elem)
-                else:
-                    approx.discard(ev.elem)
-            in_a.update(entries.get(stage, ()))
-            members = ground & (approx | in_a)
-        yield members
+        return _corrected_at(self.membership, self.enumeration, stage)(elem)
 
 
 def going_down_run(
@@ -262,7 +238,9 @@ def going_down_run(
         raise IncoherentSchedule("A must be a subset of the target set")
     if not membership.target <= set(universe):
         raise IncoherentSchedule("target leaves the universe")
-    if horizon <= max(membership.last_flip_stage(), enumeration.last_stage()):
+    # Membership can change only where a flip or an A entry is scripted.
+    scripted = {ev.stage for ev in membership.flips} | {s for _, s in enumeration.entries}
+    if horizon <= max(scripted, default=0):
         raise IncoherentSchedule("horizon must lie past all scripted events")
     if len(presentation.signature_order) > len(membership.target):
         raise IncoherentSchedule(
@@ -324,7 +302,10 @@ def going_down_run(
             StageRecord(stage, event, len(images), tuple(symbols), tuple(images), **extra)
         )
 
-    for stage, members in enumerate(_corrected_members(universe, membership, enumeration, horizon), 1):
+    members: frozenset[int] = frozenset()
+    for stage in range(1, horizon + 1):
+        if stage == 1 or stage in scripted:
+            members = frozenset(filter(_corrected_at(membership, enumeration, stage), universe))
         if not waiting:
             ran = frozenset(images)
             if ran <= members:

@@ -24,8 +24,9 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 
-#: What reading a missing key or a value of the wrong type or size raises.
-_BAD_VALUE = (KeyError, TypeError, ValueError, OverflowError)
+#: What reading a missing key, a value of the wrong type or size, or a
+#: non-object where an object's ``.items()`` or ``.get()`` is read raises.
+_BAD_VALUE = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
 
 
 def _int(value: Any, what: str) -> int:

@@ -219,9 +219,6 @@ class GroundSet:
             raise InvalidStructure("ground set ids must be non-negative")
         object.__setattr__(self, "elements", tuple(sorted(elems)))
 
-    def __contains__(self, e: int) -> bool:
-        return e in set(self.elements)
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -19,6 +19,9 @@ from typing import Iterable, Optional
 from .errors import InvalidConfig, InvalidElement, InvalidSequence
 from .matroid import Matroid, Memo, canon, elements_of
 
+#: The longest sequence, t1 included, that a run follows unless told otherwise.
+DEFAULT_BUDGET = 64
+
 
 @dataclass(frozen=True)
 class PPSConfig:
@@ -162,7 +165,7 @@ def pps_candidates(m: Matroid, seq: PPSSequence) -> list[int]:
     return list(_successors(steps, seq.config, seq.ts))
 
 
-def iter_runs(m: Matroid, config: PPSConfig, strategy: str = "least", budget: int = 64):
+def iter_runs(m: Matroid, config: PPSConfig, strategy: str = "least", budget: int = DEFAULT_BUDGET):
     """Yield maximal runs lazily, depth-first in candidate order."""
     if budget < 1:
         raise InvalidSequence("budget must be >= 1")
@@ -189,7 +192,7 @@ def _runs(steps: Memo, config: PPSConfig, strategy: str, budget: int, ts: tuple[
 
 
 def pps_run(
-    m: Matroid, config: PPSConfig, strategy: str = "least", budget: int = 64
+    m: Matroid, config: PPSConfig, strategy: str = "least", budget: int = DEFAULT_BUDGET
 ) -> list[PPSRun]:
     """Run the generation procedure.
 
@@ -221,7 +224,7 @@ def pps_verify(m: Matroid, seq: PPSSequence) -> PPSReport:
     return PPSReport(True, steps_valid, outside, injective, detail)
 
 
-def pps_find_cycle(m: Matroid, budget: int = 64) -> CycleSearch:
+def pps_find_cycle(m: Matroid, budget: int = DEFAULT_BUDGET) -> CycleSearch:
     """Search every configuration and every branch for a cyclic PPS.
 
     Configurations come net by net, then ordered paddle pairs and starts

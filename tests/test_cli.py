@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatgeom
-from flatgeom import corpus, flatness, jsonio, spectrum
+from flatgeom import corpus, flatness, jsonio, matroid, spectrum
 from flatgeom.cli import build_parser, run_command
 from flatgeom.errors import MatroidContractError
 from flatgeom.flatness import check_flat
@@ -590,6 +590,24 @@ class TestCommands:
                 },
                 "closure table lists subset [0] twice",
             ),
+            (
+                "lambda acl --bbar 0,1 --scenario",
+                {**jsonio.scenario_to_json(corpus.sigma1_chain()), "counts": []},
+                "bad scenario document: 'list' object has no attribute 'items'",
+            ),
+            (
+                "effective going-down --scenario",
+                {
+                    **DEMO_EFFECTIVE,
+                    "structure": {**DEMO_EFFECTIVE["structure"], "relations": ["phi"]},
+                },
+                "bad relational structure: 'list' object has no attribute 'items'",
+            ),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "A_stages": [[0, 1]]},
+                "bad effective scenario: 'list' object has no attribute 'items'",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -621,6 +639,9 @@ class TestCommands:
             "count-key-repeats-an-element",
             "table-subset-twice-in-two-orders",
             "table-set-list-twice",
+            "counts-not-an-object",
+            "relations-not-an-object",
+            "a-stages-not-an-object",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(
@@ -733,6 +754,32 @@ FUZZ_LEAF = st.one_of(
 )
 
 
+#: One document per reader kind, and a command that reads it.
+SWEEP_DOCUMENTS = {
+    "linear": ("circuits --max-size 3 --matroid", jsonio.matroid_to_json(corpus.gf2_3())),
+    "uniform": ("flatness --matroid", jsonio.matroid_to_json(uniform_matroid(2, 4))),
+    "closure-table": ("pregeom verify --matroid", CT_U23),
+    "phi_demo": ("lambda closure --x 0,1 --structure", jsonio.structure_to_json(corpus.phi_demo())),
+    "sigma1_chain": ("ild --scenario", jsonio.scenario_to_json(corpus.sigma1_chain(3))),
+    "going_down_demo": ("effective going-down --scenario", DEMO_EFFECTIVE),
+}
+
+#: What the key sweep puts at each key: every JSON type, the integers -1
+#: and 0, and containers holding a container or a string.
+SWEEP_SHAPES = [[], {}, "x", 1.5, None, True, -1, 0, [[]], [{}], {"a": 1}, ["x"]]
+
+
+def _key_paths(doc, path=()):
+    """The path to every object member of ``doc``, inside lists too."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield path + (key,)
+            yield from _key_paths(value, path + (key,))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _key_paths(value, path + (i,))
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -775,6 +822,22 @@ class TestFuzz:
         target.write_text(json.dumps(mutated))
         code, _, err = _run_in_process(command.split() + [str(target)])
         _assert_contained(code, err)
+
+    @pytest.mark.parametrize("name", list(SWEEP_DOCUMENTS))
+    def test_every_key_takes_every_shape(self, name, tmp_path):
+        command, doc = SWEEP_DOCUMENTS[name]
+        target = tmp_path / "in.json"
+        escaped = []
+        for path, shape in product(_key_paths(doc), SWEEP_SHAPES):
+            target.write_text(json.dumps(_replace_leaf(doc, path, shape)))
+            try:
+                code, out, err = _run_in_process(command.split() + [str(target)])
+            except Exception as e:
+                escaped.append((path, shape, repr(e)))
+                continue
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (path, shape)
+        assert escaped == []
 
 
 
@@ -836,10 +899,13 @@ class TestStartup:
         flatness_args = ["flatness", "--matroid", "corpus:gf2_3"]
         spectrum_args = ["spectrum", "check", "--n", "2"]
         assert parser.parse_args(flatness_args).max_sigma == flatness.DEFAULT_MAX_SIGMA
+        assert parser.parse_args(flatness_args).max_ground == matroid.DEFAULT_VERIFY_BOUND
         assert parser.parse_args(spectrum_args).horizon == spectrum.DEFAULT_HORIZON
         monkeypatch.setattr(flatness, "DEFAULT_MAX_SIGMA", 7)
+        monkeypatch.setattr(matroid, "DEFAULT_VERIFY_BOUND", 8)
         monkeypatch.setattr(spectrum, "DEFAULT_HORIZON", 9)
         assert build_parser().parse_args(flatness_args).max_sigma == 7
+        assert build_parser().parse_args(flatness_args).max_ground == 8
         assert build_parser().parse_args(spectrum_args).horizon == 9
 
     @pytest.mark.parametrize(

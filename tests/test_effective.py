@@ -85,6 +85,36 @@ class TestCoherence:
         with pytest.raises(IncoherentSchedule):
             going_down_run(pres, membership, enumeration, horizon=8)
 
+    @pytest.mark.parametrize(
+        "target, flips, entries, horizon, message",
+        [
+            (range(5), (FlipEvent(2, 2, False), FlipEvent(2, 6, True)), {2: 3}, 6,
+             "horizon must lie past all scripted events"),
+            (range(5), (FlipEvent(2, 2, False), FlipEvent(2, 6, True)), {2: 7}, 7,
+             "horizon must lie past all scripted events"),
+            ({0, 9}, (), {0: 1}, 8, "target leaves the universe"),
+            ({0}, (), {0: 1}, 8, "signature has more symbols than extension steps available"),
+            # Several faults: the earliest check names the input.
+            ({0, 9}, (), {4: 9}, 9, "A must be a subset of the target set"),
+            ({0, 9}, (), {0: 9}, 9, "target leaves the universe"),
+            ({0}, (), {0: 9}, 9, "horizon must lie past all scripted events"),
+        ],
+        ids=[
+            "horizon-at-last-flip",
+            "horizon-at-last-a-entry",
+            "target-off-universe",
+            "more-symbols-than-targets",
+            "a-outside-target-first",
+            "target-off-universe-before-horizon",
+            "horizon-before-symbols",
+        ],
+    )
+    def test_refusal_names_the_first_fault(self, target, flips, entries, horizon, message):
+        membership = Delta2Schedule(frozenset(target), flips)
+        with pytest.raises(IncoherentSchedule) as refused:
+            going_down_run(_plain_presentation(), membership, Sigma1Schedule.of(entries), horizon)
+        assert str(refused.value) == message
+
 
 class TestStuckDiagnostic:
     def test_unmatchable_type_with_no_witness(self):
