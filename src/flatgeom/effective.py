@@ -76,9 +76,9 @@ class RelationalStructure:
 class StagewisePresentation:
     """Structure plus the order in which its symbols are revealed.
 
-    ``matroid`` is the geometric view when one exists (needed by the
-    closure-approximation generator); plain relational scenarios leave it
-    unset.
+    ``matroid`` is the geometric view on the universe when one exists
+    (needed by the closure-approximation generator); plain relational
+    scenarios leave it unset.
     """
 
     structure: RelationalStructure
@@ -88,6 +88,8 @@ class StagewisePresentation:
     def __post_init__(self):
         if sorted(self.signature_order) != sorted(self.structure.relations):
             raise InvalidStructure("signature order must list each symbol once")
+        if self.matroid is not None and self.matroid.ground.elements != self.structure.universe:
+            raise InvalidStructure("universe disagrees with the matroid's ground set")
 
 
 @dataclass(frozen=True)
@@ -238,6 +240,9 @@ def going_down_run(
         raise IncoherentSchedule("A must be a subset of the target set")
     if not membership.target <= set(universe):
         raise IncoherentSchedule("target leaves the universe")
+    off = sorted({ev.elem for ev in membership.flips}.difference(universe))
+    if off:
+        raise IncoherentSchedule(f"flip element {off[0]} leaves the universe")
     # Membership can change only where a flip or an A entry is scripted.
     scripted = {ev.stage for ev in membership.flips} | {s for _, s in enumeration.entries}
     if horizon <= max(scripted, default=0):

@@ -36,13 +36,12 @@ violation is always an antichain, and the search skips every collection
 that is not one.  The first violation it meets is therefore the least one
 over all collections.
 
-Within the work cap, the search of three or more flats is skipped when
-Mason's alpha is >= 0 on every set (``_alpha_nonnegative``): the matroid
-is then a strict gammoid (Mason, Proc. London Math. Soc. 1972), and a
-pregeometry is flat iff it is one (Evans, arXiv:1105.3822), so no
-collection violates.  The verdict strings are the ones the search would
-give.  Pairs are still searched and every meet and join still read, so a
-table that is no pregeometry fails as the search would make it fail.
+Within the work cap, the search is skipped when Mason's alpha is >= 0
+on every set (``_alpha_nonnegative``): the matroid is then a strict
+gammoid (Mason, Proc. London Math. Soc. 1972), and a pregeometry is flat
+iff it is one (Evans, arXiv:1105.3822), so no collection violates (no
+pair ever does, by submodularity).  ``check_flat`` verifies that a
+closure table is a pregeometry before anything else.
 """
 
 from __future__ import annotations
@@ -55,8 +54,8 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
 from .matroid import (
-    DEFAULT_VERIFY_BOUND, Flat, Matroid, Memo, _low_bits, canon, elements_of, mask_of, size_lex,
-    subset_universe,
+    DEFAULT_VERIFY_BOUND, ClosureTableOracle, Flat, Matroid, Memo, _low_bits, canon, elements_of,
+    mask_of, size_lex, subset_universe,
 )
 
 #: Default cap on |Sigma| in the violation search.  It bounds the search
@@ -194,16 +193,6 @@ class _MeetTable:
                 raise MatroidContractError(f"closure {list(elements_of(cl))} is not among the flats")
             self._joins[key] = j
         return j
-
-    def check_lattice(self) -> None:
-        """Read every meet row and every join, so that a table that is no
-        lattice of flats raises the MatroidContractError that a search of
-        any size could raise."""
-        n = len(self.sets)
-        for i in range(n):
-            self.meet[i]
-            for j in range(i + 1, n):
-                self.join(i, j)
 
     def after(self, gains: list[int], f: int) -> list[int]:
         """The gain vector of S + F, from the gain vector ``gains`` of S
@@ -366,15 +355,21 @@ def check_flat(
     of subset terms in scoring every collection from scratch, the sum over
     sizes s of C(n, s) * 2**s for n flats.
 
+    A closure table that is no pregeometry raises MatroidContractError
+    naming its least violation, as ``verify_pregeometry`` finds it.
     Within the work cap a flat verdict may come from Mason's alpha
-    criterion (Mason 1972; Evans, arXiv:1105.3822) instead of the search
-    of three or more flats; it is the same "flat-up-to" or
+    criterion instead of the search; it is the same "flat-up-to" or
     "flat-exhaustive" verdict.  Where alpha < 0 the search runs, and a
     search of every collection that finds nothing raises
     MatroidContractError, since the two criteria must agree.
     """
     if max_collection_size < 1:
         raise EmptyCollection("max_collection_size must be >= 1")
+    if isinstance(m.oracle, ClosureTableOracle):
+        v = m.verify_pregeometry(max_ground=len(m.ground)).violation
+        if v:
+            at = f"{v.kind} at {list(v.subset)}, a={v.a}, b={v.b}"
+            raise MatroidContractError(f"closure table is no pregeometry: {at}")
     if is_disintegrated(m, max_ground=max_ground, sample=sample, seed=seed):
         return FlatnessVerdict("disintegrated")
 
@@ -389,25 +384,10 @@ def check_flat(
             f"{nflats} flats -> ~{work} subset terms exceeds work cap; "
             "pass sample= / --sample or lower the bound"
         )
-    table = _MeetTable(m, flats)
-
-    if not sampled:
-        # With alpha >= 0 the pairs are still searched and every meet and
-        # join read (see the module docstring); at top 2 that is the search.
-        alpha_ok = _alpha_nonnegative(m, flats) if top >= 3 else None
-        if alpha_ok:
-            hit = table.least_violation(2)
-            if not hit:
-                table.check_lattice()
-        else:
-            hit = table.least_violation(top)
-            if not hit and alpha_ok is False and top == nflats:
-                raise MatroidContractError(
-                    "no collection of flats violates flatness, yet Mason's alpha is negative"
-                )
-    else:
-        rng = random.Random(seed)
-        hit = None
+    alpha_ok = _alpha_nonnegative(m, flats) if not sampled and top >= 3 else None
+    hit = None
+    if sampled:
+        table, rng = _MeetTable(m, flats), random.Random(seed)
         for _ in range(sample):
             size = rng.randint(1, top)
             picked = rng.sample(range(nflats), size)
@@ -415,6 +395,12 @@ def check_flat(
             if d < u:
                 hit = picked, d, u
                 break
+    elif not alpha_ok:
+        hit = _MeetTable(m, flats).least_violation(top)
+        if not hit and alpha_ok is False and top == nflats:
+            raise MatroidContractError(
+                "no collection of flats violates flatness, yet Mason's alpha is negative"
+            )
     if hit:
         picked, d, u = hit
         return FlatnessVerdict(

@@ -48,6 +48,14 @@ def _ints(values: Any, what: str) -> tuple[int, ...]:
     return values
 
 
+def _list(doc: Any, key: str) -> list:
+    """``doc[key]``, [] if absent; InputError naming the key unless a list."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise InputError(f"{key} must be a list, got {value!r}")
+    return value
+
+
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -177,13 +185,13 @@ def scenario_from_json(doc: Any) -> EnumeratedStructure:
         # Without stages, phi is revealed in one stage.
         reveal = [
             [_ints(t, "reveal tuple member") for t in stage["reveal"]]
-            for stage in doc.get("stages", [])
+            for stage in _list(doc, "stages")
         ] or [sorted(g.phi)]
         counts = {
             _fiber_key_parse(k): _int(v, f"count {k}")
             for k, v in doc.get("counts", {}).items()
         }
-        seeds = [frozenset(_ints(s, "infinite seed member")) for s in doc.get("infinite_seeds", [])]
+        seeds = [frozenset(_ints(s, "infinite seed member")) for s in _list(doc, "infinite_seeds")]
         return EnumeratedStructure.of(g, reveal, counts, seeds)
     except _BAD_VALUE as e:
         raise InputError(f"bad scenario document: {e}") from None
@@ -266,7 +274,7 @@ def effective_scenario_from_json(
         )
         flips = tuple(
             FlipEvent(_int(f["elem"], "flip elem"), _int(f["stage"], "flip stage"), f["in"])
-            for f in doc.get("flips", [])
+            for f in _list(doc, "flips")
         )
         bad = [ev.value for ev in flips if not isinstance(ev.value, bool)]
         if bad:
@@ -276,13 +284,12 @@ def effective_scenario_from_json(
             flips,
             _int(doc.get("max_flips", 3), "max_flips"),
         )
-        membership.validate()
         entries = []
         for stage, elems in doc.get("A_stages", {}).items():
             for e in elems:
                 entries.append((_int(e, "A_stages element"), int(stage)))
         enumeration = Sigma1Schedule.of(entries)
-        declared = frozenset(_int(x, "A element") for x in doc.get("A", []))
+        declared = frozenset(_int(x, "A element") for x in _list(doc, "A"))
         if declared and declared != enumeration.target:
             raise InputError("A and A_stages disagree")
         horizon = _int(doc["horizon"], "horizon")

@@ -19,6 +19,9 @@ itself, as ``rank(s, ground)`` and ``closure(s, ground)``:
   closure masks.  Rank is recovered greedily from the same table.  Every
   table is built by ``closure_table_matroid`` and every tabulation of a
   matroid is read from ``table_rows``, closure-table documents included.
+  The other two families are pregeometries by construction and are never
+  checked; a table may break the axioms, so ``flatness.check_flat`` runs
+  ``verify_pregeometry`` on it first.
 
 A ``Matroid`` memoises rank and closure in one unbounded dict cache each,
 keyed by mask; the scans here and in the analyses (flats, circuits, the
@@ -346,12 +349,9 @@ class UniformOracle:
 
 @dataclass(frozen=True)
 class ClosureTableOracle:
-    """Complete explicit closure table, from subset masks to closure masks.
-
-    The table must contain an entry for every subset of the ground set;
-    validity of the axioms is *not* assumed (``verify_pregeometry`` exists
-    to check it), but lookups on missing keys are an input error.
-    """
+    """Complete explicit closure table, from subset masks to closure masks:
+    one entry for every subset of the ground set, a lookup on a missing key
+    being an input error.  The axioms are not assumed."""
 
     table: Mapping[int, int]
 

@@ -5,8 +5,9 @@ start t1 outside cl(X + {a1, a2}).  Step i extends the sequence by some
 t inside cl(X + {a_j, t_i}) but outside cl(X + {a_j}), distinct from t_i,
 where the paddle alternates with the parity of i (step 1 uses a1).
 
-In a flat geometry such sequences never repeat an element, so in a finite
-flat geometry they terminate; a repeat (cycle) certifies non-flatness.
+In a flat geometry (no loops, no parallel pairs) such sequences never
+repeat an element, so they terminate and a repeat (cycle) certifies
+non-flatness; a flat pregeometry may hold a cycle through a parallel pair.
 The element choices are made explicit here: the "least" strategy always
 takes the smallest candidate id, "all-branches" explores the whole tree.
 """

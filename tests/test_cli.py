@@ -179,13 +179,12 @@ class TestCommands:
     @pytest.mark.parametrize(
         "ground, changed, reason",
         [
-            # Not monotone: {2} lies in {0, 2} but cl {2} = {1, 2} does not,
-            # so the meet {2} of the flats {0, 2} and {1, 2} is not closed.
-            (3, {(2,): (1, 2), (0, 1): (0, 1, 2)}, "intersection of two flats"),
-            # Not idempotent: cl {1} = {1, 3} but cl {1, 3} is the whole
-            # ground, and the join {0, 1, 3} of {0} and {1, 3} is no flat.
+            # cl {2} = {1, 2} holds 1, outside cl {} = {}, yet cl {1} = {1}
+            # misses 2: exchange fails at the empty set.
+            (3, {(2,): (1, 2), (0, 1): (0, 1, 2)}, "exchange at [], a=1, b=2"),
+            # cl {1} = {1, 3}, yet cl {3} = {3} misses 1.
             (4, {(1,): (1, 3), (0, 1): (0, 1, 2, 3), (1, 2): (0, 1, 2, 3),
-                 (1, 3): (0, 1, 2, 3), (2, 3): (1, 2, 3)}, "not among the flats"),
+                 (1, 3): (0, 1, 2, 3), (2, 3): (1, 2, 3)}, "exchange at [], a=3, b=1"),
         ],
         ids=["meet", "join"],
     )
@@ -200,12 +199,13 @@ class TestCommands:
         doc = {"type": "closure-table", "ground": ground, "closure": closure}
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(MatroidContractError, match=reason):
+        fault = f"closure table is no pregeometry: {reason}"
+        with pytest.raises(MatroidContractError, match=re.escape(fault)):
             check_flat(jsonio.matroid_from_json(doc))
         code = run_command(["flatness", "--matroid", str(path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err == f"error: {fault}\n"
 
     def test_unknown_flag_exits_two(self, capsys):
         code, _ = run(capsys, "flatness", "--matroid", "corpus:gf2_3", "--bogus")
@@ -608,6 +608,39 @@ class TestCommands:
                 {**DEMO_EFFECTIVE, "A_stages": [[0, 1]]},
                 "bad effective scenario: 'list' object has no attribute 'items'",
             ),
+            (
+                "effective going-down --scenario",
+                {
+                    **DEMO_EFFECTIVE,
+                    "structure": {
+                        **DEMO_EFFECTIVE["structure"],
+                        "matroid": {"type": "linear", "field": 2, "columns": [[1]]},
+                    },
+                },
+                "universe disagrees with the matroid's ground set",
+            ),
+            (
+                "effective going-down --scenario",
+                {
+                    **DEMO_EFFECTIVE,
+                    "flips": [*DEMO_EFFECTIVE["flips"], {"elem": 40, "stage": 19, "in": False}],
+                },
+                "flip element 40 leaves the universe",
+            ),
+            ("effective going-down --scenario", {**DEMO_EFFECTIVE, "flips": {}},
+             "flips must be a list, got {}"),
+            ("effective going-down --scenario", {**DEMO_EFFECTIVE, "A": {}},
+             "A must be a list, got {}"),
+            (
+                "ild --scenario",
+                {**jsonio.scenario_to_json(corpus.sigma1_chain()), "stages": {}},
+                "stages must be a list, got {}",
+            ),
+            (
+                "ild --scenario",
+                {**jsonio.scenario_to_json(corpus.sigma1_chain()), "infinite_seeds": {}},
+                "infinite_seeds must be a list, got {}",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -642,6 +675,12 @@ class TestCommands:
             "counts-not-an-object",
             "relations-not-an-object",
             "a-stages-not-an-object",
+            "matroid-ground-off-universe",
+            "flip-off-universe",
+            "flips-not-a-list",
+            "a-not-a-list",
+            "stages-not-a-list",
+            "infinite-seeds-not-a-list",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

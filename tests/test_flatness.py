@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 from functools import cache
 from itertools import combinations, product
@@ -28,6 +29,7 @@ from flatgeom.matroid import (
     subsets,
     uniform_matroid,
 )
+from flatgeom.pingpong import pps_find_cycle
 
 
 def paper_example_flats(gf2):
@@ -384,6 +386,29 @@ class TestMasonAlpha:
             not_flat += not clean
         assert len(pool) >= 100 and not_flat >= 25
 
+    def test_pingpong_cycle_on_a_geometry_means_negative_alpha(self):
+        # A cycle certifies non-flatness on a geometry (no loops, no
+        # parallel pairs).  On a pregeometry a cycle can pass through a
+        # parallel pair: two flat hosts of the pool hold one of length 3.
+        simple = cycles = 0
+        through_parallel = {}
+        for name, m, rank in alpha_pool():
+            search = pps_find_cycle(m)
+            assert search.status != "budget-exceeded", name
+            points = [m.closure((e,)) for e in m.ground.elements]
+            if not m.closure(()) and all(p == {e} for e, p in zip(m.ground.elements, points)):
+                simple += 1
+                if search.status == "found":
+                    cycles += 1
+                    assert ref_alpha_min(m, rank) < 0, name
+            elif search.status == "found" and search.run.cycle_length >= 3:
+                ts = search.run.sequence.ts
+                assert any(m.closure((a,)) == m.closure((b,)) for a, b in zip(ts, ts[1:])), name
+                assert check_flat(m, exhaustive=True).kind == "flat-exhaustive", name
+                through_parallel[name.split()[0]] = ts
+        assert (simple, cycles) == (85, 27)
+        assert through_parallel == {"gf2#2": (2, 4, 5, 2), "gf3#3": (2, 3, 4, 2)}
+
     def test_search_that_ends_clean_despite_negative_alpha_is_an_error(self, monkeypatch):
         # U(2,3) has five flats: a search of all five that finds nothing
         # contradicts alpha < 0; a search of four claims no more.
@@ -398,9 +423,9 @@ class TestMasonAlpha:
     @pytest.mark.parametrize(
         "ground, changed, reason",
         [
-            (3, {(2,): (1, 2), (0, 1): (0, 1, 2)}, "intersection of two flats"),
+            (3, {(2,): (1, 2), (0, 1): (0, 1, 2)}, "exchange at [], a=1, b=2"),
             (4, {(1,): (1, 3), (0, 1): (0, 1, 2, 3), (1, 2): (0, 1, 2, 3),
-                 (1, 3): (0, 1, 2, 3), (2, 3): (1, 2, 3)}, "not among the flats"),
+                 (1, 3): (0, 1, 2, 3), (2, 3): (1, 2, 3)}, "exchange at [], a=3, b=1"),
         ],
         ids=["meet", "join"],
     )
@@ -408,22 +433,25 @@ class TestMasonAlpha:
         self, monkeypatch, ground, changed, reason
     ):
         # The two closure tables of the CLI's non-pregeometry test: alpha
-        # answers past pairs, and reading the lattice raises as before.
+        # would call them flat, and the table check raises before any search.
         table = {s: changed.get(s, s) for s in subsets(tuple(range(ground)))}
         m = closure_table_matroid(ground, table)
         assert flatness._alpha_nonnegative(m, m.flats())
         tops = search_sizes(monkeypatch)
-        with pytest.raises(MatroidContractError, match=reason):
+        with pytest.raises(MatroidContractError, match=re.escape(reason)):
             check_flat(m)
-        assert tops == [2]
+        assert tops == []
 
     @pytest.mark.parametrize(
         "m", [corpus.pps_chain(6), uniform_matroid(3, 7)], ids=["pps_chain(6)", "U(3,7)"]
     )
     def test_flat_hosts_are_answered_without_a_search_past_pairs(self, monkeypatch, m):
+        # No pair violates in a pregeometry, and alpha >= 0 rules out the
+        # rest: no meet table is built and nothing is searched.
         tops = search_sizes(monkeypatch)
+        monkeypatch.setattr(flatness, "_MeetTable", None)
         assert check_flat(m, 4) == flatness.FlatnessVerdict("flat-up-to", bound=4)
-        assert tops == [2]
+        assert tops == []
 
     def test_walk_past_its_bound_leaves_the_verdict_to_the_search(self, monkeypatch):
         # pps_chain(6) has positive cyclic flats whose unions need walking.

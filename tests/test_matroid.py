@@ -20,11 +20,13 @@ from conftest import (
     sparse_paving_rank,
 )
 from flatgeom import corpus, jsonio
+from flatgeom.flatness import check_flat
 from flatgeom.pingpong import pps_find_cycle
 from flatgeom.errors import (
     GroundTooLarge,
     InvalidElement,
     InvalidStructure,
+    MatroidContractError,
     NoLargeCircuit,
     NotIndependent,
 )
@@ -355,6 +357,29 @@ class TestVerifyCriterion:
             failing += not want
         assert len(closure_table_pool) >= 2000
         assert failing >= len(closure_table_pool) / 4
+
+    def test_check_flat_refuses_exactly_the_non_pregeometries(self, closure_table_pool):
+        for n, table in closure_table_pool:
+            m = closure_table_matroid(n, table)
+            if ref_pregeometry_ok(n, table):
+                check_flat(m, 3)
+            else:
+                with pytest.raises(MatroidContractError, match="^closure table is no pregeometry: "):
+                    check_flat(m, 3)
+
+    def test_linear_and_sparse_paving_hosts_are_pregeometries(self):
+        # check_flat checks only closure tables: the other hosts are
+        # pregeometries by construction, loops and parallel pairs included.
+        linear = [linear_matroid(q, cols) for q, cols in seeded_linear_hosts()]
+        paving = []
+        for seed in range(40):
+            rng = random.Random(f"sparse-paving-pregeometry/{seed}")
+            rank = seed % 4 + 1
+            size = rng.randint(rank, 9)
+            paving.append(sparse_paving_matroid(size, rank, seeded_nonbases(rng, size, rank, 30)))
+        assert sum(bool(m.oracle.nonbases) for m in paving) >= 30
+        for m in linear + paving:
+            assert m.verify_pregeometry(max_ground=len(m.ground)).ok, m.oracle
 
     def test_scan_alone_gives_the_same_reports(self, closure_table_pool, small_corpus, monkeypatch):
         hosts = [lambda n=n, t=t: closure_table_matroid(n, t) for n, t in closure_table_pool]
