@@ -48,9 +48,10 @@ def _ints(values: Any, what: str) -> tuple[int, ...]:
     return values
 
 
-def _list(doc: Any, key: str) -> list:
-    """``doc[key]``, [] if absent; InputError naming the key unless a list."""
-    value = doc.get(key, [])
+def _list(doc: Any, key: str, required: bool = False) -> list:
+    """``doc[key]``; if absent, KeyError when ``required`` and [] otherwise;
+    InputError naming the key unless a list."""
+    value = doc[key] if required else doc.get(key, [])
     if not isinstance(value, list):
         raise InputError(f"{key} must be a list, got {value!r}")
     return value
@@ -103,7 +104,7 @@ def matroid_from_json(doc: Any) -> matroid.Matroid:
     kind = doc["type"]
     try:
         if kind == "linear":
-            return linear_matroid(_int(doc["field"], "field"), doc["columns"])
+            return linear_matroid(_int(doc["field"], "field"), _list(doc, "columns", required=True))
         if kind == "uniform":
             return uniform_matroid(_int(doc["rank"], "rank"), _int(doc["size"], "size"))
         if kind == "closure-table":
@@ -218,7 +219,7 @@ def relational_from_json(doc: Any) -> RelationalStructure:
         rels = {
             name: (
                 _int(spec["arity"], f"{name} arity"),
-                [_ints(t, f"{name} tuple member") for t in spec["tuples"]],
+                [_ints(t, f"{name} tuple member") for t in _list(spec, "tuples", required=True)],
             )
             for name, spec in doc["relations"].items()
         }
@@ -280,7 +281,7 @@ def effective_scenario_from_json(
         if bad:
             raise InputError(f'flip "in" must be true or false, got {bad[0]!r}')
         membership = Delta2Schedule(
-            frozenset(_int(x, "M element") for x in doc["M"]),
+            frozenset(_int(x, "M element") for x in _list(doc, "M", required=True)),
             flips,
             _int(doc.get("max_flips", 3), "max_flips"),
         )

@@ -38,13 +38,20 @@ class PPSConfig:
         return cls(canon(net), a1, a2, t1)
 
     def validate(self, m: Matroid) -> None:
+        self._masks(m)
+
+    def _masks(self, m: Matroid) -> tuple[int, int]:
+        """``validate``, returning the masks of the net and of its span with
+        the paddles, cl(net + {a1, a2})."""
         if self.a1 == self.a2:
             raise InvalidConfig("paddles must be distinct")
         x, pair, t1 = m._check(self.net), m._check((self.a1, self.a2)), m._check((self.t1,))
         if not m._independent_over(pair, x):
             raise InvalidConfig("paddles are not independent over the net")
-        if m._closure_mask(x | pair) & t1:
+        span = m._closure_mask(x | pair)
+        if span & t1:
             raise InvalidConfig("t1 lies in the closure of net and paddles")
+        return x, span
 
     def paddle(self, i: int) -> int:
         """Element used at step i (1-based); step 1 hits with a1."""
@@ -136,16 +143,10 @@ def _steps(m: Matroid, net: int) -> Memo:
     return steps
 
 
-def _successors(steps: Memo, cfg: PPSConfig, ts: tuple[int, ...]) -> tuple[int, ...]:
-    """Legal next elements after ``ts``, ascending: with t the last element
-    and a the paddle of step len(ts), ``steps[a, t]``."""
-    return steps[cfg.paddle(len(ts)), ts[-1]]
-
-
 def _check_steps(steps: Memo, seq: PPSSequence) -> None:
     """Raise InvalidSequence at the first step of ``seq`` that breaks the
     step rule; its configuration must already be valid."""
-    ts = seq.ts
+    ts, a1, a2 = seq.ts, seq.config.a1, seq.config.a2
     if not ts:
         raise InvalidSequence("sequence must contain t1")
     if ts[0] != seq.config.t1:
@@ -153,43 +154,52 @@ def _check_steps(steps: Memo, seq: PPSSequence) -> None:
     for i in range(1, len(ts)):
         if ts[i] == ts[i - 1]:
             raise InvalidSequence(f"step {i} repeats its predecessor")
-        if ts[i] not in _successors(steps, seq.config, ts[:i]):
+        if ts[i] not in steps[a1 if i % 2 else a2, ts[i - 1]]:
             raise InvalidSequence(f"step {i} violates the ping-pong rule")
 
 
 def pps_candidates(m: Matroid, seq: PPSSequence) -> list[int]:
     """All legal next elements, ascending, in a fresh list; empty means the
     PPS terminates."""
-    seq.config.validate(m)
-    steps = _steps(m, m._check(seq.config.net))
+    cfg, ts = seq.config, seq.ts
+    steps = _steps(m, cfg._masks(m)[0])
     _check_steps(steps, seq)
-    return list(_successors(steps, seq.config, seq.ts))
+    return list(steps[cfg.paddle(len(ts)), ts[-1]])
 
 
 def iter_runs(m: Matroid, config: PPSConfig, strategy: str = "least", budget: int = DEFAULT_BUDGET):
     """Yield maximal runs lazily, depth-first in candidate order."""
     if budget < 1:
         raise InvalidSequence("budget must be >= 1")
-    config.validate(m)
+    net = config._masks(m)[0]
     if strategy not in ("least", "all-branches"):
         raise InvalidSequence(f"unknown strategy {strategy!r}")
-    yield from _runs(_steps(m, m._check(config.net)), config, strategy, budget, (config.t1,))
+    yield from _runs(_steps(m, net), config, strategy, budget)
 
 
-def _runs(steps: Memo, config: PPSConfig, strategy: str, budget: int, ts: tuple[int, ...]):
-    """``iter_runs`` from the prefix ``ts``, with its arguments trusted."""
-    cands = _successors(steps, config, ts)
-    if not cands:
-        yield PPSRun(PPSSequence(config, ts), "terminated")
-        return
-    if len(ts) >= budget:
-        yield PPSRun(PPSSequence(config, ts), "budget")
-        return
-    for c in cands if strategy == "all-branches" else cands[:1]:
-        if c in ts:
-            yield PPSRun(PPSSequence(config, ts + (c,)), "cycle", ts.index(c) + 1)
+def _runs(steps: Memo, config: PPSConfig, strategy: str, budget: int):
+    """``iter_runs`` with its arguments trusted: a depth-first walk of the
+    prefixes from (t1,) on an explicit stack, children pushed in reverse so
+    the least pops first.  A prefix whose last element repeats an earlier
+    one is a cycle and is not extended."""
+    a1, a2, every = config.a1, config.a2, strategy == "all-branches"
+    stack = [(config.t1,)]
+    while stack:
+        ts = stack.pop()
+        n, t = len(ts), ts[-1]
+        first = ts.index(t)
+        if first < n - 1:
+            yield PPSRun(PPSSequence(config, ts), "cycle", first + 1)
+            continue
+        cands = steps[a1 if n % 2 else a2, t]
+        if not cands:
+            yield PPSRun(PPSSequence(config, ts), "terminated")
+        elif n >= budget:
+            yield PPSRun(PPSSequence(config, ts), "budget")
+        elif every:
+            stack.extend([ts + (c,) for c in reversed(cands)])
         else:
-            yield from _runs(steps, config, strategy, budget, ts + (c,))
+            stack.append(ts + cands[:1])
 
 
 def pps_run(
@@ -207,18 +217,16 @@ def pps_run(
 def pps_verify(m: Matroid, seq: PPSSequence) -> PPSReport:
     """Report step-validity, the outside-the-paddle-span property, and
     injectivity of a sequence.  Never raises; failures land in the report."""
-    cfg = seq.config
     try:
-        cfg.validate(m)
+        net, span = seq.config._masks(m)
     except (InvalidConfig, InvalidElement) as e:
         return PPSReport(False, False, False, False, str(e))
     try:
-        _check_steps(_steps(m, m._check(cfg.net)), seq)
+        _check_steps(_steps(m, net), seq)
         steps_valid, detail = True, ""
     except InvalidSequence as e:
         steps_valid, detail = False, str(e)
 
-    span = m._closure_mask(m._check((*cfg.net, cfg.a1, cfg.a2)))
     # A later t may be any int, off the ground set or negative: not in span.
     outside = not any(t >= 0 and span >> t & 1 for t in seq.ts)
     injective = len(set(seq.ts)) == len(seq.ts)
@@ -235,33 +243,45 @@ def pps_find_cycle(m: Matroid, budget: int = DEFAULT_BUDGET) -> CycleSearch:
     rank(ground), so these flats cover every configuration up to
     equivalence.  The first cycle in this fixed order is returned as the
     least witness.
+
+    Each check is made once.  Whether the paddles are independent over the
+    net, and their span cl(net + {a1, a2}), do not depend on the paddles'
+    order, so each unordered pair is tested once per net, when first met.
+    A start t1 with no step from a1 (``steps[a1, t1]`` empty) is dead: its
+    one run terminates at t1 whatever a2 is, so it is counted as searched
+    but not run again for the later a2 of that a1.
     """
     if budget < 1:
         raise InvalidSequence("budget must be >= 1")
     exhausted = True
     searched = 0
-    cl, ground = m._closure_mask, m.ground.elements
+    cl, ground, whole = m._closure_mask, m.ground.elements, m._ground_mask
     for net in m._closed_sets(m.full_rank - 3):
         steps, net_elems = _steps(m, net), elements_of(net)
+        # The span of each independent pair.  A dependent one gets -1, which
+        # no mask equals and which leaves no start outside it: a table off
+        # the axioms may give an independent pair the span 0.
+        spans = Memo(lambda pair: cl(net | pair) if m._independent_over(pair, net) else -1)
         for a1 in ground:
+            dead = 0
             for a2 in ground:
                 if a1 == a2:
                     continue
-                pair = 1 << a1 | 1 << a2
-                if not m._independent_over(pair, net):
-                    continue
-                span = cl(net | pair)
-                for t1 in ground:
-                    if span >> t1 & 1:
+                outside = whole & ~spans[1 << a1 | 1 << a2]
+                live = outside & ~dead
+                while live:
+                    low = live & -live
+                    live ^= low
+                    t1 = low.bit_length() - 1
+                    if not steps[a1, t1]:
+                        dead |= low
                         continue
                     # The checks above are PPSConfig.validate.
-                    searched += 1
-                    if not steps[a1, t1]:
-                        continue  # its one run terminates at t1
-                    cfg = PPSConfig(net_elems, a1, a2, t1)
-                    for run in _runs(steps, cfg, "all-branches", budget, (t1,)):
+                    for run in _runs(steps, PPSConfig(net_elems, a1, a2, t1), "all-branches", budget):
                         if run.status == "cycle":
-                            return CycleSearch("found", run, searched)
+                            found = searched + (outside & (low << 1) - 1).bit_count()
+                            return CycleSearch("found", run, found)
                         if run.status == "budget":
                             exhausted = False
+                searched += outside.bit_count()
     return CycleSearch("none" if exhausted else "budget-exceeded", None, searched)

@@ -641,6 +641,21 @@ class TestCommands:
                 {**jsonio.scenario_to_json(corpus.sigma1_chain()), "infinite_seeds": {}},
                 "infinite_seeds must be a list, got {}",
             ),
+            ("flatness --matroid", {"type": "linear", "field": 2, "columns": {}},
+             "columns must be a list, got {}"),
+            (
+                "effective going-down --scenario",
+                {
+                    **DEMO_EFFECTIVE,
+                    "structure": {
+                        **DEMO_EFFECTIVE["structure"],
+                        "relations": {"phi": {"arity": 3, "tuples": {}}},
+                    },
+                },
+                "tuples must be a list, got {}",
+            ),
+            ("effective going-down --scenario", {**DEMO_EFFECTIVE, "M": {}},
+             "M must be a list, got {}"),
         ],
         ids=[
             "negative-uniform-size",
@@ -681,6 +696,9 @@ class TestCommands:
             "a-not-a-list",
             "stages-not-a-list",
             "infinite-seeds-not-a-list",
+            "columns-not-a-list",
+            "relation-tuples-not-a-list",
+            "m-not-a-list",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

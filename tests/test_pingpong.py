@@ -1,14 +1,24 @@
+import hashlib
+import random
 from itertools import product
 
 import pytest
 
-from conftest import ref_flats
+from conftest import powerset, ref_flats, seeded_nonbases
 from flatgeom import corpus
-from flatgeom.errors import InvalidConfig, InvalidSequence
-from flatgeom.matroid import uniform_matroid
+from flatgeom.errors import InvalidConfig, InvalidElement, InvalidSequence
+from flatgeom.matroid import (
+    closure_table_matroid,
+    linear_matroid,
+    sparse_paving_matroid,
+    table_from_matroid,
+    uniform_matroid,
+)
 from flatgeom.pingpong import (
     CycleSearch,
     PPSConfig,
+    PPSReport,
+    PPSRun,
     PPSSequence,
     iter_runs,
     pps_candidates,
@@ -122,6 +132,83 @@ class TestVerify:
             assert report.config_valid and report.steps_valid
 
 
+def ref_runs(m, cfg, strategy, budget, ts=None):
+    """The run tree by recursion on the public step rule, ``pps_candidates``:
+    every maximal run depth-first in candidate order ("least" follows the
+    first candidate only), a repeat closing the run as a cycle."""
+    ts = ts or (cfg.t1,)
+    cands = pps_candidates(m, PPSSequence(cfg, ts))
+    if not cands:
+        yield PPSRun(PPSSequence(cfg, ts), "terminated")
+    elif len(ts) >= budget:
+        yield PPSRun(PPSSequence(cfg, ts), "budget")
+    else:
+        for c in cands if strategy == "all-branches" else cands[:1]:
+            if c in ts:
+                yield PPSRun(PPSSequence(cfg, ts + (c,)), "cycle", ts.index(c) + 1)
+            else:
+                yield from ref_runs(m, cfg, strategy, budget, ts + (c,))
+
+
+def ref_verify(m, seq) -> PPSReport:
+    """``pps_verify`` on the public API: ``validate``, ``pps_candidates``
+    on each prefix, and ``Matroid.closure`` for the paddle span."""
+    cfg, ts = seq.config, seq.ts
+    try:
+        cfg.validate(m)
+    except (InvalidConfig, InvalidElement) as e:
+        return PPSReport(False, False, False, False, str(e))
+    detail = ""
+    if not ts:
+        detail = "sequence must contain t1"
+    elif ts[0] != cfg.t1:
+        detail = "sequence does not start at the configured t1"
+    else:
+        for i in range(1, len(ts)):
+            if ts[i] == ts[i - 1]:
+                detail = f"step {i} repeats its predecessor"
+                break
+            if ts[i] not in pps_candidates(m, PPSSequence(cfg, ts[:i])):
+                detail = f"step {i} violates the ping-pong rule"
+                break
+    span = m.closure((*cfg.net, cfg.a1, cfg.a2))
+    return PPSReport(True, not detail, not set(ts) & span, len(set(ts)) == len(ts), detail)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type and message of the config error it raises."""
+    try:
+        return f(*args)
+    except (InvalidConfig, InvalidElement) as e:
+        return type(e), str(e)
+
+
+class TestRunOrder:
+    @pytest.mark.parametrize("budget", [1, 2, 3, 8])
+    def test_runs_and_reports_match_the_recursive_reference(self, scan_corpus, budget):
+        # Every config over the nets of rank <= max(rank - 3, 0), valid or
+        # not.  Each run is verified as generated and with its last element
+        # replaced by an id off the ground set; on gf3_3, whose tree holds
+        # 80 028 runs at budget 8, only the runs of configs with a1 = 0.
+        for name, m in scan_corpus.items():
+            ground = m.ground.elements
+            stray = (-1, ground[-1] + 1)
+            nets = [net for net in ref_flats(m) if m.rank(net) <= max(m.full_rank - 3, 0)]
+            for net, (a1, a2, t1) in product(nets, product(ground, repeat=3)):
+                cfg = PPSConfig.of(net, a1, a2, t1)
+                for strategy in ("least", "all-branches"):
+                    runs = outcome(pps_run, m, cfg, strategy, budget)
+                    assert runs == outcome(lambda: list(ref_runs(m, cfg, strategy, budget))), (
+                        name, cfg, strategy,
+                    )
+                    if not isinstance(runs, list) or name == "gf3_3" and a1 != 0:
+                        continue
+                    for run in runs:
+                        ts = run.sequence.ts
+                        for seq in (run.sequence, *(PPSSequence(cfg, ts[:-1] + (s,)) for s in stray)):
+                            assert pps_verify(m, seq) == ref_verify(m, seq), (name, seq)
+
+
 class TestSharedStepTable:
     def test_verifying_generated_runs_builds_no_step_row(self):
         m = corpus.gf3_3()
@@ -170,11 +257,91 @@ def ref_find_cycle(m, budget) -> CycleSearch:
     return CycleSearch("none" if exhausted else "budget-exceeded", None, searched)
 
 
+def sparse_paving_8():
+    """A seeded rank-3 sparse paving host on 8 elements with five lines;
+    its least witness, at budget 8 or more, starts at t1 = 3, after the
+    pair's first start 0."""
+    return sparse_paving_matroid(8, 3, seeded_nonbases(random.Random(0), 8, 3, 12))
+
+
+#: Hosts past ``scan_corpus`` where each paddle pair is met in both orders
+#: and many starts are dead: U(4,7) has eight nets, pps_chain(6) is flat.
+LARGER_HOSTS = {
+    "U(4,7)": lambda: uniform_matroid(4, 7),
+    "pps_chain(6)": lambda: corpus.pps_chain(6),
+    "sparse_paving(8,3)#0": sparse_paving_8,
+}
+
+
+def scrambled_tables(count: int):
+    """``count`` seeded closure tables of 4 to 6 elements that break the
+    axioms: a uniform table of rank >= 3 or a GF(2) table of rank <= 3,
+    with one to four entries replaced by a random subset or, three times
+    in ten, by the empty set."""
+    rng = random.Random("pps-scrambled-tables")
+    out = []
+    while len(out) < count:
+        n = rng.randint(4, 6)
+        subs = [frozenset(s) for s in powerset(range(n))]
+        if rng.random() < 0.5:
+            base = uniform_matroid(rng.randint(3, n), n)
+        else:
+            base = linear_matroid(2, [[rng.randrange(2) for _ in range(3)] for _ in range(n)])
+        table = table_from_matroid(base)
+        for _ in range(rng.randint(1, 4)):
+            table[rng.choice(subs)] = frozenset() if rng.random() < 0.3 else rng.choice(subs)
+        m = closure_table_matroid(n, table)
+        if not m.verify_pregeometry().ok:
+            out.append(m)
+    return out
+
+
+def answer(res: CycleSearch) -> tuple:
+    """Status, count and witness (net, paddles, ts, repeat index)."""
+    if res.run is None:
+        return res.status, res.configs_searched, None
+    cfg, ts = res.run.sequence.config, res.run.sequence.ts
+    return res.status, res.configs_searched, (cfg.net, cfg.a1, cfg.a2, ts, res.run.repeat_index)
+
+
 class TestCycleSearch:
     @pytest.mark.parametrize("budget", [2, 8, 32])
     def test_matches_reference_search(self, scan_corpus, budget):
-        for name, m in scan_corpus.items():
+        hosts = {**scan_corpus, **{name: make() for name, make in LARGER_HOSTS.items()}}
+        for name, m in hosts.items():
             assert pps_find_cycle(m, budget) == ref_find_cycle(m, budget), name
+
+    def test_sparse_paving_witness_is_not_its_pairs_first_start(self):
+        m = sparse_paving_8()
+        res = pps_find_cycle(m, 8)
+        assert answer(res) == ("found", 75, ((), 1, 7, (3, 4, 5, 6, 3), 1))
+        assert min(set(m.ground.elements) - m.closure((1, 7))) == 0
+
+    #: sha256 of ``answer`` at budgets 2 and 8 over ``scrambled_tables(300)``,
+    #: and the count of each status.  A closure table off the axioms may
+    #: give an independent pair an empty span, so no test on the span alone
+    #: can stand for the independence test.  Change it only when the
+    #: search is meant to change.
+    SCRAMBLED_DIGEST = "8467e0ead60c7c4226eabd5580f094228da2204878216d9ef6b0e6fd828c8386"
+    SCRAMBLED_STATUSES = {"none": 350, "budget-exceeded": 134, "found": 116}
+
+    def test_answers_on_tables_off_the_axioms_are_unchanged(self):
+        rows = [answer(pps_find_cycle(m, budget)) for m in scrambled_tables(300) for budget in (2, 8)]
+        statuses = {s: sum(row[0] == s for row in rows) for s in self.SCRAMBLED_STATUSES}
+        assert statuses == self.SCRAMBLED_STATUSES
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == self.SCRAMBLED_DIGEST
+
+    def test_independent_pair_with_an_empty_span_is_searched(self):
+        # Free on five elements but cl({0, 1}) = {}: the pair 0, 1 is
+        # independent over the empty net, every element lies outside its
+        # span, and the first live start 2 bounces 2, 3, 2 through
+        # cl({0, 2}) = {0, 2, 3} and cl({1, 3}) = {1, 2, 3}.
+        table = {frozenset(s): frozenset(s) for s in powerset(range(5))}
+        table[frozenset({0, 1})] = frozenset()
+        table[frozenset({0, 2})] = frozenset({0, 2, 3})
+        table[frozenset({1, 3})] = frozenset({1, 2, 3})
+        res = pps_find_cycle(closure_table_matroid(5, table), 8)
+        assert answer(res) == ("found", 3, ((), 0, 1, (2, 3, 2), 1))
 
     def test_budget_above_ground_size_is_never_exceeded(self, scan_corpus):
         # A run stops or repeats an element, so it holds at most n + 1.
