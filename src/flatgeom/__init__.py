@@ -34,8 +34,8 @@ _MODULES = {
         "going_down_run", "trace_verify",
     ),
     "spectrum": (
-        "SpectrumSet", "TheoryProfile", "Verdict", "classify", "enumerate_case_analysis",
-        "validate_profile",
+        "SpectrumSet", "TheoryProfile", "Verdict", "check_profile", "classify",
+        "enumerate_case_analysis", "validate_profile",
     ),
 }
 _EXPORTS = {name: module for module, names in _MODULES.items() for name in names}

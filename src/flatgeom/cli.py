@@ -10,17 +10,17 @@ Inputs are file paths; ``corpus:<name>`` loads a bundled member instead.
 ``--budget``, or else the FLATGEOM_BUDGET environment variable, bounds
 the five searches that take one: ``pps run``, ``pps search-cycle``,
 ``lambda closure``, ``lambda acl`` and ``ild``.  ``flatness`` is bounded
-by its work cap instead (a search past it exits 2 unless ``--sample`` is
-given) and ``effective going-down`` by its scenario's horizon.
+by its work cap instead (a least-witness search past it exits 2 unless
+``--sample`` is given) and ``effective going-down`` by its scenario's horizon.
 
 Each handler imports the module it runs and calls through its attributes,
-so a command loads only what it needs.
+so a command loads only what it needs.  It passes only the options the
+user set, so an unset option takes the library function's own default.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Optional
@@ -45,19 +45,25 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(jsonio.dumps(doc) + "\n")
 
 
-def _budget(args, default: Optional[int]) -> Optional[int]:
+def _given(**options) -> dict:
+    """The options the user set: an unset option reads None, an unset flag False."""
+    return {k: v for k, v in options.items() if v is not None and v is not False}
+
+
+def _budget(args) -> dict:
+    """``{"budget": n}`` from --budget, else from FLATGEOM_BUDGET, else {}."""
     if args.budget is not None:
-        return args.budget
+        return {"budget": args.budget}
     env = os.environ.get("FLATGEOM_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError(f"FLATGEOM_BUDGET={env!r} is not an integer") from None
-    return default
+    if not env:
+        return {}
+    try:
+        return {"budget": int(env)}
+    except ValueError:
+        raise InputError(f"FLATGEOM_BUDGET={env!r} is not an integer") from None
 
 
-def _ids(text: str) -> tuple[int, ...]:
+def _ids(text: Optional[str]) -> tuple[int, ...]:
     if not text:
         return ()
     try:
@@ -100,8 +106,8 @@ def _load_effective(source: str):
 
 
 def _sampling(args) -> dict:
-    """The keywords of the SAMPLING arguments."""
-    return {"max_ground": args.max_ground, "sample": args.sample, "seed": args.seed}
+    """The keywords of the SAMPLING arguments the user set."""
+    return _given(max_ground=args.max_ground, sample=args.sample, seed=args.seed)
 
 
 def cmd_pregeom_verify(args) -> Result:
@@ -121,7 +127,8 @@ def cmd_flatness(args) -> Result:
     from . import flatness
 
     m = _load_matroid(args.matroid)
-    verdict = flatness.check_flat(m, args.max_sigma, exhaustive=args.exhaustive, **_sampling(args))
+    options = _given(max_collection_size=args.max_sigma, exhaustive=args.exhaustive)
+    verdict = flatness.check_flat(m, **options, **_sampling(args))
     doc: dict[str, Any] = {"verdict": verdict.kind}
     if verdict.bound is not None:
         doc["bound"] = verdict.bound
@@ -154,7 +161,7 @@ def cmd_pps_run(args) -> Result:
 
     m = _load_matroid(args.matroid)
     cfg = pingpong.PPSConfig.of(_ids(args.x), args.a1, args.a2, args.t1)
-    runs = pingpong.pps_run(m, cfg, args.strategy, _budget(args, pingpong.DEFAULT_BUDGET))
+    runs = pingpong.pps_run(m, cfg, args.strategy, **_budget(args))
     doc = {"strategy": args.strategy, "runs": [{"status": r.status, **_run_doc(r)} for r in runs]}
     return doc, False
 
@@ -162,7 +169,7 @@ def cmd_pps_run(args) -> Result:
 def cmd_pps_search_cycle(args) -> Result:
     from . import pingpong
 
-    res = pingpong.pps_find_cycle(_load_matroid(args.matroid), _budget(args, pingpong.DEFAULT_BUDGET))
+    res = pingpong.pps_find_cycle(_load_matroid(args.matroid), **_budget(args))
     doc: dict[str, Any] = {"status": res.status, "configs_searched": res.configs_searched}
     if res.run is not None:
         cfg = res.run.sequence.config
@@ -174,7 +181,7 @@ def cmd_lambda_closure(args) -> Result:
     from . import formula_closure
 
     g = _load_structure(args.structure)
-    res = formula_closure.lambda_closure(g, _ids(args.x), _budget(args, None))
+    res = formula_closure.lambda_closure(g, _ids(args.x), **_budget(args))
     return {
         "status": res.status,
         "fixpoint_index": res.fixpoint_index,
@@ -187,15 +194,14 @@ def cmd_lambda_acl(args) -> Result:
     from . import formula_closure
 
     enum = _load_scenario(args.scenario)
-    bbar = _ids(args.bbar)
-    res = formula_closure.acl_enumerate_via_lambda(enum, bbar, _budget(args, enum.final_stage))
+    res = formula_closure.acl_enumerate_via_lambda(enum, _ids(args.bbar), **_budget(args))
     return {"status": res.status, "emitted": [[e, s] for e, s in res.emitted]}, False
 
 
 def cmd_ild(args) -> Result:
     from . import formula_closure
 
-    res = formula_closure.ild_estimate(_load_scenario(args.scenario), _budget(args, None))
+    res = formula_closure.ild_estimate(_load_scenario(args.scenario), **_budget(args))
     return {"value": res.value, "certainty": res.certainty}, False
 
 
@@ -249,14 +255,11 @@ def cmd_spectrum_check(args) -> Result:
     from . import spectrum
 
     profile = spectrum.TheoryProfile(args.n, args.p, args.ild)
-    report = spectrum.validate_profile(profile)
-    if not report.ok:
-        rules = "; ".join(f"{v.rule} ({v.message})" for v in report.violations)
-        raise InputError(f"invalid profile: {rules}")
+    spectrum.check_profile(profile)
     pieces = [piece.strip() for piece in args.set.split(",")] if args.set else []
     try:
         members = [piece if piece == "omega" else int(piece) for piece in pieces]
-        s = spectrum.SpectrumSet.of(members, args.horizon)
+        s = spectrum.SpectrumSet.of(members, **_given(horizon=args.horizon))
     except ValueError:
         raise InputError(f"bad spectrum set {args.set!r}") from None
     verdict = spectrum.classify(s, profile)
@@ -317,17 +320,6 @@ def _flag(flag: str) -> tuple[str, dict]:
     return _opt(flag, action="store_true")
 
 
-class _Constant:
-    """A default that is ``flatgeom.<module>.<name>``, read when its command
-    is parsed, so that building the parser imports no command's module."""
-
-    def __init__(self, module: str, name: str):
-        self.module, self.name = module, name
-
-    def value(self) -> Any:
-        return getattr(importlib.import_module(f".{self.module}", __package__), self.name)
-
-
 MATROID = _opt("--matroid", required=True, help="matroid JSON file or corpus:<name>")
 SCENARIO = _opt("--scenario", required=True)
 STRUCTURE = _opt("--structure", required=True)
@@ -335,9 +327,9 @@ BUDGET = _opt("--budget", type=int)
 N = _opt("--n", type=int, required=True)
 #: The exhaustive scan's bound, and the random subsets checked past it.
 SAMPLING = (
-    _opt("--max-ground", type=int, default=_Constant("matroid", "DEFAULT_VERIFY_BOUND")),
+    _opt("--max-ground", type=int),
     _opt("--sample", type=int),
-    _opt("--seed", type=int, default=0),
+    _opt("--seed", type=int),
 )
 
 #: The help line of each top-level word.
@@ -358,7 +350,7 @@ COMMANDS: list[tuple[str, Callable[[argparse.Namespace], Result], tuple]] = [
     ("pregeom verify", cmd_pregeom_verify, (MATROID, *SAMPLING, _flag("--expect-pass"))),
     ("flatness", cmd_flatness, (
         MATROID,
-        _opt("--max-sigma", type=int, default=_Constant("flatness", "DEFAULT_MAX_SIGMA")),
+        _opt("--max-sigma", type=int),
         _flag("--exhaustive"),
         *SAMPLING,
         _flag("--expect-flat"),
@@ -366,13 +358,13 @@ COMMANDS: list[tuple[str, Callable[[argparse.Namespace], Result], tuple]] = [
     ("circuits", cmd_circuits, (MATROID, _opt("--max-size", type=int, required=True))),
     ("pps run", cmd_pps_run, (
         MATROID,
-        _opt("--x", default="", help="net ids, comma separated"),
+        _opt("--x", help="net ids, comma separated"),
         *(_opt(f"--{name}", type=int, required=True) for name in ("a1", "a2", "t1")),
         _opt("--strategy", choices=["least", "all-branches"], default="least"),
         BUDGET,
     )),
     ("pps search-cycle", cmd_pps_search_cycle, (MATROID, BUDGET)),
-    ("lambda closure", cmd_lambda_closure, (STRUCTURE, _opt("--x", default=""), BUDGET)),
+    ("lambda closure", cmd_lambda_closure, (STRUCTURE, _opt("--x"), BUDGET)),
     ("lambda acl", cmd_lambda_acl, (SCENARIO, _opt("--bbar", required=True), BUDGET)),
     ("ild", cmd_ild, (SCENARIO, BUDGET)),
     ("effective going-down", cmd_effective_going_down, (
@@ -384,8 +376,8 @@ COMMANDS: list[tuple[str, Callable[[argparse.Namespace], Result], tuple]] = [
         N,
         _opt("--p", type=int),
         _opt("--ild", type=int),
-        _opt("--set", default="", help="e.g. 0,1,omega"),
-        _opt("--horizon", type=int, default=_Constant("spectrum", "DEFAULT_HORIZON")),
+        _opt("--set", help="e.g. 0,1,omega"),
+        _opt("--horizon", type=int),
     )),
     ("spectrum cases", cmd_spectrum_cases, (N,)),
     ("corpus list", cmd_corpus_list, ()),
@@ -394,15 +386,7 @@ COMMANDS: list[tuple[str, Callable[[argparse.Namespace], Result], tuple]] = [
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one InputError line, not the usage text, and
-    reads each ``_Constant`` default that parsing leaves in place."""
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, rest = super().parse_known_args(args, namespace)
-        for dest, value in vars(namespace).items():
-            if isinstance(value, _Constant):
-                setattr(namespace, dest, value.value())
-        return namespace, rest
+    """Reports a usage error as one InputError line, not the usage text."""
 
     def error(self, message: str):
         raise InputError(f"{self.prog}: {message}")

@@ -36,7 +36,7 @@ violation is always an antichain, and the search skips every collection
 that is not one.  The first violation it meets is therefore the least one
 over all collections.
 
-Within the work cap, the search is skipped when Mason's alpha is >= 0
+Whatever the work cap, the search is skipped when Mason's alpha is >= 0
 on every set (``_alpha_nonnegative``): the matroid is then a strict
 gammoid (Mason, Proc. London Math. Soc. 1972), and a pregeometry is flat
 iff it is one (Evans, arXiv:1105.3822), so no collection violates (no
@@ -237,9 +237,9 @@ class _MeetTable:
                         return prefix + (f,), df, u
             return None
 
-        # One flat F has delta = dim F = dim(union): sizes start at two.
+        # delta(F) = dim F, and no pair violates a pregeometry: sizes start at three.
         try:
-            for size in range(2, top + 1):
+            for size in range(3, top + 1):
                 hit = extend((), 0, dims, None, range(n), size)
                 if hit:
                     return hit
@@ -348,20 +348,19 @@ def check_flat(
     Returns "disintegrated" when the geometry is disintegrated, otherwise
     the lexicographically least violating collection (sizes ascending,
     flats in canonical order) or a flat verdict.  ``exhaustive`` widens the
-    search to every collection of every flat.  If the estimated work
-    exceeds DEFAULT_WORK_CAP, ``sample`` random collections drawn with
-    ``seed`` are checked instead, and a clean result is "flat-sampled";
-    without a ``sample`` count GroundTooLarge is raised.  The estimate is the number
-    of subset terms in scoring every collection from scratch, the sum over
-    sizes s of C(n, s) * 2**s for n flats.
+    search to every collection of every flat.
 
     A closure table that is no pregeometry raises MatroidContractError
-    naming its least violation, as ``verify_pregeometry`` finds it.
-    Within the work cap a flat verdict may come from Mason's alpha
-    criterion instead of the search; it is the same "flat-up-to" or
-    "flat-exhaustive" verdict.  Where alpha < 0 the search runs, and a
+    naming its least violation, as ``verify_pregeometry`` finds it.  Below
+    three flats, or where Mason's alpha is >= 0, the flat verdict needs no
+    search.  Otherwise the least-witness search runs; where alpha < 0, a
     search of every collection that finds nothing raises
-    MatroidContractError, since the two criteria must agree.
+    MatroidContractError, since the two criteria must agree.  If its
+    estimated work exceeds DEFAULT_WORK_CAP, ``sample`` random collections
+    drawn with ``seed`` are checked instead, and a clean result is
+    "flat-sampled"; without a ``sample`` count GroundTooLarge is raised.
+    The estimate is the number of subset terms in scoring every collection
+    from scratch, the sum over sizes s of C(n, s) * 2**s for n flats.
     """
     if max_collection_size < 1:
         raise EmptyCollection("max_collection_size must be >= 1")
@@ -376,6 +375,11 @@ def check_flat(
     flats = sorted(m.flats(), key=lambda f: f.elements)
     nflats = len(flats)
     top = nflats if exhaustive else min(max_collection_size, nflats)
+    kind = "flat-exhaustive" if exhaustive else "flat-up-to"
+    # No pair violates a pregeometry, and alpha >= 0 rules out the rest.
+    alpha_ok = top < 3 or _alpha_nonnegative(m, flats)
+    if alpha_ok:
+        return FlatnessVerdict(kind, bound=top)
 
     work = sum(comb(nflats, s) * (1 << s) for s in range(1, top + 1))
     sampled = work > DEFAULT_WORK_CAP
@@ -384,7 +388,6 @@ def check_flat(
             f"{nflats} flats -> ~{work} subset terms exceeds work cap; "
             "pass sample= / --sample or lower the bound"
         )
-    alpha_ok = _alpha_nonnegative(m, flats) if not sampled and top >= 3 else None
     hit = None
     if sampled:
         table, rng = _MeetTable(m, flats), random.Random(seed)
@@ -395,7 +398,7 @@ def check_flat(
             if d < u:
                 hit = picked, d, u
                 break
-    elif not alpha_ok:
+    else:
         hit = _MeetTable(m, flats).least_violation(top)
         if not hit and alpha_ok is False and top == nflats:
             raise MatroidContractError(
@@ -412,5 +415,4 @@ def check_flat(
         )
     if sampled:
         return FlatnessVerdict("flat-sampled", bound=top, samples=sample, seed=seed)
-    kind = "flat-exhaustive" if exhaustive else "flat-up-to"
     return FlatnessVerdict(kind, bound=top)

@@ -367,14 +367,16 @@ class AclEnumeration:
 
 
 def acl_enumerate_via_lambda(
-    enum: EnumeratedStructure, bbar: Iterable[int], budget: int
+    enum: EnumeratedStructure, bbar: Iterable[int], budget: Optional[int] = None
 ) -> AclEnumeration:
     """Emit a at the first stage where the closure of bbar + {a} is
     certified finite by the count oracle.
 
     The emitted set is monotone in the stage by construction.  ``bbar``
     must be an independent tuple of size equal to the circuit dimension.
+    ``budget`` is the last stage read, the final stage by default.
     """
+    budget = enum.final_stage if budget is None else budget
     if budget < 1:
         raise InvalidStructure("budget must be >= 1")
     g = enum.structure

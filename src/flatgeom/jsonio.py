@@ -41,11 +41,12 @@ def _int(value: Any, what: str) -> int:
 
 def _ints(values: Any, what: str) -> tuple[int, ...]:
     """The members of a JSON list, each checked with ``_int``."""
-    values = tuple(values)
+    if not isinstance(values, list):
+        raise InputError(f"expected a list of {what}s, got {values!r}")
     if not set(map(type, values)) <= {int}:
         for v in values:
             _int(v, what)
-    return values
+    return tuple(values)
 
 
 def _list(doc: Any, key: str, required: bool = False) -> list:
@@ -109,10 +110,14 @@ def matroid_from_json(doc: Any) -> matroid.Matroid:
             return uniform_matroid(_int(doc["rank"], "rank"), _int(doc["size"], "size"))
         if kind == "closure-table":
             n = _int(doc["ground"], "ground")
-            rows = [(tuple(entry["set"]), entry["cl"]) for entry in doc["closure"]]
-            _ints(chain.from_iterable(chain.from_iterable(rows)), "closure table member")
+            rows = [(entry["set"], entry["cl"]) for entry in _list(doc, "closure", required=True)]
+            if not set(map(type, chain.from_iterable(rows))) <= {list}:
+                bad = next(v for v in chain.from_iterable(rows) if type(v) is not list)
+                raise InputError(f"closure table set and cl must be lists, got {bad!r}")
+            _ints([*chain.from_iterable(chain.from_iterable(rows))], "closure table member")
             table: dict = {}
             for s, cl in rows:
+                s = tuple(s)
                 if s in table:
                     raise InputError(f"closure table lists subset {sorted(s)} twice")
                 table[s] = cl
@@ -185,7 +190,7 @@ def scenario_from_json(doc: Any) -> EnumeratedStructure:
     try:
         # Without stages, phi is revealed in one stage.
         reveal = [
-            [_ints(t, "reveal tuple member") for t in stage["reveal"]]
+            [_ints(t, "reveal tuple member") for t in _list(stage, "reveal", required=True)]
             for stage in _list(doc, "stages")
         ] or [sorted(g.phi)]
         counts = {
@@ -271,7 +276,7 @@ def effective_scenario_from_json(
             else None
         )
         presentation = StagewisePresentation(
-            structure, tuple(doc["signature_order"]), matroid
+            structure, tuple(_list(doc, "signature_order", required=True)), matroid
         )
         flips = tuple(
             FlipEvent(_int(f["elem"], "flip elem"), _int(f["stage"], "flip stage"), f["in"])
@@ -285,11 +290,11 @@ def effective_scenario_from_json(
             flips,
             _int(doc.get("max_flips", 3), "max_flips"),
         )
-        entries = []
-        for stage, elems in doc.get("A_stages", {}).items():
-            for e in elems:
-                entries.append((_int(e, "A_stages element"), int(stage)))
-        enumeration = Sigma1Schedule.of(entries)
+        enumeration = Sigma1Schedule.of(
+            (e, int(stage))
+            for stage, elems in doc.get("A_stages", {}).items()
+            for e in _ints(elems, "A_stages element")
+        )
         declared = frozenset(_int(x, "A element") for x in _list(doc, "A"))
         if declared and declared != enumeration.target:
             raise InputError("A and A_stages disagree")

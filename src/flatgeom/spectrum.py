@@ -19,7 +19,7 @@ reported as such, never as allowed or excluded.
 
 Theory profiles (n, optional prime-model dimension p, optional least
 infinite-closure dimension) carry their own inequality constraints,
-checked by ``validate_profile``; p and ild are dimensions, so neither is
+checked by ``check_profile``; p and ild are dimensions, so neither is
 negative.
 """
 
@@ -155,6 +155,14 @@ def validate_profile(profile: TheoryProfile) -> ProfileReport:
     return ProfileReport(not v, tuple(v))
 
 
+def check_profile(profile: TheoryProfile) -> None:
+    """Raise ProfileInvalid naming every constraint ``profile`` breaks."""
+    report = validate_profile(profile)
+    if not report.ok:
+        rules = "; ".join(f"{v.rule} ({v.message})" for v in report.violations)
+        raise ProfileInvalid(f"invalid profile: {rules}")
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Exactly one of allowed / open-unknown / excluded.
@@ -195,12 +203,7 @@ def classify(s: SpectrumSet, profile: TheoryProfile) -> Verdict:
     The horizon only truncates the candidate, never the rules: schemas are
     matched symbolically, so enlarging the horizon cannot change a verdict.
     """
-    report = validate_profile(profile)
-    if not report.ok:
-        raise ProfileInvalid(
-            "; ".join(v.message for v in report.violations)
-        )
-
+    check_profile(profile)
     initial = s.is_initial()
     rules: list[str] = []
     # Outside n = 2, and at n = 2 once a finite member >= 3 is present,
@@ -237,9 +240,7 @@ def enumerate_case_analysis(profile: TheoryProfile) -> CaseAnalysis:
     """
     if profile.n != 2:
         raise ProfileInvalid(f"case analysis applies to n=2, got n={profile.n}")
-    report = validate_profile(profile)
-    if not report.ok:
-        raise ProfileInvalid("; ".join(v.message for v in report.violations))
+    check_profile(profile)
 
     def sset(*members: Union[int, str]) -> SpectrumSet:
         return SpectrumSet.of(members)

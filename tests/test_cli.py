@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatgeom
-from flatgeom import corpus, flatness, jsonio, matroid, spectrum
+from flatgeom import corpus, flatness, formula_closure, jsonio, matroid, pingpong, spectrum
 from flatgeom.cli import build_parser, run_command
 from flatgeom.errors import MatroidContractError
 from flatgeom.flatness import check_flat
@@ -35,9 +36,19 @@ README = (Path(__file__).parent.parent / "README.md").read_text()
 #: The going-down demo as a scenario document.
 DEMO_EFFECTIVE = jsonio.effective_scenario_to_json(*corpus.going_down_demo())
 
+#: The staged scenario sigma1_chain as a document.
+SIGMA1_CHAIN = jsonio.scenario_to_json(corpus.sigma1_chain())
+
 #: The uniform U(2,3) as a closure-table document; its rows are in (size,
 #: lex) order, so row 0 is the empty set and row 1 is [0].
 CT_U23 = jsonio.matroid_to_json(corpus.MATROIDS["ct_u23"]())
+
+
+def _restated(fn, **flags) -> str:
+    """``--flag value`` for each flag, its value the default of the keyword
+    of ``fn`` that it names."""
+    params = inspect.signature(fn).parameters
+    return " ".join(f"--{flag.replace('_', '-')} {params[kw].default}" for flag, kw in flags.items())
 
 
 def run(capsys, *argv):
@@ -656,6 +667,34 @@ class TestCommands:
             ),
             ("effective going-down --scenario", {**DEMO_EFFECTIVE, "M": {}},
              "M must be a list, got {}"),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "A_stages": {**DEMO_EFFECTIVE["A_stages"], "9": {}}},
+                "expected a list of A_stages elements, got {}",
+            ),
+            (
+                "ild --scenario",
+                {
+                    **SIGMA1_CHAIN,
+                    "stages": [SIGMA1_CHAIN["stages"][0], {"reveal": {}}, *SIGMA1_CHAIN["stages"][1:]],
+                },
+                "reveal must be a list, got {}",
+            ),
+            (
+                "ild --scenario",
+                {**jsonio.scenario_to_json(corpus.ild_pps()), "infinite_seeds": [{}]},
+                "expected a list of infinite seed members, got {}",
+            ),
+            (
+                "pregeom verify --matroid",
+                {**CT_U23, "closure": [{"set": {}, "cl": {}}, *CT_U23["closure"][1:]]},
+                "closure table set and cl must be lists, got {}",
+            ),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "signature_order": {"phi": 1}},
+                "signature_order must be a list, got {'phi': 1}",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -699,6 +738,11 @@ class TestCommands:
             "columns-not-a-list",
             "relation-tuples-not-a-list",
             "m-not-a-list",
+            "a-stages-value-not-a-list",
+            "reveal-not-a-list",
+            "infinite-seed-not-a-list",
+            "table-row-set-not-a-list",
+            "signature-order-not-a-list",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(
@@ -737,6 +781,75 @@ class TestCommands:
         (doc,) = parse_lines(out)
         assert doc["runs"][0]["status"] == "budget"
         assert doc["runs"][0]["ts"] == [0, 4]
+
+    @pytest.mark.parametrize(
+        "argv, owner, name, restated",
+        [
+            (
+                "flatness --matroid corpus:gf2_3", flatness, "check_flat",
+                _restated(
+                    flatness.check_flat,
+                    max_sigma="max_collection_size", max_ground="max_ground", seed="seed",
+                ),
+            ),
+            (
+                "pregeom verify --matroid corpus:gf2_3", matroid.Matroid, "verify_pregeometry",
+                _restated(matroid.Matroid.verify_pregeometry, max_ground="max_ground", seed="seed"),
+            ),
+            (
+                "spectrum check --n 2 --set 0,1,2,3,4,5,6,omega", spectrum.SpectrumSet, "of",
+                _restated(spectrum.SpectrumSet.of, horizon="horizon"),
+            ),
+            (
+                "pps search-cycle --matroid corpus:gf3_3", pingpong, "pps_find_cycle",
+                _restated(pingpong.pps_find_cycle, budget="budget"),
+            ),
+            # The default budget is the scenario's final stage.
+            (
+                "lambda acl --scenario corpus:sigma1_chain --bbar 0,1",
+                formula_closure, "acl_enumerate_via_lambda",
+                f"--budget {corpus.sigma1_chain().final_stage}",
+            ),
+        ],
+        ids=["flatness", "pregeom-verify", "spectrum-check", "pps-search-cycle", "lambda-acl"],
+    )
+    def test_an_unset_option_takes_the_library_default(
+        self, capsys, monkeypatch, argv, owner, name, restated
+    ):
+        # The library function is passed no argument the user did not set,
+        # and setting each option to the function's own default changes nothing.
+        monkeypatch.delenv("FLATGEOM_BUDGET", raising=False)
+        fn, passed = getattr(owner, name), []
+        signature = inspect.signature(fn)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                owner, name, lambda *a, **kw: passed.append(signature.bind(*a, **kw)) or fn(*a, **kw)
+            )
+            code, out = run(capsys, *argv.split())
+        params = signature.parameters
+        required = [p for p, spec in params.items() if spec.default is spec.empty]
+        assert code == 0 and [list(b.arguments) for b in passed] == [required]
+        assert run(capsys, *argv.split(), *restated.split()) == (code, out)
+
+    def test_budget_flag_beats_the_environment_which_beats_the_library_default(
+        self, capsys, monkeypatch
+    ):
+        argv = ["lambda", "closure", "--structure", "corpus:phi_demo", "--x", "0,1"]
+        budgets = []
+        lambda_closure = formula_closure.lambda_closure
+        monkeypatch.setattr(
+            formula_closure, "lambda_closure",
+            lambda *a, **kw: budgets.append(kw) or lambda_closure(*a, **kw),
+        )
+        monkeypatch.delenv("FLATGEOM_BUDGET", raising=False)
+        docs = [parse_lines(run(capsys, *argv)[1])[0]]
+        monkeypatch.setenv("FLATGEOM_BUDGET", "1")
+        docs.append(parse_lines(run(capsys, *argv)[1])[0])
+        docs.append(parse_lines(run(capsys, *argv, "--budget", "2")[1])[0])
+        assert budgets == [{}, {"budget": 1}, {"budget": 2}]
+        assert [(d["status"], d["growth"]) for d in docs] == [
+            ("fixpoint", [2, 3, 4]), ("diverging", [2, 3]), ("diverging", [2, 3, 4]),
+        ]
 
     def test_budget_env_applies_to_lambda_closure_and_ild(self, capsys, monkeypatch):
         monkeypatch.setenv("FLATGEOM_BUDGET", "1")
@@ -950,20 +1063,6 @@ class TestStartup:
         code, out, err, _ = _probe("flatness", "--matroid", str(path), "--max-sigma", "3")
         assert code == 2 and out == []
         assert err.startswith("error: malformed JSON") and err.count("\n") == 1
-
-    def test_parser_defaults_are_read_from_their_modules(self, monkeypatch):
-        parser = build_parser()
-        flatness_args = ["flatness", "--matroid", "corpus:gf2_3"]
-        spectrum_args = ["spectrum", "check", "--n", "2"]
-        assert parser.parse_args(flatness_args).max_sigma == flatness.DEFAULT_MAX_SIGMA
-        assert parser.parse_args(flatness_args).max_ground == matroid.DEFAULT_VERIFY_BOUND
-        assert parser.parse_args(spectrum_args).horizon == spectrum.DEFAULT_HORIZON
-        monkeypatch.setattr(flatness, "DEFAULT_MAX_SIGMA", 7)
-        monkeypatch.setattr(matroid, "DEFAULT_VERIFY_BOUND", 8)
-        monkeypatch.setattr(spectrum, "DEFAULT_HORIZON", 9)
-        assert build_parser().parse_args(flatness_args).max_sigma == 7
-        assert build_parser().parse_args(flatness_args).max_ground == 8
-        assert build_parser().parse_args(spectrum_args).horizon == 9
 
     @pytest.mark.parametrize(
         "words, text",

@@ -387,12 +387,17 @@ class TestMasonAlpha:
         assert len(pool) >= 100 and not_flat >= 25
 
     def test_pingpong_cycle_on_a_geometry_means_negative_alpha(self):
-        # A cycle certifies non-flatness on a geometry (no loops, no
-        # parallel pairs).  On a pregeometry a cycle can pass through a
-        # parallel pair: two flat hosts of the pool hold one of length 3.
+        # On a geometry (no loops, no parallel pairs) a cycle of length 3 or
+        # more comes with alpha < 0.  A cycle of length 2 is a bounce: its
+        # last element lies in cl(net + {previous}), whatever the paddles,
+        # and the flat u23_plus_2_free holds one.  On a pregeometry a cycle
+        # can pass through a parallel pair: two flat hosts of the pool hold
+        # one of length 3.  The corpus hosts' alpha is the walk's, which the
+        # test above checks against the definition.
         simple = cycles = 0
-        through_parallel = {}
-        for name, m, rank in alpha_pool():
+        bounces, through_parallel = {}, {}
+        corpus_hosts = [(name, make(), None) for name, make in corpus.MATROIDS.items()]
+        for name, m, rank in alpha_pool() + corpus_hosts:
             search = pps_find_cycle(m)
             assert search.status != "budget-exceeded", name
             points = [m.closure((e,)) for e in m.ground.elements]
@@ -400,13 +405,22 @@ class TestMasonAlpha:
                 simple += 1
                 if search.status == "found":
                     cycles += 1
-                    assert ref_alpha_min(m, rank) < 0, name
+                    ts = search.run.sequence.ts
+                    if search.run.cycle_length == 2:
+                        net = frozenset(search.run.sequence.config.net)
+                        assert ts[-1] in m.closure(net | {ts[-2]}), name
+                        bounces[name] = ts
+                    elif rank is None:
+                        assert flatness._alpha_nonnegative(m, m.flats()) is False, name
+                    else:
+                        assert ref_alpha_min(m, rank) < 0, name
             elif search.status == "found" and search.run.cycle_length >= 3:
                 ts = search.run.sequence.ts
                 assert any(m.closure((a,)) == m.closure((b,)) for a, b in zip(ts, ts[1:])), name
                 assert check_flat(m, exhaustive=True).kind == "flat-exhaustive", name
                 through_parallel[name.split()[0]] = ts
-        assert (simple, cycles) == (85, 27)
+        assert (simple, cycles) == (97, 30)
+        assert bounces == {"u23_plus_2_free": (1, 2, 1)}
         assert through_parallel == {"gf2#2": (2, 4, 5, 2), "gf3#3": (2, 3, 4, 2)}
 
     def test_search_that_ends_clean_despite_negative_alpha_is_an_error(self, monkeypatch):
@@ -443,14 +457,19 @@ class TestMasonAlpha:
         assert tops == []
 
     @pytest.mark.parametrize(
-        "m", [corpus.pps_chain(6), uniform_matroid(3, 7)], ids=["pps_chain(6)", "U(3,7)"]
+        "m",
+        [corpus.pps_chain(6), uniform_matroid(3, 7), corpus.pps_chain(10), uniform_matroid(4, 7)],
+        ids=["pps_chain(6)", "U(3,7)", "pps_chain(10)", "U(4,7)"],
     )
     def test_flat_hosts_are_answered_without_a_search_past_pairs(self, monkeypatch, m):
         # No pair violates in a pregeometry, and alpha >= 0 rules out the
-        # rest: no meet table is built and nothing is searched.
+        # rest: no meet table is built and nothing is searched.  The work
+        # cap prices only that search, so the last two hosts, past the cap
+        # at sigma 4, are answered too, and exactly when a sample is offered.
         tops = search_sizes(monkeypatch)
         monkeypatch.setattr(flatness, "_MeetTable", None)
-        assert check_flat(m, 4) == flatness.FlatnessVerdict("flat-up-to", bound=4)
+        for options in ({}, {"sample": 20}):
+            assert check_flat(m, 4, **options) == flatness.FlatnessVerdict("flat-up-to", bound=4)
         assert tops == []
 
     def test_walk_past_its_bound_leaves_the_verdict_to_the_search(self, monkeypatch):

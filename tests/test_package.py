@@ -20,8 +20,8 @@ EXPORTS = {
     "lambda_closure", "lambda_step", "psi_witness_check",
     "Delta2Schedule", "Sigma1Schedule", "StagewisePresentation", "delta2_acl_schedule",
     "going_down_run", "trace_verify",
-    "SpectrumSet", "TheoryProfile", "Verdict", "classify", "enumerate_case_analysis",
-    "validate_profile",
+    "SpectrumSet", "TheoryProfile", "Verdict", "check_profile", "classify",
+    "enumerate_case_analysis", "validate_profile",
 }
 
 
