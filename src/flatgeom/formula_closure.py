@@ -7,10 +7,11 @@ uniform bound K.  The closure of a set X under phi is built by repeatedly
 adding every element completing an (m-1)-tuple from the current set to a
 phi-tuple, in any coordinate position.
 
-Closures step on the matroid's masks (bit e for element e) and hand back
-frozensets.  Every closure runs on one *fiber index*, mapping each fiber
-key ``(position, rest)`` to the masks of ``rest`` and of the elements
-completing it to a phi-tuple at that position.  One step adds the
+Closures step on the matroid's masks (bit e for element e), and their
+results keep each chain as masks: the frozensets of ``.chain`` are built
+when it is first read.  Every closure runs on one *fiber index*, mapping
+each fiber key ``(position, rest)`` to the masks of ``rest`` and of the
+elements completing it to a phi-tuple at that position.  One step adds the
 completions of every fiber whose rest lies in the current set, and one
 loop, ``_iterate``, repeats a step until a fixpoint, a blocking fiber or
 the budget, by default |universe| + 1 steps, which always reach the
@@ -72,11 +73,12 @@ def _iterate(
     x: int,
     budget: int,
     incomplete: Sequence[tuple[FiberKey, int]] = (),
-) -> tuple[tuple[frozenset[int], ...], str, tuple[FiberKey, ...]]:
+) -> tuple[tuple[int, ...], str, tuple[FiberKey, ...]]:
     """The one fixpoint loop: at most ``budget`` steps from the mask ``x``,
-    giving ``(chain, status, blocking)``.  Status is "pending" when keys of
-    ``incomplete`` (the blocking ones) have their rest mask in the current
-    set, "fixpoint" when a step adds nothing, and "budget" otherwise."""
+    giving ``(masks, status, blocking)``, the chain as masks.  Status is
+    "pending" when keys of ``incomplete`` (the blocking ones) have their
+    rest mask in the current set, "fixpoint" when a step adds nothing, and
+    "budget" otherwise."""
     chain, status, blocking = [x], "budget", ()
     for _ in range(budget):
         cur = chain[-1]
@@ -86,7 +88,12 @@ def _iterate(
             status = "pending" if blocking else "fixpoint"
             break
         chain.append(nxt)
-    return tuple(frozenset(elements_of(s)) for s in chain), status, blocking
+    return tuple(chain), status, blocking
+
+
+def _frozensets(result) -> tuple[frozenset[int], ...]:
+    """A result's chain of iterates, built from its masks on first read."""
+    return tuple(frozenset(elements_of(s)) for s in result.masks)
 
 
 def _budget(g: GeometricStructure) -> int:
@@ -170,18 +177,20 @@ class LambdaResult:
     since each growing step adds an element of the universe).
     """
 
-    chain: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     status: str
     fixpoint_index: Optional[int] = None
     budget: Optional[int] = None
 
+    chain = cached_property(_frozensets)
+
     @property
     def closure(self) -> frozenset[int]:
-        return self.chain[-1]
+        return frozenset(elements_of(self.masks[-1]))
 
     @property
     def growth_trace(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self.chain)
+        return tuple(s.bit_count() for s in self.masks)
 
 
 def lambda_step(g: GeometricStructure, xi: Iterable[int]) -> frozenset[int]:
@@ -204,10 +213,10 @@ def lambda_closure(
         raise InvalidStructure("budget must be >= 1")
     # lambda_step is looked up per step, so a wrapper on it sees every step.
     step = lambda cur: mask_of(lambda_step(g, elements_of(cur)))
-    chain, status, _ = _iterate(step, g.matroid._check(x), budget)
+    masks, status, _ = _iterate(step, g.matroid._check(x), budget)
     if status == "fixpoint":
-        return LambdaResult(chain, status, fixpoint_index=len(chain) - 1)
-    return LambdaResult(chain, "diverging", budget=budget)
+        return LambdaResult(masks, status, fixpoint_index=len(masks) - 1)
+    return LambdaResult(masks, "diverging", budget=budget)
 
 
 # -- staged (enumerated) structures ----------------------------------------
@@ -326,7 +335,8 @@ def revealed_closure(
     """Plain fixpoint over the tuples revealed by the stage, with no
     completeness certification."""
     step = partial(_step, enum._stage_view(stage)[0])
-    return _iterate(step, enum.structure.matroid._check(x), _budget(enum.structure))[0][-1]
+    masks = _iterate(step, enum.structure.matroid._check(x), _budget(enum.structure))[0]
+    return frozenset(elements_of(masks[-1]))
 
 
 @dataclass(frozen=True)
@@ -341,8 +351,10 @@ class CertifiedLambda:
     """
 
     status: str
-    chain: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     blocking: tuple[FiberKey, ...] = ()
+
+    chain = cached_property(_frozensets)
 
 
 def certified_lambda(
@@ -350,8 +362,8 @@ def certified_lambda(
 ) -> CertifiedLambda:
     index, incomplete = enum._stage_view(stage)
     start = enum.structure.matroid._check(x)
-    chain, status, blocking = _iterate(partial(_step, index), start, budget, incomplete)
-    return CertifiedLambda("finite" if status == "fixpoint" else status, chain, blocking)
+    masks, status, blocking = _iterate(partial(_step, index), start, budget, incomplete)
+    return CertifiedLambda("finite" if status == "fixpoint" else status, masks, blocking)
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,7 @@ def structure_from_json(doc: Any) -> GeometricStructure:
 
     try:
         m = matroid_from_json(doc["matroid"])
-        tuples = [_ints(t, "phi tuple member") for t in doc["phi"]["tuples"]]
+        tuples = [_ints(t, "phi tuple member") for t in _list(doc["phi"], "tuples", required=True)]
         g = GeometricStructure.of(m, tuples, _int(doc["K"], "K"))
         if len(g.universe) != _int(doc["universe"], "universe"):
             raise InputError("universe size disagrees with the matroid")

@@ -39,6 +39,9 @@ DEMO_EFFECTIVE = jsonio.effective_scenario_to_json(*corpus.going_down_demo())
 #: The staged scenario sigma1_chain as a document.
 SIGMA1_CHAIN = jsonio.scenario_to_json(corpus.sigma1_chain())
 
+#: The structure phi_demo as a document.
+PHI_DEMO = jsonio.structure_to_json(corpus.phi_demo())
+
 #: The uniform U(2,3) as a closure-table document; its rows are in (size,
 #: lex) order, so row 0 is the empty set and row 1 is [0].
 CT_U23 = jsonio.matroid_to_json(corpus.MATROIDS["ct_u23"]())
@@ -695,6 +698,16 @@ class TestCommands:
                 {**DEMO_EFFECTIVE, "signature_order": {"phi": 1}},
                 "signature_order must be a list, got {'phi': 1}",
             ),
+            (
+                "lambda closure --x 0,1 --structure",
+                {**PHI_DEMO, "phi": {**PHI_DEMO["phi"], "tuples": {}}},
+                "tuples must be a list, got {}",
+            ),
+            (
+                "lambda closure --x 0,1 --structure",
+                {**PHI_DEMO, "phi": {**PHI_DEMO["phi"], "tuples": {"0": 1}}},
+                "tuples must be a list, got {'0': 1}",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -743,6 +756,8 @@ class TestCommands:
             "infinite-seed-not-a-list",
             "table-row-set-not-a-list",
             "signature-order-not-a-list",
+            "phi-tuples-empty-object",
+            "phi-tuples-object",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

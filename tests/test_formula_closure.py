@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -23,7 +24,7 @@ from flatgeom.formula_closure import (
     psi_witness_check,
     revealed_closure,
 )
-from flatgeom.matroid import linear_matroid, uniform_matroid
+from flatgeom.matroid import elements_of, linear_matroid, uniform_matroid
 
 
 @pytest.fixture(scope="module")
@@ -337,3 +338,71 @@ class TestEngineAgainstReference:
                     res = certified_lambda(enum, x, stage, budget)
                     want = ref_certified_lambda(enum, x, stage, budget)
                     assert (res.status, res.chain, res.blocking) == want, (x, stage)
+
+
+class TestChainsStayMasks:
+    """Results keep their chains as masks and build frozensets only for
+    what a caller reads."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        calls = []
+
+        def counted(mask):
+            calls.append(mask)
+            return elements_of(mask)
+
+        monkeypatch.setattr(formula_closure, "elements_of", counted)
+        return calls
+
+    def test_acl_enumeration_converts_no_chain(self, conversions):
+        res = acl_enumerate_via_lambda(corpus.sigma1_chain(), (0, 1))
+        assert res.elements == frozenset({0, 1, 2})
+        assert conversions == []
+
+    def test_ild_converts_one_closure_per_declared_infinite_call(self, conversions, monkeypatch):
+        reads = []
+        declared = EnumeratedStructure.declared_infinite
+
+        def counted(enum, x):
+            reads.append(x)
+            return declared(enum, x)
+
+        monkeypatch.setattr(EnumeratedStructure, "declared_infinite", counted)
+        res = ild_estimate(corpus.ild_pps())
+        assert (res.value, res.certainty) == (3, "certified")
+        assert reads and len(conversions) == len(reads)
+
+    @pytest.mark.parametrize(
+        "enum", [corpus.sigma1_chain(), corpus.ild_pps()], ids=["sigma1_chain", "ild_pps"]
+    )
+    def test_lazy_chains_read_as_eager_ones(self, enum):
+        g = enum.structure
+        sets = [c for size in range(3) for c in combinations(g.universe, size)]
+        # Each result keyed by its fields, with the chain built eagerly by
+        # the reference loops.
+        keyed = []
+        for x in sets:
+            for budget in (1, None):
+                res = lambda_closure(g, x, budget)
+                chain = ref_lambda_closure(g.phi, g.arity, x, budget or len(g.universe) + 1)[0]
+                assert res.closure == chain[-1]
+                assert res.growth_trace == tuple(len(s) for s in chain)
+                keyed.append((res, (chain, res.status, res.fixpoint_index, res.budget)))
+            for stage in (1, enum.final_stage):
+                for budget in (1, len(g.universe)):
+                    res = certified_lambda(enum, x, stage, budget)
+                    keyed.append((res, ref_certified_lambda(enum, x, stage, budget)))
+        groups = {}
+        for res, key in keyed:
+            chain = key[0] if isinstance(res, formula_closure.LambdaResult) else key[1]
+            assert res.chain == chain and res.chain is res.chain
+            groups.setdefault((type(res), key), []).append(res)
+        # Results equal, and hash alike, exactly when their frozenset
+        # chains and the rest of their fields do, whether or not the
+        # chain of either has been read.
+        groups = list(groups.values())
+        for i, group in enumerate(groups):
+            unread = replace(group[0])  # same fields, chain not yet built
+            assert all(res == unread and hash(res) == hash(unread) for res in group)
+            assert all(group[0] != other[0] for other in groups[i + 1 :])
