@@ -296,13 +296,9 @@ def cmd_corpus_check(args) -> Result:
     for name, make in corpus.MATROIDS.items():
         m = make()
         results[name] = m.verify_pregeometry(max_ground=len(m.ground)).ok
-    for name, make in {**corpus.STRUCTURES, **corpus.SCENARIOS}.items():
-        make().validate()
-        results[name] = True
-    for name, make in corpus.EFFECTIVE_SCENARIOS.items():
-        _, membership, enumeration, _ = make()
-        membership.validate()
-        enumeration.validate()
+    built = {**corpus.STRUCTURES, **corpus.SCENARIOS, **corpus.EFFECTIVE_SCENARIOS}
+    for name, make in built.items():
+        make()  # every other member checks itself when it is built
         results[name] = True
     ok = all(results.values())
     return {"ok": ok, "members": results}, not ok

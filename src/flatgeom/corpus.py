@@ -1,10 +1,11 @@
 """Bundled matroids, structures and scenarios used by tests and the CLI.
 
-Every member passes its module's validation on load; ``corpus check``
-re-verifies that claim.  The randomized generators at the bottom produce
-the structure and construction scenarios the property suites run over;
-they embed the ground truth the scenarios promise (growth contracts,
-witness availability), which is what makes the suites assertable.
+Every structure and scenario member checks itself when it is built, so
+``corpus check`` builds each one and runs the axiom check on each matroid.
+The randomized generators at the bottom produce the structure and
+construction scenarios the property suites run over; they embed the
+ground truth the scenarios promise (growth contracts, witness
+availability), which is what makes the suites assertable.
 Each member or generator that builds a structure or a scenario imports
 its module itself, so the matroid members need only ``matroid``.
 """
@@ -12,6 +13,7 @@ its module itself, so the matroid members need only ``matroid``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -272,9 +274,9 @@ def random_geometric_structure(
         perm = list(c.elements)
         rng.shuffle(perm)
         tuples.append(tuple(perm))
-    g0 = GeometricStructure(m, frozenset(tuples), arity, fiber_bound=1)
-    bound = max(g0.fiber_sizes().values()) + 1
-    return GeometricStructure.of(m, tuples, fiber_bound=bound)
+    # Distinct circuits: each tuple is one member of each of its fibers.
+    fibers = Counter((j, t[:j] + t[j + 1 :]) for t in tuples for j in range(arity))
+    return GeometricStructure.of(m, tuples, fiber_bound=max(fibers.values()) + 1)
 
 
 def random_carousel_case(

@@ -112,7 +112,7 @@ class Delta2Schedule:
     flips: tuple[FlipEvent, ...]
     max_flips_per_element: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if any(ev.stage < 1 for ev in self.flips):
             raise IncoherentSchedule("flip stages start at 1")
         for elem, events in self._flips_of.items():
@@ -164,7 +164,7 @@ class Sigma1Schedule:
         entries = sorted(((int(e), int(s)) for e, s in items), key=lambda p: (p[1], p[0]))
         return cls(tuple(entries))
 
-    def validate(self) -> None:
+    def __post_init__(self):
         elems = [e for e, _ in self.entries]
         if len(set(elems)) != len(elems):
             raise IncoherentSchedule("an element enters A twice")
@@ -228,12 +228,11 @@ def going_down_run(
 ) -> ConstructionTrace:
     """Execute the construction for ``horizon`` stages and return the trace.
 
-    Schedules are validated and made coherent first: an element counts as
-    a member from the stage it enters A onward.  The horizon must lie past
-    the last scripted flip and the last A entry.
+    Each schedule checked itself when it was built; here they are made
+    coherent with each other: an element counts as a member from the stage
+    it enters A onward.  The horizon must lie past the last scripted flip
+    and the last A entry.
     """
-    membership.validate()
-    enumeration.validate()
     structure = presentation.structure
     universe = structure.universe
     if not enumeration.target <= membership.target:
@@ -484,6 +483,4 @@ def delta2_acl_schedule(
             value = truth if (len(stages) - 1 - i) % 2 == 0 else not truth
             flips.append(FlipEvent(x, s, value))
     flips.sort(key=lambda ev: (ev.stage, ev.elem))
-    sched = Delta2Schedule(target, tuple(flips))
-    sched.validate()
-    return sched
+    return Delta2Schedule(target, tuple(flips))

@@ -119,14 +119,8 @@ class GeometricStructure:
         fiber_bound: int,
     ) -> "GeometricStructure":
         tuples = frozenset(tuple(t) for t in phi)
-        if not tuples:
-            raise InvalidStructure("phi must be nonempty")
-        arities = {len(t) for t in tuples}
-        if len(arities) != 1:
-            raise InvalidStructure("phi tuples must share one arity")
-        g = cls(matroid, tuples, arities.pop(), fiber_bound)
-        g.validate()
-        return g
+        # One tuple's arity; the structure checks every tuple against it.
+        return cls(matroid, tuples, len(next(iter(tuples), ())), fiber_bound)
 
     @property
     def universe(self) -> tuple[int, ...]:
@@ -137,7 +131,14 @@ class GeometricStructure:
         """One less than the arity: the dimension of each phi-circuit."""
         return self.arity - 1
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        if not self.phi:
+            raise InvalidStructure("phi must be nonempty")
+        arities = {len(t) for t in self.phi}
+        if len(arities) != 1:
+            raise InvalidStructure("phi tuples must share one arity")
+        if arities != {self.arity}:
+            raise InvalidStructure(f"phi tuples have arity {arities.pop()}, not {self.arity}")
         if self.fiber_bound < 1:
             raise InvalidStructure("fiber bound K must be positive")
         m = self.arity
@@ -253,14 +254,12 @@ class EnumeratedStructure:
         for batch in reveal:
             acc = acc | frozenset(tuple(t) for t in batch)
             cumulative.append(acc)
-        g = cls(
+        return cls(
             structure,
             tuple(cumulative),
             dict(counts or {}),
             tuple(frozenset(s) for s in infinite_seeds),
         )
-        g.validate()
-        return g
 
     @classmethod
     def complete(cls, structure: GeometricStructure) -> "EnumeratedStructure":
@@ -272,7 +271,7 @@ class EnumeratedStructure:
     def final_stage(self) -> int:
         return len(self.stages)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.stages:
             raise InvalidStructure("at least one stage is required")
         for earlier, later in zip(self.stages, self.stages[1:]):
@@ -360,6 +359,8 @@ class CertifiedLambda:
 def certified_lambda(
     enum: EnumeratedStructure, x: Iterable[int], stage: int, budget: int
 ) -> CertifiedLambda:
+    if budget < 1:
+        raise InvalidStructure("budget must be >= 1")
     index, incomplete = enum._stage_view(stage)
     start = enum.structure.matroid._check(x)
     masks, status, blocking = _iterate(partial(_step, index), start, budget, incomplete)
@@ -475,6 +476,11 @@ class PsiRelation:
     fiber_bound: int
     isolates: bool = False
 
+    def __post_init__(self):
+        for t in self.tuples:
+            if len(t) != self.z_arity + self.w_arity:
+                raise InvalidStructure(f"psi tuple {t} has the wrong arity")
+
     def witnesses(self, z: Sequence[int]) -> list[tuple[int, ...]]:
         z = tuple(z)
         k = self.z_arity
@@ -506,12 +512,8 @@ def psi_witness_check(
     Checks totality (every z-tuple over the universe has a witness),
     boundedness (every fiber is below the declared bound), and that the
     designated pair satisfies psi.  Report-style: a failed check is
-    reported, not raised; only a psi tuple of the wrong arity raises
-    ``InvalidStructure``.
+    reported, not raised.
     """
-    for t in psi.tuples:
-        if len(t) != psi.z_arity + psi.w_arity:
-            raise InvalidStructure(f"psi tuple {t} has the wrong arity")
     sizes = {z: len(psi.witnesses(z)) for z in product(g.universe, repeat=psi.z_arity)}
     first_total = next((z for z, n in sizes.items() if n == 0), None)
     first_bound = next((z for z, n in sizes.items() if n >= psi.fiber_bound), None)

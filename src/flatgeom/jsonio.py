@@ -161,13 +161,16 @@ def _fiber_key_str(key) -> str:
 
 
 def _fiber_key_parse(text: str) -> tuple[int, tuple[int, ...]]:
-    """The position and rest of a key that ``_fiber_key_str`` wrote."""
+    """The position and rest of a key, refused unless ``_fiber_key_str``
+    writes it back unchanged."""
     try:
         j, rest = text.split("|", 1)
-        parts = tuple(int(x) for x in rest.split(",")) if rest else ()
-        return int(j), parts
+        key = int(j), tuple(int(x) for x in rest.split(",")) if rest else ()
+        if _fiber_key_str(key) == text:
+            return key
     except ValueError:
-        raise InputError(f"bad fiber key {text!r}") from None
+        pass
+    raise InputError(f"bad fiber key {text!r}")
 
 
 def scenario_to_json(enum: EnumeratedStructure) -> dict:
@@ -285,20 +288,20 @@ def effective_scenario_from_json(
         bad = [ev.value for ev in flips if not isinstance(ev.value, bool)]
         if bad:
             raise InputError(f'flip "in" must be true or false, got {bad[0]!r}')
-        membership = Delta2Schedule(
-            frozenset(_int(x, "M element") for x in _list(doc, "M", required=True)),
-            flips,
-            _int(doc.get("max_flips", 3), "max_flips"),
-        )
-        enumeration = Sigma1Schedule.of(
-            (e, int(stage))
-            for stage, elems in doc.get("A_stages", {}).items()
-            for e in _ints(elems, "A_stages element")
-        )
+        target = frozenset(_int(x, "M element") for x in _list(doc, "M", required=True))
+        max_flips = _int(doc.get("max_flips", 3), "max_flips")
+        entries: list[tuple[int, int]] = []
+        for key, elems in doc.get("A_stages", {}).items():
+            stage = int(key)  # which also reads '0_3' and ' 4'
+            if str(stage) != key:
+                raise InputError(f"A_stages key must be written {str(stage)!r}, got {key!r}")
+            entries += ((e, stage) for e in _ints(elems, "A_stages element"))
         declared = frozenset(_int(x, "A element") for x in _list(doc, "A"))
-        if declared and declared != enumeration.target:
+        if declared and declared != {e for e, _ in entries}:
             raise InputError("A and A_stages disagree")
         horizon = _int(doc["horizon"], "horizon")
-        return presentation, membership, enumeration, horizon
+        # The schedules check themselves, after every check of the document.
+        membership = Delta2Schedule(target, flips, max_flips)
+        return presentation, membership, Sigma1Schedule.of(entries), horizon
     except _BAD_VALUE as e:
         raise InputError(f"bad effective scenario: {e}") from None

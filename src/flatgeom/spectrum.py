@@ -64,7 +64,11 @@ class SpectrumSet:
     horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self):
-        self.validate()
+        if self.horizon < 0:
+            raise InputError("horizon must be non-negative")
+        bad = [k for k in self.finite_part if k < 0 or k > self.horizon]
+        if bad:
+            raise InputError(f"members {sorted(bad)} outside horizon 0..{self.horizon}")
 
     @classmethod
     def of(
@@ -80,13 +84,6 @@ class SpectrumSet:
             else:
                 finite.add(int(m))
         return cls(frozenset(finite), omega, horizon)
-
-    def validate(self) -> None:
-        if self.horizon < 0:
-            raise InputError("horizon must be non-negative")
-        bad = [k for k in self.finite_part if k < 0 or k > self.horizon]
-        if bad:
-            raise InputError(f"members {sorted(bad)} outside horizon 0..{self.horizon}")
 
     def members(self) -> tuple[Union[int, str], ...]:
         out: list[Union[int, str]] = sorted(self.finite_part)

@@ -36,6 +36,12 @@ README = (Path(__file__).parent.parent / "README.md").read_text()
 #: The going-down demo as a scenario document.
 DEMO_EFFECTIVE = jsonio.effective_scenario_to_json(*corpus.going_down_demo())
 
+
+def _flip(elem: int, stage: int, value: bool) -> dict:
+    """One flip of an effective scenario document."""
+    return {"elem": elem, "stage": stage, "in": value}
+
+
 #: The staged scenario sigma1_chain as a document.
 SIGMA1_CHAIN = jsonio.scenario_to_json(corpus.sigma1_chain())
 
@@ -708,6 +714,56 @@ class TestCommands:
                 {**PHI_DEMO, "phi": {**PHI_DEMO["phi"], "tuples": {"0": 1}}},
                 "tuples must be a list, got {'0': 1}",
             ),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "A_stages": {"1": [0, 1], "0_3": [4], " 4": [5]}},
+                "A_stages key must be written '3', got '0_3'",
+            ),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "A_stages": {"1": [0, 1], "3": [4], " 4": [5]}},
+                "A_stages key must be written '4', got ' 4'",
+            ),
+            ("ild --scenario", {**SIGMA1_CHAIN, "counts": {"2|0,0_9": 1}},
+             "bad fiber key '2|0,0_9'"),
+            ("ild --scenario", {**SIGMA1_CHAIN, "counts": {"2|0, 9": 1}},
+             "bad fiber key '2|0, 9'"),
+            ("effective going-down --scenario", {**DEMO_EFFECTIVE, "flips": [_flip(2, 0, False)]},
+             "flip stages start at 1"),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "flips": [_flip(2, 5, False), _flip(2, 3, True)]},
+                "element 2 flips out of order",
+            ),
+            ("effective going-down --scenario", {**DEMO_EFFECTIVE, "max_flips": 0},
+             "element 2 exceeds its flip budget"),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "flips": [_flip(2, 3, False), _flip(2, 5, False)]},
+                "element 2 has consecutive flips to the same state",
+            ),
+            ("effective going-down --scenario", {**DEMO_EFFECTIVE, "flips": [_flip(2, 5, True)]},
+             "element 2 does not settle on its target membership"),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "A_stages": {**DEMO_EFFECTIVE["A_stages"], "6": [4]}},
+                "an element enters A twice",
+            ),
+            (
+                "effective going-down --scenario",
+                {**DEMO_EFFECTIVE, "A_stages": {"0": [0, 1], "3": [4], "4": [5]}},
+                "A stages start at 1",
+            ),
+            # Two faults: the document's own check comes before the schedules'.
+            (
+                "effective going-down --scenario",
+                {
+                    **DEMO_EFFECTIVE,
+                    "flips": [_flip(2, 5, False), _flip(2, 3, True)],
+                    "A": [0, 1],
+                },
+                "A and A_stages disagree",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -758,6 +814,18 @@ class TestCommands:
             "signature-order-not-a-list",
             "phi-tuples-empty-object",
             "phi-tuples-object",
+            "a-stages-key-with-underscore",
+            "a-stages-key-with-space",
+            "count-key-with-underscore",
+            "count-key-with-space",
+            "flip-stage-zero",
+            "flips-out-of-order",
+            "flip-budget",
+            "flips-to-the-same-state",
+            "flip-off-target-membership",
+            "a-entered-twice",
+            "a-stage-zero",
+            "a-disagrees-before-flip-order",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(

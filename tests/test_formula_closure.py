@@ -145,6 +145,12 @@ class TestCertifiedIteration:
         assert res.status == "pending"
         assert res.blocking
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        # No step runs, so no cap can have been hit while growing.
+        with pytest.raises(InvalidStructure, match="budget must be >= 1"):
+            certified_lambda(corpus.sigma1_chain(), (0, 1), 1, budget)
+
     def test_complete_wrap_certifies_everything(self, demo):
         enum = EnumeratedStructure.complete(demo)
         res = certified_lambda(enum, {0, 1}, stage=1, budget=10)
@@ -269,7 +275,6 @@ class TestRandomizedStructures:
         rng = random.Random(123)
         for _ in range(60):
             g = corpus.random_geometric_structure(rng)
-            g.validate()
             res = lambda_closure(g, ())
             assert res.status == "fixpoint"
 

@@ -1,0 +1,75 @@
+"""Every input checks itself once, when it is built: a frozen value that
+was constructed is valid for its whole life, so no class re-checks it."""
+
+import inspect
+import pkgutil
+from importlib import import_module
+
+import pytest
+
+import flatgeom
+from flatgeom.effective import Delta2Schedule, FlipEvent, Sigma1Schedule
+from flatgeom.errors import IncoherentSchedule, InvalidStructure
+from flatgeom.formula_closure import GeometricStructure, PsiRelation
+from flatgeom.matroid import uniform_matroid
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Delta2Schedule(frozenset(), (FlipEvent(2, 0, True),)),
+         IncoherentSchedule, "flip stages start at 1"),
+        (lambda: Delta2Schedule(frozenset(), (FlipEvent(2, 5, False), FlipEvent(2, 3, True))),
+         IncoherentSchedule, "element 2 flips out of order"),
+        (lambda: Delta2Schedule(frozenset(), (FlipEvent(2, 3, False), FlipEvent(2, 3, True))),
+         IncoherentSchedule, "element 2 flips out of order"),
+        (lambda: Delta2Schedule(frozenset(), (FlipEvent(2, 5, False),), max_flips_per_element=0),
+         IncoherentSchedule, "element 2 exceeds its flip budget"),
+        (lambda: Delta2Schedule(frozenset(), (FlipEvent(2, 3, False), FlipEvent(2, 5, False))),
+         IncoherentSchedule, "element 2 has consecutive flips to the same state"),
+        (lambda: Delta2Schedule(frozenset(), (FlipEvent(2, 5, True),)),
+         IncoherentSchedule, "element 2 does not settle on its target membership"),
+        (lambda: Sigma1Schedule(((0, 1), (0, 3))),
+         IncoherentSchedule, "an element enters A twice"),
+        (lambda: Sigma1Schedule.of({0: 0}),
+         IncoherentSchedule, "A stages start at 1"),
+        (lambda: PsiRelation(1, 1, frozenset({(0, 0), (0, 1, 2)}), fiber_bound=2),
+         InvalidStructure, "psi tuple (0, 1, 2) has the wrong arity"),
+        (lambda: GeometricStructure(uniform_matroid(2, 4), frozenset(), 3, 2),
+         InvalidStructure, "phi must be nonempty"),
+        (lambda: GeometricStructure(uniform_matroid(2, 4), frozenset({(0, 1, 2), (1, 2)}), 3, 2),
+         InvalidStructure, "phi tuples must share one arity"),
+        (lambda: GeometricStructure(uniform_matroid(2, 4), frozenset({(0, 1, 2, 3)}), 3, 2),
+         InvalidStructure, "phi tuples have arity 4, not 3"),
+    ],
+    ids=[
+        "flip-stage-zero",
+        "flips-out-of-order",
+        "flips-on-one-stage",
+        "flip-budget",
+        "consecutive-same-state",
+        "unsettled-flip",
+        "a-entered-twice",
+        "a-stage-zero",
+        "psi-arity",
+        "empty-phi",
+        "mixed-phi-arities",
+        "phi-arity-not-declared",
+    ],
+)
+def test_constructor_refuses(build, error, message):
+    with pytest.raises(error) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_only_pps_config_has_a_separate_check():
+    """``PPSConfig.validate(m)`` needs a matroid, so it cannot run when the
+    config is built; every other input checks itself in ``__post_init__``."""
+    owners = set()
+    for info in pkgutil.iter_modules(flatgeom.__path__):
+        module = import_module(f"flatgeom.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and "validate" in vars(cls):
+                owners.add(name)
+    assert owners == {"PPSConfig"}
