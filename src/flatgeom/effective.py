@@ -5,14 +5,18 @@ structure N, guided by a stagewise membership approximation M_s (each
 element flips finitely often, the limit is M) and a monotone enumeration
 A_s of a designated subset A of M.  At each stage, if every copied image
 currently looks like a member of M, the least uncopied apparent member is
-copied and one more signature symbol is revealed; otherwise the run waits
-until either the approximation changes on the copied range, or an element
-of A plus a replacement tuple lets the offending images be remapped while
-preserving every atomic fact committed so far.
+copied and one more signature symbol is revealed; otherwise the copy
+freezes.  A frozen copy keeps one record: the stage it froze at, the
+preimages of the dropped images, and which of its images were members
+then.  It waits until membership on its range differs from that record
+(outcome 1), or an element of A plus a replacement tuple lets the dropped
+images be remapped while preserving every atomic fact committed so far
+(outcome 2).
 
 Committed facts are permanent: they are pulled back from N when an element
 or symbol is added, and any later remap must respect them.  That is what
-makes the limit map an isomorphism onto the substructure on M.
+makes the limit map an isomorphism onto the substructure on M.  One
+function, ``_broken_fact``, checks them, for a remap and for the limit map.
 
 An element counts as a member at stage s when it has entered A_s or M_s
 says so.  That one rule gives ``ConstructionTrace.corrected_member``, and
@@ -92,6 +96,13 @@ class StagewisePresentation:
             raise InvalidStructure("universe disagrees with the matroid's ground set")
 
 
+def _check_ints(values: Iterable, what: str) -> None:
+    """Refuse the first value that is not an int; a bool is not one here."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise IncoherentSchedule(f"{what} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class FlipEvent:
     elem: int
@@ -113,6 +124,9 @@ class Delta2Schedule:
     max_flips_per_element: int = 3
 
     def __post_init__(self):
+        _check_ints(self.target, "target element")
+        _check_ints((ev.elem for ev in self.flips), "flip element")
+        _check_ints((ev.stage for ev in self.flips), "flip stage")
         if any(ev.stage < 1 for ev in self.flips):
             raise IncoherentSchedule("flip stages start at 1")
         for elem, events in self._flips_of.items():
@@ -120,14 +134,9 @@ class Delta2Schedule:
             if len(set(stages)) != len(stages) or stages != sorted(stages):
                 raise IncoherentSchedule(f"element {elem} flips out of order")
             if len(events) > self.max_flips_per_element:
-                raise IncoherentSchedule(
-                    f"element {elem} exceeds its flip budget"
-                )
-            for prev, nxt in zip(events, events[1:]):
-                if prev.value == nxt.value:
-                    raise IncoherentSchedule(
-                        f"element {elem} has consecutive flips to the same state"
-                    )
+                raise IncoherentSchedule(f"element {elem} exceeds its flip budget")
+            if any(prev.value == nxt.value for prev, nxt in zip(events, events[1:])):
+                raise IncoherentSchedule(f"element {elem} has consecutive flips to the same state")
             if events[-1].value != (elem in self.target):
                 raise IncoherentSchedule(
                     f"element {elem} does not settle on its target membership"
@@ -161,12 +170,17 @@ class Sigma1Schedule:
     @classmethod
     def of(cls, staged: Mapping[int, int] | Iterable[tuple[int, int]]) -> "Sigma1Schedule":
         items = staged.items() if isinstance(staged, MappingABC) else staged
-        entries = sorted(((int(e), int(s)) for e, s in items), key=lambda p: (p[1], p[0]))
+        entries = [(e, s) for e, s in items]
+        try:
+            entries.sort(key=lambda p: (p[1], p[0]))
+        except TypeError:
+            pass  # entries of mixed types, which __post_init__ refuses
         return cls(tuple(entries))
 
     def __post_init__(self):
-        elems = [e for e, _ in self.entries]
-        if len(set(elems)) != len(elems):
+        _check_ints((e for e, _ in self.entries), "A element")
+        _check_ints((s for _, s in self.entries), "A stage")
+        if len(self.target) != len(self.entries):
             raise IncoherentSchedule("an element enters A twice")
         if any(s < 1 for _, s in self.entries):
             raise IncoherentSchedule("A stages start at 1")
@@ -247,21 +261,17 @@ def going_down_run(
     if horizon <= max(scripted, default=0):
         raise IncoherentSchedule("horizon must lie past all scripted events")
     if len(presentation.signature_order) > len(membership.target):
-        raise IncoherentSchedule(
-            "signature has more symbols than extension steps available"
-        )
+        raise IncoherentSchedule("signature has more symbols than extension steps available")
 
     images: list[int] = []  # images[b] = f(b)
+    settled: list[int] = []  # settled[b]: the last stage images[b] changed
     symbols: list[str] = []
     facts: dict[tuple[str, tuple[int, ...]], bool] = {}
     records: list[StageRecord] = []
-    last_change: dict[int, int] = {}
-
-    waiting = False
-    wait_from = 0
-    ref_ran: frozenset[int] = frozenset()
-    ref_inter: frozenset[int] = frozenset()
-    out_pre: list[int] = []  # preimages of the dropped images, in image order
+    # None while the copy runs.  While a wait is open: the stage the copy
+    # froze at, the preimages of the dropped images in image order, and
+    # ran & members at that stage.
+    frozen: Optional[tuple[int, list[int], frozenset[int]]] = None
     longest_wait = 0
 
     def commit(sym: str) -> None:
@@ -277,27 +287,19 @@ def going_down_run(
             if not earlier or newest in tup:
                 facts[(sym, tup)] = rel.holds(tuple(images[b] for b in tup))
 
-    def embedding_ok(candidate: Sequence[int]) -> bool:
-        if len(set(candidate)) != len(candidate):
-            return False
-        for (sym, tup), val in facts.items():
-            rel = structure.relations[sym]
-            if rel.holds(tuple(candidate[b] for b in tup)) != val:
-                return False
-        return True
-
-    def try_outcome2(stage: int) -> Optional[tuple[int, tuple[int, ...]]]:
+    def try_outcome2(stage: int, dropped: list[int]) -> Optional[tuple[int, tuple[int, ...]]]:
         """The first A-element for the least dropped image, with images for
         the other dropped preimages, that keeps every committed fact."""
-        kept = {y for b, y in enumerate(images) if b not in out_pre}
+        kept = {y for b, y in enumerate(images) if b not in dropped}
         for a in enumeration.at(stage):
             if a in kept:
                 continue
-            for repl in product(universe, repeat=len(out_pre) - 1):
+            for repl in product(universe, repeat=len(dropped) - 1):
                 candidate = list(images)
-                for b, y in zip(out_pre, (a, *repl)):
+                for b, y in zip(dropped, (a, *repl)):
                     candidate[b] = y
-                if embedding_ok(candidate):
+                injective = len(set(candidate)) == len(candidate)
+                if injective and not _broken_fact(structure, facts, candidate):
                     return a, repl
         return None
 
@@ -310,15 +312,15 @@ def going_down_run(
     for stage in range(1, horizon + 1):
         if stage == 1 or stage in scripted:
             members = frozenset(filter(_corrected_at(membership, enumeration, stage), universe))
-        if not waiting:
-            ran = frozenset(images)
+        ran = frozenset(images)
+        if frozen is None:
             if ran <= members:
                 fresh = members - ran
                 if not fresh:
                     record(stage, "wait")
                     continue
                 y = min(fresh)
-                last_change[len(images)] = stage
+                settled.append(stage)
                 images.append(y)
                 revealed = presentation.signature_order[len(symbols) : len(symbols) + 1]
                 for sym in (*revealed, *symbols):
@@ -326,48 +328,52 @@ def going_down_run(
                 symbols.extend(revealed)
                 record(stage, "extend", copied=y)
                 continue
-            # Some image dropped out of the approximation: freeze the copy
-            # and take the wait path below.  Outcome 1 cannot hold on this
-            # stage, because ref_inter is ran & members itself, so the stage
-            # ends in outcome 2 or a wait, as a later waiting stage does.
-            out_pre = sorted(
-                (b for b, y in enumerate(images) if y not in members),
-                key=images.__getitem__,
-            )
-            ref_ran, ref_inter = ran, ran & members
-            waiting, wait_from = True, stage
+            # Some image dropped out of the approximation: freeze the copy.
+            # Outcome 1 cannot hold on this stage; outcome 2 or a wait ends it.
+            dropped = [images.index(y) for y in sorted(ran - members)]
+            frozen = (stage, dropped, ran & members)
 
-        if ref_ran & members != ref_inter:
-            waiting = False
-            longest_wait = max(longest_wait, stage - wait_from)
-            record(stage, "outcome1")
-            continue
-        hit = try_outcome2(stage)
-        if hit is None:
-            record(stage, "wait")
-            continue
-        a, repl = hit
-        for b, y in zip(out_pre, (a, *repl)):
-            images[b] = y
-            last_change[b] = stage
-        waiting = False
-        longest_wait = max(longest_wait, stage - wait_from)
-        record(stage, "outcome2", witness=a, replacements=repl)
+        since, dropped, held = frozen
+        extra = {}
+        if ran & members == held:
+            hit = try_outcome2(stage, dropped)
+            if hit is None:
+                record(stage, "wait")
+                continue
+            a, repl = hit
+            for b, y in zip(dropped, (a, *repl)):
+                images[b] = y
+                settled[b] = stage
+            extra = {"witness": a, "replacements": repl}
+        longest_wait = max(longest_wait, stage - since)
+        frozen = None
+        record(stage, "outcome2" if extra else "outcome1", **extra)
 
-    status = "stuck" if waiting else "completed"
     return ConstructionTrace(
         presentation=presentation,
         membership=membership,
         enumeration=enumeration,
         horizon=horizon,
         records=tuple(records),
-        status=status,
-        stuck_stage=wait_from if waiting else None,
+        status="stuck" if frozen else "completed",
+        stuck_stage=frozen[0] if frozen else None,
         facts=facts,
         limit_map=tuple(images),
-        stabilization=tuple(last_change[b] for b in range(len(images))),
+        stabilization=tuple(settled),
         longest_wait=longest_wait,
     )
+
+
+def _broken_fact(
+    structure: RelationalStructure,
+    facts: Mapping[tuple[str, tuple[int, ...]], bool],
+    images: Sequence[int],
+) -> Optional[tuple[str, tuple[int, ...]]]:
+    """The first committed fact that ``images`` breaks, or None."""
+    for (sym, tup), val in facts.items():
+        if structure.relations[sym].holds(tuple(images[b] for b in tup)) != val:
+            return sym, tup
+    return None
 
 
 @dataclass(frozen=True)
@@ -392,7 +398,6 @@ def trace_verify(trace: ConstructionTrace, target: Iterable[int]) -> TraceReport
     over the full signature, (d) the limit map is onto the target.
     """
     m_set = frozenset(target)
-    structure = trace.presentation.structure
     if trace.status != "completed":
         return TraceReport(False, False, False, False, f"run {trace.status}")
 
@@ -414,14 +419,10 @@ def trace_verify(trace: ConstructionTrace, target: Iterable[int]) -> TraceReport
         len(trace.records) > 0
         and set(trace.records[-1].symbols) == set(trace.presentation.signature_order)
     )
-    diagram_ok = True
-    for (sym, tup), val in trace.facts.items():
-        rel = structure.relations[sym]
-        if rel.holds(tuple(trace.limit_map[b] for b in tup)) != val:
-            diagram_ok = False
-            detail = detail or f"fact {sym}{tup} disagrees under the limit map"
-            break
-    isomorphism = injective and symbols_done and diagram_ok
+    broken = _broken_fact(trace.presentation.structure, trace.facts, trace.limit_map)
+    if broken:
+        detail = detail or f"fact {broken[0]}{broken[1]} disagrees under the limit map"
+    isomorphism = injective and symbols_done and not broken
     if not symbols_done:
         detail = detail or "signature was not fully revealed"
 
@@ -444,8 +445,8 @@ def delta2_acl_schedule(
     agree.  The delay script only schedules flip stages per element; the
     limit is script-independent.  An element with r scripted stages
     toggles r times and starts on the opposite parity, so it always
-    settles on the truth; more than three stages for one element exceed
-    the ``Delta2Schedule`` flip budget (IncoherentSchedule).
+    settles on the truth.  ``Delta2Schedule`` refuses a repeated stage and,
+    by its flip budget, more than three stages for one element.
     """
     m = presentation.matroid
     if m is None:
@@ -467,16 +468,11 @@ def delta2_acl_schedule(
             for i in range(len(cs))
         )
         if direct != via_exchange:
-            raise MatroidContractError(
-                "closure membership and exchange characterisation disagree"
-            )
+            raise MatroidContractError("closure membership and exchange characterisation disagree")
 
     flips: list[FlipEvent] = []
-    script = delay_script or {}
-    for x, stages in sorted(script.items()):
+    for x, stages in sorted((delay_script or {}).items()):
         stages = sorted(stages)
-        if len(stages) != len(set(stages)):
-            raise IncoherentSchedule(f"element {x} has duplicate script stages")
         truth = x in target
         for i, s in enumerate(stages):
             # Last flip lands on the truth; earlier ones alternate back.

@@ -66,6 +66,9 @@ class SpectrumSet:
     def __post_init__(self):
         if self.horizon < 0:
             raise InputError("horizon must be non-negative")
+        for k in self.finite_part:
+            if not isinstance(k, int) or isinstance(k, bool):
+                raise InputError(f"spectrum member must be an integer, got {k!r}")
         bad = [k for k in self.finite_part if k < 0 or k > self.horizon]
         if bad:
             raise InputError(f"members {sorted(bad)} outside horizon 0..{self.horizon}")
@@ -74,16 +77,12 @@ class SpectrumSet:
     def of(
         cls, members: Iterable[Union[int, str]], horizon: int = DEFAULT_HORIZON
     ) -> "SpectrumSet":
-        finite = set()
-        omega = False
-        for m in members:
-            if isinstance(m, str):
-                if m != "omega":
-                    raise InputError(f"unknown spectrum member {m!r}")
-                omega = True
-            else:
-                finite.add(int(m))
-        return cls(frozenset(finite), omega, horizon)
+        members = list(members)
+        unknown = [m for m in members if isinstance(m, str) and m != "omega"]
+        if unknown:
+            raise InputError(f"unknown spectrum member {unknown[0]!r}")
+        finite = frozenset(m for m in members if not isinstance(m, str))
+        return cls(finite, "omega" in members, horizon)
 
     def members(self) -> tuple[Union[int, str], ...]:
         out: list[Union[int, str]] = sorted(self.finite_part)
@@ -198,7 +197,10 @@ def classify(s: SpectrumSet, profile: TheoryProfile) -> Verdict:
     """Apply the admissibility rules to a candidate set.
 
     The horizon only truncates the candidate, never the rules: schemas are
-    matched symbolically, so enlarging the horizon cannot change a verdict.
+    matched symbolically, so the horizon never changes the kind or the rules
+    cited.  It moves one reading: a finite part that fills 0..horizon, with
+    omega, reads as the segment [0,omega], so {0..6, omega} is [0,omega] at
+    horizon 6 and [0,6]+{omega} at horizon 7.
     """
     check_profile(profile)
     initial = s.is_initial()

@@ -143,6 +143,16 @@ class TestTraceChecks:
         assert moved and not report.permanence
 
 
+    def test_a_broken_fact_is_named(self):
+        pres, membership, enumeration, horizon = corpus.going_down_demo()
+        trace = going_down_run(pres, membership, enumeration, horizon)
+        (first, value), *_ = trace.facts.items()
+        assert first == ("phi", (0, 0, 0))
+        bad = dataclasses.replace(trace, facts={**trace.facts, first: not value})
+        report = trace_verify(bad, membership.target)
+        assert not report.isomorphism
+        assert report.detail == "fact phi(0, 0, 0) disagrees under the limit map"
+
 class TestDelta2Schedule:
     def test_limit_is_the_closure_whatever_the_script(self, gf2):
         pres = StagewisePresentation(

@@ -8,10 +8,12 @@ from importlib import import_module
 import pytest
 
 import flatgeom
-from flatgeom.effective import Delta2Schedule, FlipEvent, Sigma1Schedule
-from flatgeom.errors import IncoherentSchedule, InvalidStructure
+from flatgeom import corpus
+from flatgeom.effective import Delta2Schedule, FlipEvent, Sigma1Schedule, delta2_acl_schedule
+from flatgeom.errors import IncoherentSchedule, InputError, InvalidStructure
 from flatgeom.formula_closure import GeometricStructure, PsiRelation
 from flatgeom.matroid import uniform_matroid
+from flatgeom.spectrum import SpectrumSet
 
 
 @pytest.mark.parametrize(
@@ -60,6 +62,45 @@ from flatgeom.matroid import uniform_matroid
 def test_constructor_refuses(build, error, message):
     with pytest.raises(error) as refused:
         build()
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Sigma1Schedule.of({0: 2.7, "1": "3"}), "A element must be an integer, got '1'"),
+        (lambda: Sigma1Schedule(((0, 2.5),)), "A stage must be an integer, got 2.5"),
+        (lambda: Sigma1Schedule(((True, 1),)), "A element must be an integer, got True"),
+        (lambda: Delta2Schedule(frozenset({1}), (FlipEvent(1, 2.5, True),)),
+         "flip stage must be an integer, got 2.5"),
+        (lambda: Delta2Schedule(frozenset({1}), (FlipEvent(1, True, True),)),
+         "flip stage must be an integer, got True"),
+    ],
+    ids=["of-mixed", "a-stage-float", "a-element-bool", "flip-stage-float", "flip-stage-bool"],
+)
+def test_schedules_refuse_non_integers(build, message):
+    """A schedule neither truncates, parses nor reads a bool as a number."""
+    with pytest.raises(IncoherentSchedule) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_a_repeated_script_stage_is_refused_by_the_schedule():
+    presentation = corpus.going_down_demo()[0]
+    with pytest.raises(IncoherentSchedule) as refused:
+        delta2_acl_schedule(presentation, (0,), {5: [2, 2]})
+    assert str(refused.value) == "element 5 flips out of order"
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [([2.7, 0], "spectrum member must be an integer, got 2.7"),
+     ([True], "spectrum member must be an integer, got True")],
+    ids=["float", "bool"],
+)
+def test_spectrum_set_refuses_non_integers(members, message):
+    with pytest.raises(InputError) as refused:
+        SpectrumSet.of(members)
     assert str(refused.value) == message
 
 

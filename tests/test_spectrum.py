@@ -195,6 +195,15 @@ class TestBruteForce:
             assert (a.kind, a.rules) == (b.kind, b.rules)
             assert a.shape == b.shape
 
+    def test_a_full_finite_part_with_omega_reads_by_the_horizon(self):
+        members = [0, 1, 2, 3, 4, 5, 6, "omega"]
+        at6 = classify(SpectrumSet.of(members, horizon=6), TheoryProfile(3))
+        at7 = classify(SpectrumSet.of(members, horizon=7), TheoryProfile(3))
+        assert (at6.kind, at6.schema, at6.shape, at6.rules) == ("allowed", "[0,a)", "[0,omega]", ())
+        assert (at7.kind, at7.schema, at7.shape, at7.rules) == (
+            "allowed", "[0,n]+{omega}", "[0,6]+{omega}", ()
+        )
+
     def test_verdicts_match_a_restatement_of_the_rules(self):
         # Each rule as the module docstring states it, rules in the order
         # listed there; every valid profile at n in {2, 3, 4}.
