@@ -139,7 +139,8 @@ def cmd_flatness(args) -> Result:
     if verdict.samples is not None:
         doc["samples"] = verdict.samples
         doc["seed"] = verdict.seed
-    return doc, args.expect_flat and verdict.kind not in ("flat-up-to", "flat-exhaustive")
+    flat = ("disintegrated", "flat-up-to", "flat-exhaustive")
+    return doc, args.expect_flat and verdict.kind not in flat
 
 
 def cmd_circuits(args) -> Result:

@@ -36,7 +36,9 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import IncoherentSchedule, InvalidStructure, MatroidContractError, NotExtendable
+from .errors import (
+    IncoherentSchedule, InvalidStructure, MatroidContractError, NotExtendable, check_int,
+)
 from .matroid import Matroid, canon
 
 
@@ -96,13 +98,6 @@ class StagewisePresentation:
             raise InvalidStructure("universe disagrees with the matroid's ground set")
 
 
-def _check_ints(values: Iterable, what: str) -> None:
-    """Refuse the first value that is not an int; a bool is not one here."""
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise IncoherentSchedule(f"{what} must be an integer, got {v!r}")
-
-
 @dataclass(frozen=True)
 class FlipEvent:
     elem: int
@@ -124,9 +119,13 @@ class Delta2Schedule:
     max_flips_per_element: int = 3
 
     def __post_init__(self):
-        _check_ints(self.target, "target element")
-        _check_ints((ev.elem for ev in self.flips), "flip element")
-        _check_ints((ev.stage for ev in self.flips), "flip stage")
+        check_int("target element", *self.target, error=IncoherentSchedule)
+        check_int("flip element", *(ev.elem for ev in self.flips), error=IncoherentSchedule)
+        check_int("flip stage", *(ev.stage for ev in self.flips), error=IncoherentSchedule)
+        check_int("flip budget", self.max_flips_per_element, error=IncoherentSchedule)
+        bad = [ev.value for ev in self.flips if not isinstance(ev.value, bool)]
+        if bad:
+            raise IncoherentSchedule(f"flip value must be true or false, got {bad[0]!r}")
         if any(ev.stage < 1 for ev in self.flips):
             raise IncoherentSchedule("flip stages start at 1")
         for elem, events in self._flips_of.items():
@@ -178,8 +177,8 @@ class Sigma1Schedule:
         return cls(tuple(entries))
 
     def __post_init__(self):
-        _check_ints((e for e, _ in self.entries), "A element")
-        _check_ints((s for _, s in self.entries), "A stage")
+        check_int("A element", *(e for e, _ in self.entries), error=IncoherentSchedule)
+        check_int("A stage", *(s for _, s in self.entries), error=IncoherentSchedule)
         if len(self.target) != len(self.entries):
             raise IncoherentSchedule("an element enters A twice")
         if any(s < 1 for _, s in self.entries):

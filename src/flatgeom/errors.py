@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all flatgeom modules."""
+"""Exception hierarchy shared by all flatgeom modules, and the integer check."""
 
 
 class FlatgeomError(Exception):
@@ -58,3 +58,10 @@ class MatroidContractError(FlatgeomError):
 
 class InputError(FlatgeomError):
     """Malformed external input (JSON files, CLI values)."""
+
+
+def check_int(what: str, *values, error: type[FlatgeomError] = InputError) -> None:
+    """Refuse the first of ``values`` that is not an int; a bool is not one here."""
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise error(f"{what} must be an integer, got {v!r}")

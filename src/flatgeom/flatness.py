@@ -298,13 +298,12 @@ def is_disintegrated(
 ) -> bool:
     """True iff closure of every set is the union of singleton closures.
 
-    Computed both from the definition and from the absence of circuits of
-    size >= 3; the two must agree on a valid matroid.  The circuit
-    criterion is ``smallest_circuit_param``, which stops at the first
-    circuit of size >= 3.  Above ``max_ground`` the definition is checked
-    only on ``sample`` random subsets, which can miss a counterexample but
-    not invent one: the answer is then the circuit criterion, and a
-    sampled counterexample it denies is an error.
+    Checked by the definition and by the absence of circuits of size >= 3,
+    which must agree on a valid matroid.  Past ``max_ground`` the definition
+    sees only ``sample`` random subsets: the answer is the circuit criterion,
+    and a sampled counterexample it denies is an error.  The circuit search
+    visits every subset of up to rank + 1 elements unless it finds one, so
+    a free host of n elements costs all 2^n subsets, sampled or not.
     """
     elems = m.ground.elements
     cl = m._closure_mask

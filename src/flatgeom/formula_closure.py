@@ -38,7 +38,7 @@ from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .errors import InvalidStructure, NotIndependent
+from .errors import InvalidStructure, NotIndependent, check_int
 from .matroid import Matroid, elements_of, mask_of, subsets
 
 FiberKey = tuple[int, tuple[int, ...]]
@@ -132,6 +132,8 @@ class GeometricStructure:
         return self.arity - 1
 
     def __post_init__(self):
+        check_int("arity", self.arity, error=InvalidStructure)
+        check_int("fiber bound K", self.fiber_bound, error=InvalidStructure)
         if not self.phi:
             raise InvalidStructure("phi must be nonempty")
         arities = {len(t) for t in self.phi}

@@ -71,6 +71,7 @@ from .errors import (
     InvalidStructure,
     NoLargeCircuit,
     NotIndependent,
+    check_int,
 )
 
 #: Exhaustive axiom checks refuse ground sets bigger than this unless the
@@ -237,8 +238,11 @@ class LinearOracle:
     columns: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        check_int("field order", self.field, error=InvalidStructure)
         if not _is_prime(self.field):
             raise InvalidStructure(f"field order {self.field} is not prime")
+        if not all(isinstance(col, Sequence) for col in self.columns):
+            raise InvalidStructure("each column must be a sequence")
         if not all(type(c) is int for col in self.columns for c in col):
             raise InvalidStructure("column entries must be integers")
         cols = tuple(tuple(c % self.field for c in col) for col in self.columns)
@@ -316,6 +320,7 @@ class UniformOracle:
 
     def __post_init__(self):
         k, masks = self.rank_bound, tuple(self.nonbases)  # any iterable of masks
+        check_int("rank", k, error=InvalidStructure)
         if k < 0:
             raise InvalidStructure(f"rank must be non-negative, got {k}")
         if k == 0 and masks:
@@ -703,7 +708,7 @@ class Matroid:
 
 
 def linear_matroid(field: int, columns: Sequence[Sequence[int]]) -> Matroid:
-    cols = tuple(tuple(c) for c in columns)
+    cols = tuple(columns)
     return Matroid(GroundSet(tuple(range(len(cols)))), LinearOracle(field, cols))
 
 
@@ -718,17 +723,17 @@ def free_matroid(size: int) -> Matroid:
 
 
 def closure_table_matroid(
-    size: int, table: Mapping[Iterable[int], Iterable[int]]
+    size: int, table: Mapping[Iterable[int], Iterable[int]] | Iterable[tuple]
 ) -> Matroid:
-    """The matroid on ids 0..size-1 whose closure is ``table``, a map from
-    each subset to its closure, both given as ids; an entry with an id
-    outside the ground set, or a subset given twice (say as (0, 1) and
-    (1, 0)), is an InvalidStructure that names it."""
+    """The matroid on ids 0..size-1 whose closure is ``table``, a map or a
+    list of pairs from each subset to its closure, both given as ids; an
+    entry with an id outside the ground set, or a subset given twice (say
+    as (0, 1) and (1, 0)), is an InvalidStructure that names it."""
     if size < 0:
         raise InvalidStructure(f"closure table ground must be non-negative, got {size}")
     bit = {e: 1 << e for e in range(size)}
     masks: dict[int, int] = {}
-    for key, cl in table.items():
+    for key, cl in table.items() if isinstance(table, Mapping) else table:
         k = v = 0
         try:
             for e in key:

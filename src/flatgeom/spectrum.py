@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import InputError, ProfileInvalid
+from .errors import InputError, ProfileInvalid, check_int
 
 DEFAULT_HORIZON = 6
 
@@ -64,11 +64,10 @@ class SpectrumSet:
     horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self):
+        check_int("horizon", self.horizon)
         if self.horizon < 0:
             raise InputError("horizon must be non-negative")
-        for k in self.finite_part:
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise InputError(f"spectrum member must be an integer, got {k!r}")
+        check_int("spectrum member", *self.finite_part)
         bad = [k for k in self.finite_part if k < 0 or k > self.horizon]
         if bad:
             raise InputError(f"members {sorted(bad)} outside horizon 0..{self.horizon}")
@@ -77,12 +76,8 @@ class SpectrumSet:
     def of(
         cls, members: Iterable[Union[int, str]], horizon: int = DEFAULT_HORIZON
     ) -> "SpectrumSet":
-        members = list(members)
-        unknown = [m for m in members if isinstance(m, str) and m != "omega"]
-        if unknown:
-            raise InputError(f"unknown spectrum member {unknown[0]!r}")
-        finite = frozenset(m for m in members if not isinstance(m, str))
-        return cls(finite, "omega" in members, horizon)
+        members = frozenset(members)
+        return cls(members - {"omega"}, "omega" in members, horizon)
 
     def members(self) -> tuple[Union[int, str], ...]:
         out: list[Union[int, str]] = sorted(self.finite_part)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import flatgeom
 from flatgeom import corpus, flatness, formula_closure, jsonio, matroid, pingpong, spectrum
 from flatgeom.cli import build_parser, run_command
-from flatgeom.errors import MatroidContractError
+from flatgeom.errors import FlatgeomError, MatroidContractError
 from flatgeom.flatness import check_flat
 from flatgeom.formula_closure import ild_estimate
 from flatgeom.matroid import PRIME_TEST_BOUND, linear_matroid, uniform_matroid
@@ -174,6 +174,8 @@ class TestCommands:
         assert code == 1
         code, _ = run(capsys, "flatness", "--matroid", "corpus:uniform_2_3", "--expect-flat")
         assert code == 0
+        code, out = run(capsys, "flatness", "--matroid", "corpus:free_3", "--expect-flat")
+        assert code == 0 and parse_lines(out)[0]["verdict"] == "disintegrated"
 
     def test_expect_flat_rejects_sampled_verdict(self, capsys, tmp_path):
         path = tmp_path / "pg32.json"
@@ -502,7 +504,7 @@ class TestCommands:
                     **DEMO_EFFECTIVE,
                     "flips": [*DEMO_EFFECTIVE["flips"], {"elem": 0, "stage": 2, "in": "false"}],
                 },
-                "flip \"in\" must be true or false, got 'false'",
+                "flip value must be true or false, got 'false'",
             ),
             (
                 "flatness --matroid",
@@ -608,7 +610,7 @@ class TestCommands:
                         CT_U23["closure"][0], {"set": [0], "cl": [7]}, *CT_U23["closure"][1:]
                     ],
                 },
-                "closure table lists subset [0] twice",
+                "closure table entry [0] -> [7] leaves the ground set 0..2",
             ),
             (
                 "lambda acl --bbar 0,1 --scenario",
@@ -764,6 +766,19 @@ class TestCommands:
                 },
                 "A and A_stages disagree",
             ),
+            (
+                "lambda closure --x 0,1 --structure",
+                {
+                    **jsonio.structure_to_json(corpus.phi_demo()),
+                    "phi": {"arity": 4, "tuples": [[0, 1, 2], [1, 2, 3]]},
+                },
+                "phi tuples have arity 3, not 4",
+            ),
+            (
+                "circuits --max-size 3 --matroid",
+                {"type": "linear", "field": 2, "columns": [{}]},
+                "each column must be a sequence",
+            ),
         ],
         ids=[
             "negative-uniform-size",
@@ -826,6 +841,8 @@ class TestCommands:
             "a-entered-twice",
             "a-stage-zero",
             "a-disagrees-before-flip-order",
+            "declared-arity-not-the-tuples",
+            "column-an-object",
         ],
     )
     def test_bad_input_file_exits_two_naming_the_fault(
@@ -1017,6 +1034,24 @@ SWEEP_DOCUMENTS = {
     "going_down_demo": ("effective going-down --scenario", DEMO_EFFECTIVE),
 }
 
+#: The reader and the writer of each sweep document.
+SWEEP_CODECS = {
+    "linear": (jsonio.matroid_from_json, jsonio.matroid_to_json),
+    "uniform": (jsonio.matroid_from_json, jsonio.matroid_to_json),
+    "closure-table": (jsonio.matroid_from_json, jsonio.matroid_to_json),
+    "phi_demo": (jsonio.structure_from_json, jsonio.structure_to_json),
+    "sigma1_chain": (jsonio.scenario_from_json, jsonio.scenario_to_json),
+    "going_down_demo": (
+        jsonio.effective_scenario_from_json,
+        lambda scenario: jsonio.effective_scenario_to_json(*scenario),
+    ),
+}
+
+#: Keys at which an empty list reads as the reader's stated default: a
+#: scenario without stages reveals phi in one stage, and an effective
+#: scenario without A takes A from A_stages.
+STATED_DEFAULTS = {("stages",), ("A",)}
+
 #: What the key sweep puts at each key: every JSON type, the integers -1
 #: and 0, and containers holding a container or a string.
 SWEEP_SHAPES = [[], {}, "x", 1.5, None, True, -1, 0, [[]], [{}], {"a": 1}, ["x"]]
@@ -1078,11 +1113,16 @@ class TestFuzz:
 
     @pytest.mark.parametrize("name", list(SWEEP_DOCUMENTS))
     def test_every_key_takes_every_shape(self, name, tmp_path):
+        """Every run is contained, and every document that reads is read as
+        written: its writer gives it back, but where a stated default filled
+        it in, and reading that again writes the same document."""
         command, doc = SWEEP_DOCUMENTS[name]
+        read, write = SWEEP_CODECS[name]
         target = tmp_path / "in.json"
-        escaped = []
+        escaped, misread = [], []
         for path, shape in product(_key_paths(doc), SWEEP_SHAPES):
-            target.write_text(json.dumps(_replace_leaf(doc, path, shape)))
+            mutated = _replace_leaf(doc, path, shape)
+            target.write_text(json.dumps(mutated))
             try:
                 code, out, err = _run_in_process(command.split() + [str(target)])
             except Exception as e:
@@ -1090,7 +1130,15 @@ class TestFuzz:
                 continue
             if code == 2:
                 assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (path, shape)
-        assert escaped == []
+            try:
+                written = json.loads(jsonio.dumps(write(read(mutated))))
+            except FlatgeomError:
+                continue
+            defaulted = path in STATED_DEFAULTS and shape == []
+            again = json.loads(jsonio.dumps(write(read(written))))
+            if again != written or (written != mutated and not defaulted):
+                misread.append((path, shape, written))
+        assert escaped == [] and misread == []
 
 
 

@@ -12,7 +12,7 @@ from flatgeom import corpus
 from flatgeom.effective import Delta2Schedule, FlipEvent, Sigma1Schedule, delta2_acl_schedule
 from flatgeom.errors import IncoherentSchedule, InputError, InvalidStructure
 from flatgeom.formula_closure import GeometricStructure, PsiRelation
-from flatgeom.matroid import uniform_matroid
+from flatgeom.matroid import linear_matroid, uniform_matroid
 from flatgeom.spectrum import SpectrumSet
 
 
@@ -43,6 +43,22 @@ from flatgeom.spectrum import SpectrumSet
          InvalidStructure, "phi tuples must share one arity"),
         (lambda: GeometricStructure(uniform_matroid(2, 4), frozenset({(0, 1, 2, 3)}), 3, 2),
          InvalidStructure, "phi tuples have arity 4, not 3"),
+        (lambda: Delta2Schedule(frozenset({1}), (FlipEvent(1, 2, 1),)),
+         IncoherentSchedule, "flip value must be true or false, got 1"),
+        (lambda: Delta2Schedule(frozenset({1}), (), 2.5),
+         IncoherentSchedule, "flip budget must be an integer, got 2.5"),
+        (lambda: SpectrumSet(frozenset({0, 1}), True, 1.5),
+         InputError, "horizon must be an integer, got 1.5"),
+        (lambda: uniform_matroid(2.5, 5),
+         InvalidStructure, "rank must be an integer, got 2.5"),
+        (lambda: GeometricStructure.of(uniform_matroid(2, 4), [(0, 1, 2)], 2.5),
+         InvalidStructure, "fiber bound K must be an integer, got 2.5"),
+        (lambda: GeometricStructure(uniform_matroid(2, 4), frozenset({(0, 1, 2)}), 3.0, 2),
+         InvalidStructure, "arity must be an integer, got 3.0"),
+        (lambda: linear_matroid(2.0, [[1, 0], [0, 1]]),
+         InvalidStructure, "field order must be an integer, got 2.0"),
+        (lambda: linear_matroid(2, [{}]),
+         InvalidStructure, "each column must be a sequence"),
     ],
     ids=[
         "flip-stage-zero",
@@ -57,6 +73,14 @@ from flatgeom.spectrum import SpectrumSet
         "empty-phi",
         "mixed-phi-arities",
         "phi-arity-not-declared",
+        "flip-value-not-bool",
+        "flip-budget-float",
+        "spectrum-horizon-float",
+        "uniform-rank-float",
+        "fiber-bound-float",
+        "phi-arity-float",
+        "linear-field-float",
+        "linear-column-not-a-sequence",
     ],
 )
 def test_constructor_refuses(build, error, message):
@@ -95,8 +119,9 @@ def test_a_repeated_script_stage_is_refused_by_the_schedule():
 @pytest.mark.parametrize(
     "members, message",
     [([2.7, 0], "spectrum member must be an integer, got 2.7"),
-     ([True], "spectrum member must be an integer, got True")],
-    ids=["float", "bool"],
+     ([True], "spectrum member must be an integer, got True"),
+     (["x", 0], "spectrum member must be an integer, got 'x'")],
+    ids=["float", "bool", "string"],
 )
 def test_spectrum_set_refuses_non_integers(members, message):
     with pytest.raises(InputError) as refused:
