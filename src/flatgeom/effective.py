@@ -59,8 +59,7 @@ class RelationalStructure:
     def __post_init__(self):
         ground = set(self.universe)
         for name, rel in self.relations.items():
-            if rel.arity < 0:
-                raise InvalidStructure(f"{name} has negative arity {rel.arity}")
+            check_int(f"{name} arity", rel.arity, least=0, error=InvalidStructure)
             for t in rel.tuples:
                 if len(t) != rel.arity:
                     raise InvalidStructure(f"{name} tuple {t} has wrong arity")
@@ -121,13 +120,12 @@ class Delta2Schedule:
     def __post_init__(self):
         check_int("target element", *self.target, error=IncoherentSchedule)
         check_int("flip element", *(ev.elem for ev in self.flips), error=IncoherentSchedule)
-        check_int("flip stage", *(ev.stage for ev in self.flips), error=IncoherentSchedule)
+        check_int("flip stage", *(ev.stage for ev in self.flips), least=1,
+                  error=IncoherentSchedule)
         check_int("flip budget", self.max_flips_per_element, error=IncoherentSchedule)
         bad = [ev.value for ev in self.flips if not isinstance(ev.value, bool)]
         if bad:
             raise IncoherentSchedule(f"flip value must be true or false, got {bad[0]!r}")
-        if any(ev.stage < 1 for ev in self.flips):
-            raise IncoherentSchedule("flip stages start at 1")
         for elem, events in self._flips_of.items():
             stages = [ev.stage for ev in events]
             if len(set(stages)) != len(stages) or stages != sorted(stages):
@@ -178,11 +176,10 @@ class Sigma1Schedule:
 
     def __post_init__(self):
         check_int("A element", *(e for e, _ in self.entries), error=IncoherentSchedule)
-        check_int("A stage", *(s for _, s in self.entries), error=IncoherentSchedule)
+        check_int("A stage", *(s for _, s in self.entries), least=1,
+                  error=IncoherentSchedule)
         if len(self.target) != len(self.entries):
             raise IncoherentSchedule("an element enters A twice")
-        if any(s < 1 for _, s in self.entries):
-            raise IncoherentSchedule("A stages start at 1")
 
     @property
     def target(self) -> frozenset[int]:

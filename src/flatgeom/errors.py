@@ -48,7 +48,7 @@ class NotExtendable(FlatgeomError):
 
 
 class ProfileInvalid(FlatgeomError):
-    """A theory profile fails its inequality constraints."""
+    """A theory profile has a non-integer entry or fails its inequality constraints."""
 
 
 class MatroidContractError(FlatgeomError):
@@ -60,8 +60,13 @@ class InputError(FlatgeomError):
     """Malformed external input (JSON files, CLI values)."""
 
 
-def check_int(what: str, *values, error: type[FlatgeomError] = InputError) -> None:
-    """Refuse the first of ``values`` that is not an int; a bool is not one here."""
+def check_int(what: str, *values, least=None, error: type[FlatgeomError] = InputError) -> None:
+    """The one rule for every count and bound: refuse, as ``error``, the
+    first of ``values`` that is not an int (a bool is not one here) with
+    ``<what> must be an integer, got <value!r>``, or that is below a given
+    ``least`` with ``<what> must be >= <least>, got <value!r>``."""
     for v in values:
         if not isinstance(v, int) or isinstance(v, bool):
             raise error(f"{what} must be an integer, got {v!r}")
+        if least is not None and v < least:
+            raise error(f"{what} must be >= {least}, got {v!r}")

@@ -52,7 +52,7 @@ from functools import partial, reduce
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
+from .errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit, check_int
 from .matroid import (
     DEFAULT_VERIFY_BOUND, ClosureTableOracle, Flat, Matroid, Memo, _low_bits, canon, elements_of,
     mask_of, size_lex, subset_universe,
@@ -361,8 +361,7 @@ def check_flat(
     The estimate is the number of subset terms in scoring every collection
     from scratch, the sum over sizes s of C(n, s) * 2**s for n flats.
     """
-    if max_collection_size < 1:
-        raise EmptyCollection("max_collection_size must be >= 1")
+    check_int("max_collection_size", max_collection_size, least=1, error=EmptyCollection)
     if isinstance(m.oracle, ClosureTableOracle):
         v = m.verify_pregeometry(max_ground=len(m.ground)).violation
         if v:

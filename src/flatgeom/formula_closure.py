@@ -133,7 +133,7 @@ class GeometricStructure:
 
     def __post_init__(self):
         check_int("arity", self.arity, error=InvalidStructure)
-        check_int("fiber bound K", self.fiber_bound, error=InvalidStructure)
+        check_int("fiber bound K", self.fiber_bound, least=1, error=InvalidStructure)
         if not self.phi:
             raise InvalidStructure("phi must be nonempty")
         arities = {len(t) for t in self.phi}
@@ -141,8 +141,6 @@ class GeometricStructure:
             raise InvalidStructure("phi tuples must share one arity")
         if arities != {self.arity}:
             raise InvalidStructure(f"phi tuples have arity {arities.pop()}, not {self.arity}")
-        if self.fiber_bound < 1:
-            raise InvalidStructure("fiber bound K must be positive")
         m = self.arity
         ground = set(self.universe)
         for t in self.phi:
@@ -212,8 +210,7 @@ def lambda_closure(
     always reaches its fixpoint within that many steps.
     """
     budget = _budget(g) if budget is None else budget
-    if budget < 1:
-        raise InvalidStructure("budget must be >= 1")
+    check_int("budget", budget, least=1, error=InvalidStructure)
     # lambda_step is looked up per step, so a wrapper on it sees every step.
     step = lambda cur: mask_of(lambda_step(g, elements_of(cur)))
     masks, status, _ = _iterate(step, g.matroid._check(x), budget)
@@ -302,6 +299,7 @@ class EnumeratedStructure:
                 raise InvalidStructure(f"count override {key} violates the fiber bound")
 
     def revealed(self, stage: int) -> frozenset[tuple[int, ...]]:
+        check_int("stage", stage, error=InvalidStructure)
         if not 1 <= stage <= self.final_stage:
             raise InvalidStructure(f"stage {stage} out of range")
         return self.stages[stage - 1]
@@ -320,7 +318,7 @@ class EnumeratedStructure:
         )
 
     def _stage_view(self, stage: int) -> StageView:
-        self.revealed(stage)  # rejects a stage out of range
+        self.revealed(stage)  # rejects a stage that is no integer or out of range
         return self._stage_views[stage - 1]
 
     def declared_infinite(self, x: Iterable[int]) -> bool:
@@ -361,8 +359,7 @@ class CertifiedLambda:
 def certified_lambda(
     enum: EnumeratedStructure, x: Iterable[int], stage: int, budget: int
 ) -> CertifiedLambda:
-    if budget < 1:
-        raise InvalidStructure("budget must be >= 1")
+    check_int("budget", budget, least=1, error=InvalidStructure)
     index, incomplete = enum._stage_view(stage)
     start = enum.structure.matroid._check(x)
     masks, status, blocking = _iterate(partial(_step, index), start, budget, incomplete)
@@ -392,8 +389,7 @@ def acl_enumerate_via_lambda(
     ``budget`` is the last stage read, the final stage by default.
     """
     budget = enum.final_stage if budget is None else budget
-    if budget < 1:
-        raise InvalidStructure("budget must be >= 1")
+    check_int("budget", budget, least=1, error=InvalidStructure)
     g = enum.structure
     base = frozenset(bbar)
     if len(base) != g.circuit_dim:
@@ -440,8 +436,7 @@ def ild_estimate(enum: EnumeratedStructure, budget: Optional[int] = None) -> Ild
     """
     g = enum.structure
     budget = _budget(g) if budget is None else budget
-    if budget < 1:
-        raise InvalidStructure("budget must be >= 1")
+    check_int("budget", budget, least=1, error=InvalidStructure)
 
     buckets: dict[int, list[tuple[int, ...]]] = {}
     for combo in subsets(g.universe, g.arity):
@@ -479,6 +474,8 @@ class PsiRelation:
     isolates: bool = False
 
     def __post_init__(self):
+        check_int("psi arity", self.z_arity, self.w_arity, least=0, error=InvalidStructure)
+        check_int("psi fiber bound", self.fiber_bound, error=InvalidStructure)
         for t in self.tuples:
             if len(t) != self.z_arity + self.w_arity:
                 raise InvalidStructure(f"psi tuple {t} has the wrong arity")

@@ -111,10 +111,9 @@ def subset_universe(
     all of them up to ``max_ground`` elements, in (size, lex) order if
     ``elements`` ascends, else ``sample`` random ones drawn with ``seed``
     (GroundTooLarge without ``sample``)."""
-    if max_ground < 0:
-        raise InvalidStructure(f"max_ground must be non-negative, got {max_ground}")
-    if sample is not None and sample < 0:
-        raise InvalidStructure(f"sample must be non-negative, got {sample}")
+    check_int("max_ground", max_ground, least=0, error=InvalidStructure)
+    if sample is not None:
+        check_int("sample", sample, least=0, error=InvalidStructure)
     n = len(elements)
     bits = [1 << e for e in elements]
     if n <= max_ground:
@@ -217,10 +216,9 @@ class GroundSet:
 
     def __post_init__(self):
         elems = tuple(self.elements)
+        check_int("ground set id", *elems, least=0, error=InvalidStructure)
         if len(set(elems)) != len(elems):
             raise InvalidStructure("ground set ids must be distinct")
-        if any(e < 0 for e in elems):
-            raise InvalidStructure("ground set ids must be non-negative")
         object.__setattr__(self, "elements", tuple(sorted(elems)))
 
     def __len__(self) -> int:
@@ -243,8 +241,8 @@ class LinearOracle:
             raise InvalidStructure(f"field order {self.field} is not prime")
         if not all(isinstance(col, Sequence) for col in self.columns):
             raise InvalidStructure("each column must be a sequence")
-        if not all(type(c) is int for col in self.columns for c in col):
-            raise InvalidStructure("column entries must be integers")
+        check_int("column entry", *(c for col in self.columns for c in col),
+                  error=InvalidStructure)
         cols = tuple(tuple(c % self.field for c in col) for col in self.columns)
         if cols and len({len(c) for c in cols}) != 1:
             raise InvalidStructure("all columns must have the same length")
@@ -320,9 +318,7 @@ class UniformOracle:
 
     def __post_init__(self):
         k, masks = self.rank_bound, tuple(self.nonbases)  # any iterable of masks
-        check_int("rank", k, error=InvalidStructure)
-        if k < 0:
-            raise InvalidStructure(f"rank must be non-negative, got {k}")
+        check_int("rank", k, least=0, error=InvalidStructure)
         if k == 0 and masks:
             raise InvalidStructure("rank 0 has no nonbases: the empty set is its one basis")
         # Two nonbases meet in more than k - 2 elements iff they share a
@@ -558,8 +554,7 @@ class Matroid:
 
     def circuits(self, max_size: int) -> list[Circuit]:
         """All circuits of size <= max_size, in (size, lex) order."""
-        if max_size < 1:
-            raise InvalidStructure("max_size must be >= 1")
+        check_int("max_size", max_size, least=1, error=InvalidStructure)
         return list(self._circuits(1, max_size))
 
     def smallest_circuit_param(self) -> tuple[int, int]:
@@ -713,8 +708,7 @@ def linear_matroid(field: int, columns: Sequence[Sequence[int]]) -> Matroid:
 
 
 def uniform_matroid(rank: int, size: int) -> Matroid:
-    if size < 0:
-        raise InvalidStructure(f"uniform size must be non-negative, got {size}")
+    check_int("uniform size", size, least=0, error=InvalidStructure)
     return Matroid(GroundSet(tuple(range(size))), UniformOracle(rank))
 
 
@@ -729,8 +723,7 @@ def closure_table_matroid(
     list of pairs from each subset to its closure, both given as ids; an
     entry with an id outside the ground set, or a subset given twice (say
     as (0, 1) and (1, 0)), is an InvalidStructure that names it."""
-    if size < 0:
-        raise InvalidStructure(f"closure table ground must be non-negative, got {size}")
+    check_int("closure table ground", size, least=0, error=InvalidStructure)
     bit = {e: 1 << e for e in range(size)}
     masks: dict[int, int] = {}
     for key, cl in table.items() if isinstance(table, Mapping) else table:
@@ -778,8 +771,7 @@ def sparse_paving_matroid(
     other set of size <= r is independent.  Returned on a ``UniformOracle``,
     which answers by rule from the nonbases.
     """
-    if size < 0:
-        raise InvalidStructure(f"sparse paving size must be non-negative, got {size}")
+    check_int("sparse paving size", size, least=0, error=InvalidStructure)
     nb = [frozenset(s) for s in nonbases]
     for s in nb:
         if not all(e in range(size) for e in s):

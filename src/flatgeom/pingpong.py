@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InvalidConfig, InvalidElement, InvalidSequence
+from .errors import InvalidConfig, InvalidElement, InvalidSequence, check_int
 from .matroid import Matroid, Memo, canon, elements_of
 
 #: The longest sequence, t1 included, that a run follows unless told otherwise.
@@ -169,13 +169,13 @@ def pps_candidates(m: Matroid, seq: PPSSequence) -> list[int]:
 
 
 def iter_runs(m: Matroid, config: PPSConfig, strategy: str = "least", budget: int = DEFAULT_BUDGET):
-    """Yield maximal runs lazily, depth-first in candidate order."""
-    if budget < 1:
-        raise InvalidSequence("budget must be >= 1")
+    """Maximal runs, lazily, depth-first in candidate order; the arguments
+    are checked at the call, before the first run is asked for."""
+    check_int("budget", budget, least=1, error=InvalidSequence)
     net = config._masks(m)[0]
     if strategy not in ("least", "all-branches"):
         raise InvalidSequence(f"unknown strategy {strategy!r}")
-    yield from _runs(_steps(m, net), config, strategy, budget)
+    return _runs(_steps(m, net), config, strategy, budget)
 
 
 def _runs(steps: Memo, config: PPSConfig, strategy: str, budget: int):
@@ -252,8 +252,7 @@ def pps_find_cycle(m: Matroid, budget: int = DEFAULT_BUDGET) -> CycleSearch:
     one run terminates at t1 whatever a2 is, so it is counted as searched
     but not run again for the later a2 of that a1.
     """
-    if budget < 1:
-        raise InvalidSequence("budget must be >= 1")
+    check_int("budget", budget, least=1, error=InvalidSequence)
     exhausted = True
     searched = 0
     cl, ground, whole = m._closure_mask, m.ground.elements, m._ground_mask

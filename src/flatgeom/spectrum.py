@@ -64,9 +64,7 @@ class SpectrumSet:
     horizon: int = DEFAULT_HORIZON
 
     def __post_init__(self):
-        check_int("horizon", self.horizon)
-        if self.horizon < 0:
-            raise InputError("horizon must be non-negative")
+        check_int("horizon", self.horizon, least=0)
         check_int("spectrum member", *self.finite_part)
         bad = [k for k in self.finite_part if k < 0 or k > self.horizon]
         if bad:
@@ -95,9 +93,17 @@ class SpectrumSet:
 
 @dataclass(frozen=True)
 class TheoryProfile:
+    """Integers n and, when given, p and ild; their bounds are profile rules."""
+
     n: int
     p: Optional[int] = None
     ild: Optional[int] = None
+
+    def __post_init__(self):
+        check_int("n", self.n, error=ProfileInvalid)
+        for name, value in (("p", self.p), ("ild", self.ild)):
+            if value is not None:
+                check_int(name, value, error=ProfileInvalid)
 
 
 @dataclass(frozen=True)

@@ -243,18 +243,18 @@ class TestCommands:
             ("lambda closure --structure corpus:phi_demo --x 20,-2",
              "element ids [-2, 20] not in ground set"),
             ("pregeom verify --matroid corpus:gf2_3 --max-ground 2 --sample -2",
-             "sample must be non-negative, got -2"),
-            ("flatness --matroid corpus:gf2_3 --sample -2", "sample must be non-negative, got -2"),
+             "sample must be >= 0, got -2"),
+            ("flatness --matroid corpus:gf2_3 --sample -2", "sample must be >= 0, got -2"),
             ("pregeom verify --matroid corpus:gf2_3 --max-ground -1 --sample 3",
-             "max_ground must be non-negative, got -1"),
-            ("flatness --matroid corpus:gf2_3 --max-ground -1", "max_ground must be non-negative, got -1"),
+             "max_ground must be >= 0, got -1"),
+            ("flatness --matroid corpus:gf2_3 --max-ground -1", "max_ground must be >= 0, got -1"),
             ("pregeom verify --matroid corpus:gf2_3 --max-ground 2",
              "ground has 7 elements (> 2); pass sample= / --sample"),
             ("flatness --matroid corpus:gf2_3 --exhaustive",
              "16 flats -> ~43046720 subset terms exceeds work cap; pass sample= / --sample or lower the bound"),
-            ("ild --scenario corpus:ild_pps --budget -2", "budget must be >= 1"),
+            ("ild --scenario corpus:ild_pps --budget -2", "budget must be >= 1, got -2"),
             ("lambda acl --scenario corpus:sigma1_chain --bbar 0,1 --budget -2",
-             "budget must be >= 1"),
+             "budget must be >= 1, got -2"),
         ],
         ids=["unknown-flag", "option-like-value", "missing-subcommand", "ids-off-universe",
              "negative-verify-sample", "negative-flatness-sample", "negative-verify-max-ground",
@@ -422,7 +422,7 @@ class TestCommands:
             (
                 "circuits --max-size 3 --matroid",
                 {"type": "uniform", "rank": 2, "size": -1},
-                "uniform size must be non-negative, got -1",
+                "uniform size must be >= 0, got -1",
             ),
             (
                 "circuits --max-size 3 --matroid",
@@ -438,7 +438,7 @@ class TestCommands:
             (
                 "circuits --max-size 3 --matroid",
                 {"type": "closure-table", "ground": -1, "closure": [{"set": [], "cl": []}]},
-                "closure table ground must be non-negative, got -1",
+                "closure table ground must be >= 0, got -1",
             ),
             (
                 "lambda acl --bbar 0,1 --scenario",
@@ -461,7 +461,7 @@ class TestCommands:
             (
                 "circuits --max-size 3 --matroid",
                 {"type": "linear", "field": 2, "columns": [[0.5]]},
-                "column entries must be integers",
+                "column entry must be an integer, got 0.5",
             ),
             (
                 "ild --scenario",
@@ -496,7 +496,7 @@ class TestCommands:
                     },
                     "signature_order": ["phi", "neg"],
                 },
-                "neg has negative arity -1",
+                "neg arity must be >= 0, got -1",
             ),
             (
                 "effective going-down --scenario",
@@ -553,7 +553,7 @@ class TestCommands:
             (
                 "circuits --max-size 3 --matroid",
                 {"type": "linear", "field": 2, "columns": [[True, 0]]},
-                "column entries must be integers",
+                "column entry must be an integer, got True",
             ),
             (
                 "lambda closure --x 0,1 --structure",
@@ -731,7 +731,7 @@ class TestCommands:
             ("ild --scenario", {**SIGMA1_CHAIN, "counts": {"2|0, 9": 1}},
              "bad fiber key '2|0, 9'"),
             ("effective going-down --scenario", {**DEMO_EFFECTIVE, "flips": [_flip(2, 0, False)]},
-             "flip stages start at 1"),
+             "flip stage must be >= 1, got 0"),
             (
                 "effective going-down --scenario",
                 {**DEMO_EFFECTIVE, "flips": [_flip(2, 5, False), _flip(2, 3, True)]},
@@ -754,7 +754,7 @@ class TestCommands:
             (
                 "effective going-down --scenario",
                 {**DEMO_EFFECTIVE, "A_stages": {"0": [0, 1], "3": [4], "4": [5]}},
-                "A stages start at 1",
+                "A stage must be >= 1, got 0",
             ),
             # Two faults: the document's own check comes before the schedules'.
             (

@@ -291,7 +291,7 @@ class TestVerify:
             closure_table_matroid(3, {frozenset(): frozenset()})
 
     def test_closure_table_ground_must_be_non_negative(self):
-        with pytest.raises(InvalidStructure, match="ground must be non-negative, got -1"):
+        with pytest.raises(InvalidStructure, match="closure table ground must be >= 0, got -1"):
             closure_table_matroid(-1, {})
 
     def test_closure_table_key_off_the_ground_set_rejected(self):

@@ -87,6 +87,21 @@ class TestRun:
         assert runs[0].sequence.ts == GF2_FORCED[:2]
         assert runs[0].status == "budget"
 
+    @pytest.mark.parametrize(
+        "cfg, strategy, budget, error, message",
+        [
+            (GF2_CFG, "least", 0, InvalidSequence, "budget must be >= 1, got 0"),
+            (GF2_CFG, "bogus", 8, InvalidSequence, "unknown strategy 'bogus'"),
+            (PPSConfig.of((), 3, 3, 0), "least", 8, InvalidConfig, "paddles must be distinct"),
+        ],
+        ids=["budget", "strategy", "config"],
+    )
+    def test_iter_runs_refuses_at_the_call(self, gf2, cfg, strategy, budget, error, message):
+        # No next(): the refusal comes before the first run is asked for.
+        with pytest.raises(error) as refused:
+            iter_runs(gf2, cfg, strategy, budget)
+        assert str(refused.value) == message
+
     def test_all_branches_on_gf2_is_the_forced_run(self, gf2):
         runs = pps_run(gf2, GF2_CFG, "all-branches", 32)
         assert [r.sequence.ts for r in runs] == [GF2_FORCED]
