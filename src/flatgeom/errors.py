@@ -66,7 +66,8 @@ def check_int(what: str, *values, least=None, error: type[FlatgeomError] = Input
     ``<what> must be an integer, got <value!r>``, or that is below a given
     ``least`` with ``<what> must be >= <least>, got <value!r>``."""
     for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
+        # A plain int, the common case, passes on the first test.
+        if type(v) is not int and (not isinstance(v, int) or isinstance(v, bool)):
             raise error(f"{what} must be an integer, got {v!r}")
         if least is not None and v < least:
             raise error(f"{what} must be >= {least}, got {v!r}")

@@ -34,6 +34,9 @@ class PPSConfig:
     a2: int
     t1: int
 
+    def __post_init__(self):
+        check_int("config element", *self.net, self.a1, self.a2, self.t1, error=InvalidConfig)
+
     @classmethod
     def of(cls, net: Iterable[int], a1: int, a2: int, t1: int) -> "PPSConfig":
         return cls(canon(net), a1, a2, t1)
@@ -150,6 +153,7 @@ def _check_steps(steps: Memo, seq: PPSSequence) -> None:
     ts, a1, a2 = seq.ts, seq.config.a1, seq.config.a2
     if not ts:
         raise InvalidSequence("sequence must contain t1")
+    check_int("sequence element", *ts, error=InvalidSequence)
     if ts[0] != seq.config.t1:
         raise InvalidSequence("sequence does not start at the configured t1")
     for i in range(1, len(ts)):
@@ -228,8 +232,8 @@ def pps_verify(m: Matroid, seq: PPSSequence) -> PPSReport:
     except InvalidSequence as e:
         steps_valid, detail = False, str(e)
 
-    # A later t may be any int, off the ground set or negative: not in span.
-    outside = not any(t >= 0 and span >> t & 1 for t in seq.ts)
+    # A later t off the ground set, negative or no int is not in span.
+    outside = not any(type(t) is int and t >= 0 and span >> t & 1 for t in seq.ts)
     injective = len(set(seq.ts)) == len(seq.ts)
     return PPSReport(True, steps_valid, outside, injective, detail)
 
@@ -251,6 +255,15 @@ def pps_find_cycle(m: Matroid, budget: int = DEFAULT_BUDGET) -> CycleSearch:
     A start t1 with no step from a1 (``steps[a1, t1]`` empty) is dead: its
     one run terminates at t1 whatever a2 is, so it is counted as searched
     but not run again for the later a2 of that a1.
+
+    A live start is walked depth-first on an explicit stack of (t, depth,
+    seen) triples, seen the mask of the elements before t, in the order of
+    the "all-branches" runs of ``iter_runs``: children are pushed in reverse
+    so the least pops first.  A popped t already in seen is a cycle; an
+    empty step row ends its branch, and a nonempty one at depth ``budget``
+    leaves absence uncertified.  A run is built only for the witness: at
+    the first cycle, the start's runs are generated and the first cycle
+    among them is returned.
     """
     check_int("budget", budget, least=1, error=InvalidSequence)
     exhausted = True
@@ -276,12 +289,19 @@ def pps_find_cycle(m: Matroid, budget: int = DEFAULT_BUDGET) -> CycleSearch:
                     if not steps[a1, t1]:
                         dead |= low
                         continue
-                    # The checks above are PPSConfig.validate.
-                    for run in _runs(steps, PPSConfig(net_elems, a1, a2, t1), "all-branches", budget):
-                        if run.status == "cycle":
+                    stack = [(t1, 1, 0)]
+                    while stack:
+                        t, depth, seen = stack.pop()
+                        if seen >> t & 1:
+                            # The checks above are PPSConfig.validate.
+                            cfg = PPSConfig(net_elems, a1, a2, t1)
+                            runs = _runs(steps, cfg, "all-branches", budget)
                             found = searched + (outside & (low << 1) - 1).bit_count()
-                            return CycleSearch("found", run, found)
-                        if run.status == "budget":
+                            return CycleSearch("found", next(r for r in runs if r.status == "cycle"), found)
+                        cands = steps[a1 if depth % 2 else a2, t]
+                        if cands and depth >= budget:
                             exhausted = False
+                        elif cands:
+                            stack.extend([(c, depth + 1, seen | 1 << t) for c in reversed(cands)])
                 searched += outside.bit_count()
     return CycleSearch("none" if exhausted else "budget-exceeded", None, searched)

@@ -14,8 +14,8 @@ from flatgeom.effective import (
     Delta2Schedule, FlipEvent, RelationalStructure, Sigma1Schedule, delta2_acl_schedule,
 )
 from flatgeom.errors import (
-    EmptyCollection, IncoherentSchedule, InputError, InvalidSequence, InvalidStructure,
-    ProfileInvalid,
+    EmptyCollection, IncoherentSchedule, InputError, InvalidConfig, InvalidSequence,
+    InvalidStructure, ProfileInvalid,
 )
 from flatgeom.flatness import check_flat
 from flatgeom.formula_closure import (
@@ -25,7 +25,7 @@ from flatgeom.formula_closure import (
 from flatgeom.matroid import (
     GroundSet, closure_table_matroid, linear_matroid, sparse_paving_matroid, uniform_matroid,
 )
-from flatgeom.pingpong import PPSConfig, iter_runs, pps_find_cycle, pps_run
+from flatgeom.pingpong import PPSConfig, PPSSequence, iter_runs, pps_find_cycle, pps_run, pps_verify
 from flatgeom.spectrum import SpectrumSet, TheoryProfile
 
 
@@ -248,3 +248,28 @@ def test_every_count_and_bound_has_one_rule(call, value, error, message):
         call(value)
     assert str(refused.value) == message
 
+
+@pytest.mark.parametrize(
+    "args, value",
+    [(((), 3, 1, 0.0), 0.0), (((), True, 1, 0), True), (((0.5,), 3, 1, 0), 0.5),
+     (((), 3, None, 0), None)],
+    ids=["t1-float", "a1-bool", "net-float", "a2-none"],
+)
+def test_pps_config_refuses_non_integers(args, value):
+    """A config is refused when built, so ``pps_verify`` never meets one,
+    and a bool paddle is not read as the paddle 1."""
+    with pytest.raises(InvalidConfig) as refused:
+        PPSConfig(*args)
+    assert str(refused.value) == f"config element must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize("stray", [2.5, "x", None, True], ids=["float", "string", "none", "bool"])
+def test_pps_verify_reports_a_non_integer_element(stray):
+    """``pps_verify`` never raises: a later element that is no integer
+    breaks the steps and, like an id off the ground set, lies outside the
+    paddle span."""
+    for ts in ((0, stray), (0, 4, 6, stray)):
+        report = pps_verify(GF2, PPSSequence(PPS_CFG, ts))
+        assert report.config_valid and not report.steps_valid, ts
+        assert report.outside_paddle_span, ts
+        assert report.detail == f"sequence element must be an integer, got {stray!r}"

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from conftest import powerset, ref_flats, seeded_nonbases
-from flatgeom import corpus
+from flatgeom import corpus, pingpong
 from flatgeom.errors import InvalidConfig, InvalidElement, InvalidSequence
 from flatgeom.matroid import (
     closure_table_matroid,
@@ -402,6 +402,31 @@ class TestCycleSearch:
         m = small_corpus["u23_plus_2_free"]
         net = frozenset(res.run.sequence.config.net)
         assert t_new in m.closure(net | {t_prev})
+
+    def test_a_run_is_built_only_for_the_witness(self, monkeypatch, gf2):
+        calls = []
+        runs = pingpong._runs
+
+        def counting(*args):
+            calls.append(args)
+            return runs(*args)
+
+        monkeypatch.setattr(pingpong, "_runs", counting)
+        assert pps_find_cycle(uniform_matroid(5, 8), 8).status == "none"
+        assert pps_find_cycle(gf2, 2).status == "budget-exceeded"
+        assert calls == []
+        assert answer(pps_find_cycle(gf2, 32)) == ("found", 1, ((), 0, 1, (3, 4, 6, 5, 3), 1))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "budget, expected",
+        [(3, ("budget-exceeded", 23250, None)), (6, ("found", 1, ((), 0, 1, (6, 7, 12, 11, 6), 1)))],
+    )
+    def test_pg_2_5(self, budget, expected):
+        # Four children per step: a step row is the line through the paddle
+        # and t, six points, less those two.
+        points = [v for v in product(range(5), repeat=3) if next((x for x in v if x), 0) == 1]
+        assert answer(pps_find_cycle(linear_matroid(5, points), budget)) == expected
 
     def test_every_generated_element_stays_outside_paddle_span(self, small_corpus):
         for name, m in small_corpus.items():
