@@ -324,7 +324,10 @@ BUDGET = _opt("--budget", type=int)
 N = _opt("--n", type=int, required=True)
 #: The exhaustive scan's bound, and the random subsets checked past it.
 SAMPLING = (
-    _opt("--max-ground", type=int),
+    _opt("--max-ground", type=int, help=(
+        "most elements scanned over every subset, past it --sample; flatness scans only to "
+        "confirm a disintegrated host"
+    )),
     _opt("--sample", type=int),
     _opt("--seed", type=int),
 )

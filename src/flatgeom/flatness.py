@@ -52,10 +52,10 @@ from functools import partial, reduce
 from math import comb
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit, check_int
+from .errors import EmptyCollection, GroundTooLarge, MatroidContractError, check_int
 from .matroid import (
-    DEFAULT_VERIFY_BOUND, ClosureTableOracle, Flat, Matroid, Memo, _low_bits, canon, elements_of,
-    mask_of, size_lex, subset_universe,
+    DEFAULT_VERIFY_BOUND, ClosureTableOracle, Flat, Matroid, Memo, _low_bits, canon, check_sampling,
+    elements_of, mask_of, size_lex, subset_universe,
 )
 
 #: Default cap on |Sigma| in the violation search.  It bounds the search
@@ -296,42 +296,41 @@ def is_disintegrated(
     sample: Optional[int] = None,
     seed: int = 0,
 ) -> bool:
-    """True iff closure of every set is the union of singleton closures.
+    """True iff the closure of every set is the union of singleton closures.
 
-    Checked by the definition and by the absence of circuits of size >= 3,
-    which must agree on a valid matroid.  Past ``max_ground`` the definition
-    sees only ``sample`` random subsets: the answer is the circuit criterion,
-    and a sampled counterexample it denies is an error.  The circuit search
-    visits every subset of up to rank + 1 elements unless it finds one, so
-    a free host of n elements costs all 2^n subsets, sampled or not.
+    Decided by the rank rule (Oxley, Matroid Theory, 2011): iff no circuit
+    has three or more elements, iff the first point of each parallel class
+    of non-loops, in id order, is independent.  A point in cl(S), S the
+    points before it, makes S break the definition: False at any size.
+    Independent points are confirmed by the definition over every subset up
+    to ``max_ground`` elements, else ``sample`` random ones drawn with
+    ``seed`` (or GroundTooLarge); a disagreement is a MatroidContractError.
     """
-    elems = m.ground.elements
+    check_sampling(max_ground, sample)
     cl = m._closure_mask
-    cl_empty = cl(0)
-    singles = {1 << e: cl(1 << e) for e in elems}
-    universe, sampled = subset_universe(elems, max_ground, sample, seed)
-
-    by_definition = True
-    for s in universe:
-        union, rest = cl_empty, s
+    empty = joined = cl(0)
+    met, singles, points = {empty}, {}, 0
+    for b in m._bit.values():
+        c = singles[b] = cl(b)
+        if c in met:
+            continue
+        if b & cl(points):
+            if cl(points) == joined:
+                raise MatroidContractError(
+                    f"rank rule and definition disagree at {elements_of(points)}"
+                )
+            return False
+        met.add(c)
+        points, joined = points | b, joined | c
+    for s in subset_universe(m.ground.elements, max_ground, sample, seed)[0]:
+        union, rest = empty, s
         while rest:
             low = rest & -rest
             union |= singles[low]
             rest ^= low
         if cl(s) != union:
-            by_definition = False
-            break
-
-    try:
-        m.smallest_circuit_param()
-        by_circuits = False
-    except NoLargeCircuit:
-        by_circuits = True
-    if by_definition != by_circuits and not (sampled and by_definition):
-        raise MatroidContractError(
-            "disintegration by definition and by circuit criterion disagree"
-        )
-    return by_circuits
+            raise MatroidContractError(f"rank rule and definition disagree at {elements_of(s)}")
+    return True
 
 
 def check_flat(
@@ -344,10 +343,10 @@ def check_flat(
 ) -> FlatnessVerdict:
     """Search flat collections for a violation of delta >= dim(union).
 
-    Returns "disintegrated" when the geometry is disintegrated, otherwise
-    the lexicographically least violating collection (sizes ascending,
-    flats in canonical order) or a flat verdict.  ``exhaustive`` widens the
-    search to every collection of every flat.
+    Returns "disintegrated" when ``is_disintegrated`` says so, given
+    ``max_ground``, ``sample`` and ``seed``, otherwise the least violating
+    collection (sizes ascending, flats in canonical order) or a flat
+    verdict.  ``exhaustive`` widens the search to every collection of every flat.
 
     A closure table that is no pregeometry raises MatroidContractError
     naming its least violation, as ``verify_pregeometry`` finds it.  Below

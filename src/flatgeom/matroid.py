@@ -104,6 +104,14 @@ def subsets(
         yield from combinations(elements, size)
 
 
+def check_sampling(max_ground: int, sample: Optional[int]) -> None:
+    """Refuse a ``max_ground`` or a given ``sample`` that is no count, at
+    the call, whether or not a subset scan follows."""
+    check_int("max_ground", max_ground, least=0, error=InvalidStructure)
+    if sample is not None:
+        check_int("sample", sample, least=0, error=InvalidStructure)
+
+
 def subset_universe(
     elements: Sequence[int], max_ground: int, sample: Optional[int], seed: int
 ) -> tuple[Iterator[int], bool]:
@@ -111,9 +119,7 @@ def subset_universe(
     all of them up to ``max_ground`` elements, in (size, lex) order if
     ``elements`` ascends, else ``sample`` random ones drawn with ``seed``
     (GroundTooLarge without ``sample``)."""
-    check_int("max_ground", max_ground, least=0, error=InvalidStructure)
-    if sample is not None:
-        check_int("sample", sample, least=0, error=InvalidStructure)
+    check_sampling(max_ground, sample)
     n = len(elements)
     bits = [1 << e for e in elements]
     if n <= max_ground:

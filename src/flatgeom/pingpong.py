@@ -18,11 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import InvalidConfig, InvalidElement, InvalidSequence, check_int
+from .errors import FlatgeomError, InvalidConfig, InvalidElement, InvalidSequence, check_int
 from .matroid import Matroid, Memo, canon, elements_of
 
 #: The longest sequence, t1 included, that a run follows unless told otherwise.
 DEFAULT_BUDGET = 64
+
+
+def _as_tuple(what: str, values, error: type[FlatgeomError]) -> tuple:
+    """``values`` as a tuple, refused as ``error`` if it is not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise error(f"{what} must be an iterable of integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -35,11 +43,13 @@ class PPSConfig:
     t1: int
 
     def __post_init__(self):
-        check_int("config element", *self.net, self.a1, self.a2, self.t1, error=InvalidConfig)
+        net = _as_tuple("net", self.net, InvalidConfig)
+        check_int("config element", *net, self.a1, self.a2, self.t1, error=InvalidConfig)
+        object.__setattr__(self, "net", canon(net))
 
     @classmethod
     def of(cls, net: Iterable[int], a1: int, a2: int, t1: int) -> "PPSConfig":
-        return cls(canon(net), a1, a2, t1)
+        return cls(net, a1, a2, t1)
 
     def validate(self, m: Matroid) -> None:
         self._masks(m)
@@ -64,8 +74,16 @@ class PPSConfig:
 
 @dataclass(frozen=True)
 class PPSSequence:
+    """A configuration and the elements t1, t2, ... of a sequence in it;
+    ``ts`` must be an iterable of ints (InvalidSequence otherwise)."""
+
     config: PPSConfig
     ts: tuple[int, ...]
+
+    def __post_init__(self):
+        ts = _as_tuple("sequence", self.ts, InvalidSequence)
+        check_int("sequence element", *ts, error=InvalidSequence)
+        object.__setattr__(self, "ts", ts)
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -153,7 +171,6 @@ def _check_steps(steps: Memo, seq: PPSSequence) -> None:
     ts, a1, a2 = seq.ts, seq.config.a1, seq.config.a2
     if not ts:
         raise InvalidSequence("sequence must contain t1")
-    check_int("sequence element", *ts, error=InvalidSequence)
     if ts[0] != seq.config.t1:
         raise InvalidSequence("sequence does not start at the configured t1")
     for i in range(1, len(ts)):
@@ -232,8 +249,8 @@ def pps_verify(m: Matroid, seq: PPSSequence) -> PPSReport:
     except InvalidSequence as e:
         steps_valid, detail = False, str(e)
 
-    # A later t off the ground set, negative or no int is not in span.
-    outside = not any(type(t) is int and t >= 0 and span >> t & 1 for t in seq.ts)
+    # A later t off the ground set or negative is not in span.
+    outside = not any(t >= 0 and span >> t & 1 for t in seq.ts)
     injective = len(set(seq.ts)) == len(seq.ts)
     return PPSReport(True, steps_valid, outside, injective, detail)
 

@@ -1211,6 +1211,9 @@ options:
   --max-sigma MAX_SIGMA
   --exhaustive
   --max-ground MAX_GROUND
+                        most elements scanned over every subset, past it
+                        --sample; flatness scans only to confirm a
+                        disintegrated host
   --sample SAMPLE
   --seed SEED
   --expect-flat

@@ -2,7 +2,7 @@ import gc
 import random
 import re
 import weakref
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, product
 
 import pytest
@@ -19,7 +19,7 @@ from conftest import (
     sparse_paving_rank,
 )
 from flatgeom import corpus, flatness
-from flatgeom.errors import EmptyCollection, GroundTooLarge, MatroidContractError, NoLargeCircuit
+from flatgeom.errors import EmptyCollection, GroundTooLarge, MatroidContractError
 from flatgeom.flatness import _MeetTable, check_flat, delta, is_disintegrated
 from flatgeom.matroid import (
     closure_table_matroid,
@@ -151,8 +151,18 @@ class TestDisintegration:
         assert not is_disintegrated(gf2)
 
     def test_large_ground_needs_sampling(self):
+        # Only the confirmation of a disintegrated host reads the bound.
         with pytest.raises(GroundTooLarge):
-            is_disintegrated(uniform_matroid(3, 14))
+            is_disintegrated(free_matroid(14))
+        assert is_disintegrated(free_matroid(30), sample=20)
+
+    def test_a_host_that_is_not_disintegrated_is_answered_at_any_size(self, monkeypatch):
+        # Its first dependent points break the definition, and no subset
+        # scan runs.
+        monkeypatch.setattr(flatness, "subset_universe", None)
+        pg32 = linear_matroid(2, [v for v in product((0, 1), repeat=4) if any(v)])
+        for m in (uniform_matroid(3, 14), pg32, corpus.gf3_3(), corpus.pps_chain(16)):
+            assert not is_disintegrated(m)
 
     def test_sampled_scan_answers_by_circuits(self):
         # 15 unit vectors plus e0+e1: one 3-circuit {0, 1, 15}, which two
@@ -168,18 +178,54 @@ class TestDisintegration:
             assert is_disintegrated(m, max_ground=len(m.ground)) == (not large), name
 
     @pytest.mark.parametrize("max_ground", [2, 12], ids=["sampled", "exhaustive"])
-    def test_counterexample_against_circuits_is_an_error(self, monkeypatch, max_ground):
-        # A broken circuit search says uniform(2,3) has no 3-circuit, but
-        # cl {0,1} is the whole line.  Passing sample= on a small ground
-        # still runs the exhaustive cross-check.
-        m = uniform_matroid(2, 3)
-
-        def no_large_circuit():
-            raise NoLargeCircuit("all circuits have size <= 2")
-
-        monkeypatch.setattr(m, "smallest_circuit_param", no_large_circuit)
-        with pytest.raises(MatroidContractError):
+    def test_counterexample_against_circuits_is_an_error(self, max_ground):
+        # A broken closure puts 1 in cl {0, 2} and 0 in cl {1, 2}, so the
+        # definition fails at two of the eight subsets, yet no point lies in
+        # the closure of the points before it: the rank rule finds no large
+        # circuit.  The sampled walk meets a failing subset too.
+        table = {s: s for s in subsets(range(3))}
+        table[0, 2] = table[1, 2] = (0, 1, 2)
+        m = closure_table_matroid(3, table)
+        with pytest.raises(MatroidContractError, match=r"disagree at \((0|1), 2\)"):
             is_disintegrated(m, max_ground=max_ground, sample=20, seed=0)
+
+    def test_a_dependent_point_the_definition_accepts_is_an_error(self):
+        # A broken closure puts 1 in cl {0} but not 0 in cl {1}: 1 starts a
+        # new class inside the closure of the point 0, yet the definition
+        # holds at {0}.
+        m = closure_table_matroid(2, {(): (), (0,): (0, 1), (1,): (1,), (0, 1): (0, 1)})
+        with pytest.raises(MatroidContractError, match=r"disagree at \(0,\)"):
+            is_disintegrated(m)
+
+    def test_rank_rule_and_definition_agree_with_brute_spans(self):
+        # Seeded GF(2) and GF(3) hosts with loops and parallel pairs: the
+        # answer is the definition read off brute-force spans, and the rule
+        # and the definition inside is_disintegrated never disagree.
+        rng = random.Random(30)
+        answers, loops, parallels = [], 0, 0
+        for _ in range(1000):
+            q, dim = rng.choice((2, 3)), rng.randint(2, 3)
+            cols = []
+            for _ in range(rng.randint(3, 6)):
+                roll = rng.random()
+                if roll < 0.1:
+                    cols.append((0,) * dim)
+                elif roll < 0.3 and cols:
+                    scale = rng.randrange(1, q)
+                    cols.append(tuple(scale * x % q for x in rng.choice(cols)))
+                else:
+                    cols.append(tuple(rng.randrange(q) for _ in range(dim)))
+            span = cache(partial(brute_span, q, cols))
+            want = all(
+                span(s) == span(()).union(*(span((e,)) for e in s)) for s in powerset(range(len(cols)))
+            )
+            assert is_disintegrated(linear_matroid(q, cols), max_ground=len(cols)) == want, (q, cols)
+            answers.append(want)
+            # A point scaled so that its first nonzero entry is 1.
+            points = [tuple(x * pow(next(filter(None, c)), -1, q) % q for x in c) for c in cols if any(c)]
+            loops += len(points) < len(cols)
+            parallels += len(set(points)) < len(points)
+        assert 200 < sum(answers) < 800 and loops > 200 and parallels > 200
 
 
 class TestCheckFlat:
@@ -194,9 +240,14 @@ class TestCheckFlat:
         assert gf2.rank(frozenset().union(*sets)) == verdict.union_dim
 
     def test_gf3_not_flat(self, gf3):
-        verdict = check_flat(gf3, 4, max_ground=13)
-        assert verdict.kind == "not-flat"
-        assert verdict.delta < verdict.union_dim
+        # The ground bound confirms only a disintegrated host, so PG(2,3),
+        # 13 points, is searched at the default bound of 12 too.
+        for options in ({"max_ground": 13}, {}):
+            verdict = check_flat(gf3, 4, **options)
+            assert (verdict.kind, verdict.bound, verdict.delta, verdict.union_dim) == ("not-flat", 4, 2, 3)
+            assert [f.elements for f in verdict.witness.flats] == [
+                (0, 1, 2, 3), (0, 4, 5, 6), (1, 4, 7, 10), (2, 5, 9, 10),
+            ]
 
     def test_uniform_2_3_flat(self):
         m = uniform_matroid(2, 3)
@@ -458,14 +509,17 @@ class TestMasonAlpha:
 
     @pytest.mark.parametrize(
         "m",
-        [corpus.pps_chain(6), uniform_matroid(3, 7), corpus.pps_chain(10), uniform_matroid(4, 7)],
-        ids=["pps_chain(6)", "U(3,7)", "pps_chain(10)", "U(4,7)"],
+        [corpus.pps_chain(6), uniform_matroid(3, 7), corpus.pps_chain(10), uniform_matroid(4, 7),
+         corpus.pps_chain(16)],
+        ids=["pps_chain(6)", "U(3,7)", "pps_chain(10)", "U(4,7)", "pps_chain(16)"],
     )
     def test_flat_hosts_are_answered_without_a_search_past_pairs(self, monkeypatch, m):
         # No pair violates in a pregeometry, and alpha >= 0 rules out the
         # rest: no meet table is built and nothing is searched.  The work
-        # cap prices only that search, so the last two hosts, past the cap
+        # cap prices only that search, so the last three hosts, past the cap
         # at sigma 4, are answered too, and exactly when a sample is offered.
+        # pps_chain(16) has 18 elements; the ground bound of 12 confirms
+        # only a disintegrated host.
         tops = search_sizes(monkeypatch)
         monkeypatch.setattr(flatness, "_MeetTable", None)
         for options in ({}, {"sample": 20}):

@@ -25,7 +25,7 @@ from flatgeom.formula_closure import (
 from flatgeom.matroid import (
     GroundSet, closure_table_matroid, linear_matroid, sparse_paving_matroid, uniform_matroid,
 )
-from flatgeom.pingpong import PPSConfig, PPSSequence, iter_runs, pps_find_cycle, pps_run, pps_verify
+from flatgeom.pingpong import PPSConfig, PPSSequence, iter_runs, pps_find_cycle, pps_run
 from flatgeom.spectrum import SpectrumSet, TheoryProfile
 
 
@@ -252,24 +252,38 @@ def test_every_count_and_bound_has_one_rule(call, value, error, message):
 @pytest.mark.parametrize(
     "args, value",
     [(((), 3, 1, 0.0), 0.0), (((), True, 1, 0), True), (((0.5,), 3, 1, 0), 0.5),
-     (((), 3, None, 0), None)],
-    ids=["t1-float", "a1-bool", "net-float", "a2-none"],
+     (((), 3, None, 0), None), (([0, "x"], 3, 1, 0), "x")],
+    ids=["t1-float", "a1-bool", "net-float", "a2-none", "net-mixed"],
 )
 def test_pps_config_refuses_non_integers(args, value):
-    """A config is refused when built, so ``pps_verify`` never meets one,
-    and a bool paddle is not read as the paddle 1."""
-    with pytest.raises(InvalidConfig) as refused:
-        PPSConfig(*args)
-    assert str(refused.value) == f"config element must be an integer, got {value!r}"
+    """A config is refused when built, before its net is sorted, so
+    ``pps_verify`` never meets one, and a bool paddle is not read as the
+    paddle 1."""
+    for build in (PPSConfig, PPSConfig.of):
+        with pytest.raises(InvalidConfig) as refused:
+            build(*args)
+        assert str(refused.value) == f"config element must be an integer, got {value!r}"
 
 
-@pytest.mark.parametrize("stray", [2.5, "x", None, True], ids=["float", "string", "none", "bool"])
+@pytest.mark.parametrize(
+    "stray", [2.5, "x", None, True, [1]], ids=["float", "string", "none", "bool", "list"]
+)
 def test_pps_verify_reports_a_non_integer_element(stray):
-    """``pps_verify`` never raises: a later element that is no integer
-    breaks the steps and, like an id off the ground set, lies outside the
-    paddle span."""
+    """A sequence with an element that is no integer is refused when
+    built, so ``pps_verify``, which never raises, never meets one."""
     for ts in ((0, stray), (0, 4, 6, stray)):
-        report = pps_verify(GF2, PPSSequence(PPS_CFG, ts))
-        assert report.config_valid and not report.steps_valid, ts
-        assert report.outside_paddle_span, ts
-        assert report.detail == f"sequence element must be an integer, got {stray!r}"
+        with pytest.raises(InvalidSequence) as refused:
+            PPSSequence(PPS_CFG, ts)
+        assert str(refused.value) == f"sequence element must be an integer, got {stray!r}"
+
+
+def test_pps_inputs_refuse_a_non_iterable():
+    with pytest.raises(InvalidSequence, match="^sequence must be an iterable of integers, got None$"):
+        PPSSequence(PPS_CFG, None)
+    with pytest.raises(InvalidConfig, match="^net must be an iterable of integers, got 3$"):
+        PPSConfig.of(3, 3, 1, 0)
+
+
+def test_pps_inputs_are_stored_canonically_when_built():
+    assert PPSSequence(PPS_CFG, [0, 4]).ts == (0, 4)
+    assert PPSConfig([3, 1, 3], 5, 6, 0).net == PPSConfig.of((1, 3), 5, 6, 0).net == (1, 3)
