@@ -27,6 +27,15 @@ term (X, c) of S.  So adding F costs one pass over the meet row of F:
 The empty collection has delta 0 and gains[H] = dim H.  The update is exact
 for repeats too: adding F again adds gains'[F] = 0.
 
+A collection's last flat H reads one entry of gains', so the penultimate
+flat F prices every H from the gain vector of S alone,
+
+    delta(S + {F, H}) = delta(S) + gains[F] + gains[H] - gains[F & H],
+
+and gain vectors are built only for collections that have two or more
+flats still to add.  A join is taken only for a collection whose delta is
+below the rank of the ground set, as no union can have more.
+
 Delta depends only on the set of distinct flats and is unchanged by
 dropping a flat contained in another: the terms holding A cancel in pairs
 against the same terms with B added when A is a subset of B.  So a
@@ -70,7 +79,10 @@ DEFAULT_MAX_SIGMA = 4
 _ALPHA_WALK_BOUND = 10_000
 
 #: Rough work budget for the collection search (number of subset terms);
-#: beyond it the caller must sample.
+#: beyond it the caller must sample.  The estimate prices scoring every
+#: collection from scratch, far more than the least-witness search does;
+#: the cap stays as it is until the search meters its own work (ROADMAP
+#: item B).
 DEFAULT_WORK_CAP = 5_000_000
 
 
@@ -212,35 +224,48 @@ class _MeetTable:
 
     def least_violation(self, top: int) -> Optional[tuple[tuple[int, ...], int, int]]:
         """The least (size, lex) collection of at most ``top`` flats with
-        delta < dim(union), as (indices, delta, union_dim), or None."""
+        delta < dim(union), as (indices, delta, union_dim), or None.
+
+        Collections are antichains in (size, lex) order.  The penultimate
+        flat prices each last flat from its parent's gain vector (see the
+        module docstring), and the union's closure, a reduce over the
+        memoised pairwise ``join``, is taken only when delta is below the
+        rank of the ground set."""
         n, dims, meet, after = len(self.sets), self.dims, self.meet, self.after
         # No union has a larger dimension than the whole ground set.
         full = max(dims)
 
-        def extend(prefix, d, gains, j, cands, size):
+        def extend(prefix, d, gains, cands, size):
             # cands: the flats after prefix[-1] comparable with no member
             # of prefix, ascending; gains: the gain vector of prefix.
             depth = len(prefix) + 1
             for pos in range(len(cands) - size + depth):
                 f = cands[pos]
-                df = d + gains[f]
-                if depth < size:
-                    row = meet[f]
+                df, row = d + gains[f], meet[f]
+                if depth < size - 1:
                     sub = [h for h in cands[pos + 1:] if row[h] != h and row[h] != f]
-                    jf = self.join(j, f) if prefix else f
-                    hit = extend(prefix + (f,), df, after(gains, f), jf, sub, size)
+                    hit = extend(prefix + (f,), df, after(gains, f), sub, size)
                     if hit:
                         return hit
-                elif df < full:
-                    u = dims[self.join(j, f)]
-                    if df < u:
-                        return prefix + (f,), df, u
+                    continue
+                # f is the penultimate flat: each last flat h is priced from
+                # gains, filtered as sub is; building sub here costs PG(3,2)
+                # a fifth more time.
+                for h in cands[pos + 1:]:
+                    x = row[h]
+                    if x != h and x != f:
+                        dh = df + gains[h] - gains[x]
+                        if dh < full:
+                            picked = prefix + (f, h)
+                            u = dims[reduce(self.join, picked)]
+                            if dh < u:
+                                return picked, dh, u
             return None
 
         # delta(F) = dim F, and no pair violates a pregeometry: sizes start at three.
         try:
             for size in range(3, top + 1):
-                hit = extend((), 0, dims, None, range(n), size)
+                hit = extend((), 0, dims, range(n), size)
                 if hit:
                     return hit
             return None

@@ -5,10 +5,11 @@ start t1 outside cl(X + {a1, a2}).  Step i extends the sequence by some
 t inside cl(X + {a_j, t_i}) but outside cl(X + {a_j}), distinct from t_i,
 where the paddle alternates with the parity of i (step 1 uses a1).
 
-On a geometry (no loops, no parallel pairs), each cycle of length >= 3 on
-the hosts checked came with Mason's alpha < 0, so the host is not flat; a
-cycle t, t', t with t' in cl(X + {t}) bounces on the flat u23_plus_2_free,
-and a flat pregeometry may hold a longer cycle through a parallel pair.
+A cycle alone does not show that a host is not flat: a cycle t, t', t
+with t' in cl(X + {t}) bounces on the flat u23_plus_2_free, and a longer
+cycle can pass through two elements parallel over the net X, on a flat
+geometry (no loops, no parallel pairs) as well as through a parallel pair
+of a flat pregeometry.
 The element choices are made explicit here: the "least" strategy always
 takes the smallest candidate id, "all-branches" explores the whole tree.
 """

@@ -110,8 +110,10 @@ def test_criterion_3_injectivity_and_cycles():
                 _GENERATED_SEQUENCES.append((m, run.sequence))
                 ts = run.sequence.ts
                 if len(set(ts)) != len(ts):
-                    # Only a bounce repeats on a flat host: two elements
+                    # On these flat hosts only a bounce repeats: two elements
                     # interalgebraic over the net alone, whatever the paddles.
+                    # A flat geometry can also repeat through two elements
+                    # parallel over the net (see test_flatness.py).
                     assert run.cycle_length == 2, (name, ts)
                     assert ts[-1] in m.closure(frozenset(cfg.net) | {ts[-2]}), (name, ts)
                     repeats[name] += 1

@@ -308,6 +308,39 @@ class TestCheckFlat:
             got = (v.kind, v.bound, witness, v.delta, v.union_dim)
             assert got == least_witness(m, sigma)
 
+    def test_least_witness_matches_reference_on_the_alpha_pool(self):
+        # Sigma 4 only on hosts of at most 16 flats: the pool's larger
+        # hosts are flat, answered by alpha with no search, and the
+        # reference scores every collection of their flats.
+        checks, not_flat = 0, 0
+        for name, m, _ in alpha_pool():
+            for sigma in (3, 4) if len(m.flats()) <= 16 else (3,):
+                v = check_flat(m, sigma, max_ground=len(m.ground))
+                witness = set(v.witness.sets()) if v.witness else None
+                got = (v.kind, v.bound, witness, v.delta, v.union_dim)
+                assert got == least_witness(m, sigma), (name, sigma)
+                checks += 1
+                not_flat += v.kind == "not-flat"
+        assert (checks, not_flat) == (184, 38)
+
+    @pytest.mark.parametrize("make", [lambda: pg(3, 3), corpus.gf2_3], ids=["PG(2,3)", "gf2_3"])
+    def test_sigma3_builds_at_most_one_gain_vector_per_flat(self, monkeypatch, make):
+        # The last flat is priced from its parent's gain vector, so at sigma
+        # 3 only one-flat prefixes get one.  A union is closed only where
+        # delta is below the ground rank, which no three flats here reach.
+        m = make()
+        work = search_work(monkeypatch)
+        assert check_flat(m, 3, max_ground=len(m.ground)).kind == "flat-up-to"
+        assert 0 < work["after"] <= len(m.flats())
+        assert work["join"] == 0
+
+    def test_only_the_witness_union_is_closed_on_gf2_3(self, monkeypatch):
+        # Three joins close the union of the four-flat witness, and no
+        # other collection of gf2_3 has delta below the ground rank.
+        work = search_work(monkeypatch)
+        assert check_flat(corpus.gf2_3(), 4).kind == "not-flat"
+        assert work["join"] == 3
+
     @pytest.mark.parametrize(
         "m, expected",
         [
@@ -333,8 +366,9 @@ class TestCheckFlat:
     )
     def test_sigma4_verdicts_past_the_work_cap(self, monkeypatch, m, expected):
         # The work estimate refuses these at sigma 4.  With the cap lifted,
-        # the search answers PG(3,2) and PG(2,5) in about a second or less,
-        # and Mason's alpha criterion answers pps_chain(10) and U(4,7).
+        # the search answers PG(3,2) and PG(2,5) in 10 to 20 ms each (Python
+        # 3.11 on a 2-core VM), and Mason's alpha criterion answers
+        # pps_chain(10) and U(4,7).
         monkeypatch.setattr(flatness, "DEFAULT_WORK_CAP", 10**9)
         v = check_flat(m, 4, max_ground=len(m.ground))
         witness = sorted(sorted(s) for s in v.witness.sets()) if v.witness else None
@@ -377,6 +411,8 @@ class TestCheckFlat:
 # Seven points of the GF(3) plane, flat up to four flats but not five.
 SIGMA5_COLS = [(1, 2, 2), (2, 2, 2), (2, 1, 2), (0, 2, 2), (0, 1, 2), (2, 0, 1), (0, 0, 2)]
 SIGMA3_NONBASES = [(2, 3, 4, 6), (1, 2, 4, 5), (1, 3, 5, 6)]
+# A flat GF(3) geometry with a ping-pong cycle of length 3.
+PINGPONG_FLAT_COLS = [(2, 2, 2, 2), (2, 2, 0, 1), (2, 2, 1, 1), (1, 1, 0, 1), (2, 1, 0, 0), (0, 0, 1, 0)]
 
 
 def paving_host(size, rank, nonbases):
@@ -424,6 +460,21 @@ def search_sizes(monkeypatch) -> list[int]:
     return tops
 
 
+def search_work(monkeypatch) -> dict[str, int]:
+    """How many gain vectors (``_MeetTable.after``) and joins
+    (``_MeetTable.join``) later searches build."""
+    work = dict.fromkeys(("after", "join"), 0)
+    for name in work:
+        method = getattr(_MeetTable, name)
+
+        def counted(self, *args, name=name, method=method):
+            work[name] += 1
+            return method(self, *args)
+
+        monkeypatch.setattr(_MeetTable, name, counted)
+    return work
+
+
 class TestMasonAlpha:
     def test_alpha_nonnegative_iff_exhaustive_search_finds_nothing(self):
         pool = alpha_pool()
@@ -438,13 +489,16 @@ class TestMasonAlpha:
         assert len(pool) >= 100 and not_flat >= 25
 
     def test_pingpong_cycle_on_a_geometry_means_negative_alpha(self):
-        # On a geometry (no loops, no parallel pairs) a cycle of length 3 or
-        # more comes with alpha < 0.  A cycle of length 2 is a bounce: its
-        # last element lies in cl(net + {previous}), whatever the paddles,
-        # and the flat u23_plus_2_free holds one.  On a pregeometry a cycle
-        # can pass through a parallel pair: two flat hosts of the pool hold
-        # one of length 3.  The corpus hosts' alpha is the walk's, which the
-        # test above checks against the definition.
+        # On the geometries (no loops, no parallel pairs) of the pool and
+        # the corpus, a cycle of length 3 or more comes with alpha < 0.  That
+        # is no rule: a cycle through two elements parallel over the net
+        # occurs on flat geometries too (see the test below).  A cycle of
+        # length 2 is a bounce: its last element lies in cl(net +
+        # {previous}), whatever the paddles, and the flat u23_plus_2_free
+        # holds one.  On a pregeometry a cycle can pass through a parallel
+        # pair: two flat hosts of the pool hold one of length 3.  The corpus
+        # hosts' alpha is the walk's, which the test above checks against
+        # the definition.
         simple = cycles = 0
         bounces, through_parallel = {}, {}
         corpus_hosts = [(name, make(), None) for name, make in corpus.MATROIDS.items()]
@@ -473,6 +527,19 @@ class TestMasonAlpha:
         assert (simple, cycles) == (97, 30)
         assert bounces == {"u23_plus_2_free": (1, 2, 1)}
         assert through_parallel == {"gf2#2": (2, 4, 5, 2), "gf3#3": (2, 3, 4, 2)}
+
+    def test_flat_geometry_holds_a_cycle_through_a_pair_parallel_over_the_net(self):
+        # A GF(3) geometry that is flat, yet its cycle of length 3 passes
+        # through 3 and 5, which are parallel over the net (0,).
+        m = linear_matroid(3, PINGPONG_FLAT_COLS)
+        assert not m.closure(()) and all(m.closure((e,)) == {e} for e in m.ground.elements)
+        assert check_flat(m, exhaustive=True).kind == "flat-exhaustive"
+        assert flatness._alpha_nonnegative(m, m.flats()) is True
+        search = pps_find_cycle(m)
+        cfg = search.run.sequence.config
+        assert search.status == "found" and search.run.cycle_length == 3
+        assert (search.run.sequence.ts, cfg.net, cfg.a1, cfg.a2) == ((2, 3, 5, 2), (0,), 1, 4)
+        assert m.closure({0, 3}) == {0, 3, 5}
 
     def test_search_that_ends_clean_despite_negative_alpha_is_an_error(self, monkeypatch):
         # U(2,3) has five flats: a search of all five that finds nothing
