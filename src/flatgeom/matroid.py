@@ -45,7 +45,11 @@ M/F (Oxley, Matroid Theory, 2nd ed., 2011): the walk reduces each column
 outside F once against an echelon basis of F, and the columns whose
 residuals agree up to a scalar give one cover, whose basis is F's plus
 one row.  It writes each cl(F + e) so found into the closure memo, so no
-cover candidate is closed from scratch.
+cover candidate is closed from scratch.  On linear and sparse paving
+hosts, pregeometries by construction, the walk stops at the hyperplanes:
+E is the one cover of each, so the top level needs no covers (a linear
+host still writes cl(H + e) = E into the memo).  A closure table is walked
+to its top level, since it may break the axioms.
 
 The exhaustive axiom check decides a pass from the closed sets and their
 covers (the flat axioms; Oxley, 1.4).  Once cl is extensive, idempotent
@@ -504,8 +508,21 @@ class Matroid:
 
     def flats(self) -> list[Flat]:
         """All closed subsets, sorted by (size, elements), each with its
-        covering level as dimension; ``full_rank`` is the one rank query."""
-        return [Flat(elements_of(s), k) for s, k in self._closed_sets(self.full_rank).items()]
+        covering level as dimension; ``full_rank`` is the one rank query.
+        On linear and sparse paving hosts the walk stops at the hyperplanes
+        and adds E at rank r (see the module docstring); any other oracle,
+        a closure table in particular, is walked to the top level."""
+        r, whole = self.full_rank, self._ground_mask
+        if r == 0 or not isinstance(self.oracle, (LinearOracle, UniformOracle)):
+            found = self._closed_sets(r)
+        else:
+            found = self._closed_sets(r - 1)
+            if isinstance(self.oracle, LinearOracle):
+                self._closures.update(
+                    (h | b, whole) for h, k in found.items() if k == r - 1 for b in _low_bits(whole & ~h)
+                )
+            found[whole] = r  # the largest set, so (size, lex) order holds
+        return [Flat(elements_of(s), k) for s, k in found.items()]
 
     def _closed_sets(self, max_rank: int) -> dict[int, int]:
         """The flats of rank <= ``max_rank`` as masks, each mapped to its
@@ -513,7 +530,8 @@ class Matroid:
         cover of a flat on level k not met before.  The walk stops after
         level ``max_rank`` even if the next is not empty, so on a table
         that breaks the axioms no set above the table's rank counts as a
-        flat.  A linear host carries an echelon basis with each flat of
+        flat; ``flats`` walks to r - 1 on a host that is a pregeometry as
+        built.  A linear host carries an echelon basis with each flat of
         the level and takes its covers from the contraction
         (``_residual_covers``); any other host closes F + e for each e not
         in F (``_closure_covers``)."""

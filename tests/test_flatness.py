@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import weakref
+from collections import Counter
 from functools import cache, partial
 from itertools import combinations, product
 
@@ -196,6 +197,64 @@ class TestDisintegration:
         m = closure_table_matroid(2, {(): (), (0,): (0, 1), (1,): (1,), (0, 1): (0, 1)})
         with pytest.raises(MatroidContractError, match=r"disagree at \(0,\)"):
             is_disintegrated(m)
+
+    def test_one_step_walk_against_the_definition_on_seeded_tables(self):
+        # Seeded closure tables on 2 to 5 elements: disintegrated
+        # pregeometries (loops and parallel classes), GF(2) and GF(3)
+        # pregeometries, each as built or with one entry broken, and tables
+        # with random entries.  The brute check reads the table itself.
+        rng = random.Random(32)
+        seen = Counter()
+        for _ in range(600):
+            n = rng.randint(2, 5)
+            roll = rng.random()
+            if roll < 0.4:
+                classes = [rng.randrange(-1, n) for _ in range(n)]  # -1: a loop
+                loops = frozenset(e for e in range(n) if classes[e] < 0)
+                cl = {
+                    s: loops.union(*({e for e in range(n) if classes[e] == classes[b]} for b in s))
+                    for s in powerset(range(n))
+                }
+            elif roll < 0.8:
+                q = rng.choice((2, 3))
+                cols = [tuple(rng.randrange(q) for _ in range(3)) for _ in range(n)]
+                cl = {s: brute_span(q, cols, s) for s in powerset(range(n))}
+            else:
+                cl = {s: frozenset(e for e in range(n) if rng.random() < 0.5) for s in powerset(range(n))}
+            if roll < 0.8 and rng.random() < 0.5:
+                s = rng.choice([s for s in cl if len(s) >= 2])
+                cl[s] = frozenset(e for e in range(n) if rng.random() < 0.5) | frozenset(s)
+            m = closure_table_matroid(n, cl)
+
+            def definition(s):
+                return cl[s] == cl[()].union(*(cl[(b,)] for b in s))
+
+            # The rank rule: the first point of each new class, in id order,
+            # outside the closure of the points before it.
+            points, classes_met, dependent = (), {cl[()]}, None
+            for b in range(n):
+                if cl[(b,)] in classes_met:
+                    continue
+                if b in cl[points]:
+                    dependent = points
+                    break
+                classes_met.add(cl[(b,)])
+                points += (b,)
+            if dependent is None:
+                # The walk names the first subset, in increasing mask order,
+                # where the definition fails.
+                failing = [s for s in sorted(cl, key=lambda s: sum(1 << e for e in s)) if not definition(s)]
+                want = f"disagree at {failing[0]}" if failing else True
+            else:
+                want = False if not definition(dependent) else f"disagree at {dependent}"
+            try:
+                got = is_disintegrated(m)
+            except MatroidContractError as e:
+                got = re.search(r"disagree at \(.*\)", str(e)).group()
+            assert got == want, (n, cl)
+            seen[dependent is None, want if isinstance(want, bool) else "raise"] += 1
+        # Every outcome of both branches shows up often.
+        assert all(seen[k] >= 50 for k in [(True, True), (True, "raise"), (False, False), (False, "raise")]), seen
 
     def test_rank_rule_and_definition_agree_with_brute_spans(self):
         # Seeded GF(2) and GF(3) hosts with loops and parallel pairs: the

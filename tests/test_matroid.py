@@ -44,6 +44,7 @@ from flatgeom.matroid import (
     linear_matroid,
     mask_of,
     sparse_paving_matroid,
+    subsets,
     table_from_matroid,
     uniform_matroid,
 )
@@ -501,6 +502,44 @@ class TestFlats:
         m = Matroid(pg32.ground, CountingLinearOracle(2, pg32.oracle.columns))
         assert len(m.flats()) == 67
         assert asked == [0]  # cl(empty), the bottom of the walk
+
+    def test_linear_walk_takes_no_covers_of_a_hyperplane(self):
+        walked = []
+
+        class CountingLinearOracle(LinearOracle):
+            def covers(self, basis, outside):
+                walked.append(len(basis))
+                return super().covers(basis, outside)
+
+        pg32 = linear_matroid(2, pg_columns(4, 2))
+        m = Matroid(pg32.ground, CountingLinearOracle(2, pg32.oracle.columns))
+        assert len(m.flats()) == 67
+        # One call for the empty flat, the 15 points and the 35 lines; none
+        # for the 15 planes, whose one cover is the whole ground.
+        assert len(walked) == 51 and max(walked) == 2
+
+    def test_uniform_walk_closes_no_set_above_the_hyperplanes(self):
+        asked = []
+
+        class CountingUniformOracle(UniformOracle):
+            def closure(self, subset, ground):
+                asked.append(subset)
+                return super().closure(subset, ground)
+
+        flats = Matroid(uniform_matroid(3, 6).ground, CountingUniformOracle(3)).flats()
+        assert [f.dim for f in flats] == [0] + [1] * 6 + [2] * 15 + [3]
+        # cl(empty), the 6 points and the 15 pairs; no 3-set is closed.
+        assert len(asked) == 22 and max(s.bit_count() for s in asked) == 2
+
+    def test_closure_table_walks_its_top_level(self):
+        # cl {0, 1} = E, yet {0, 2} and {1, 2} are closed at the table's
+        # rank 2: a walk that stopped at the hyperplanes would drop them.
+        table = {s: s for s in subsets(range(3))}
+        table[0, 1] = (0, 1, 2)
+        m = closure_table_matroid(3, table)
+        assert [(f.elements, f.dim) for f in m.flats()] == [
+            ((), 0), ((0,), 1), ((1,), 1), ((2,), 1), ((0, 2), 2), ((1, 2), 2), ((0, 1, 2), 2),
+        ]
 
     def test_flats_ask_no_rank_of_a_flat(self):
         pg32 = linear_matroid(2, pg_columns(4, 2))
