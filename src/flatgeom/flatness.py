@@ -351,8 +351,9 @@ def is_disintegrated(
             return False
         met.add(c)
         points, joined = points | b, joined | c
-    if len(m.ground) > max_ground:
-        for s in subset_universe(m.ground.elements, max_ground, sample, seed)[0]:
+    universe, sampled = subset_universe(m.ground.elements, max_ground, sample, seed)
+    if sampled:
+        for s in universe:
             if cl(s) != reduce(int.__or__, map(singles.get, _low_bits(s)), empty):
                 raise _disagree(s)
         return True
