@@ -58,7 +58,9 @@ cl(S + b) = cl(cl(S) + b) and exchange at S is exchange at the flat
 cl(S).  At a flat F exchange holds iff the covers cl(F + b) - F, b outside
 F, partition E - F: iff each distinct cover K comes from exactly |K|
 elements b.  The (size, lex) scan over every subset and element runs only
-when this fails, to name the least violation.
+when this fails, to name the least violation.  The pass closes each
+subset once, so a sparse paving host's closures come from its rule, and
+the memo is left untouched.
 """
 
 from __future__ import annotations
@@ -446,13 +448,18 @@ class Matroid:
         self._ground_mask = whole = sum(self._bit.values())
         #: Rank and closure of a mask, each memoised in one dict keyed by
         #: mask; a miss asks the oracle at most once (a linear closure miss
-        #: tries the prefix rule first).
+        #: tries the prefix rule first); the axiom check leaves the
+        #: closure memo of a sparse paving host untouched.
         self._rank_mask: Callable[[int], int] = Memo(lambda s: oracle.rank(s, whole)).__getitem__
         closures = _PrefixClosures if isinstance(oracle, LinearOracle) else Memo
         self._closures: Memo = closures(lambda s: oracle.closure(s, whole))
         self._closure_mask: Callable[[int], int] = self._closures.__getitem__
-        #: pingpong's step table of the most recent net, as (net, table).
+        #: pingpong's step table of the most recent net, as (net, table),
+        #: keyed by paddle and then by start.
         self._net_steps: Optional[tuple[int, Memo]] = None
+        #: pingpong's last configuration that passed its check, with the
+        #: masks of its net and span, as (config, (net, span)).
+        self._pps_config: Optional[tuple[object, tuple[int, int]]] = None
         if isinstance(oracle, LinearOracle) and tuple(range(len(oracle.columns))) != ground.elements:
             raise InvalidStructure("linear oracle requires ids 0..n-1, one column per element")
         want = 1 << len(ground.elements)
@@ -685,8 +692,15 @@ class Matroid:
         are counted: a cover {b} (T + b closed) needs only that count, and
         a spanning cover is what the count leaves over, allowed only if
         every cover of T spans.
+
+        Each subset is closed once, so on a sparse paving host the closures
+        come from the oracle's rule and the memo is left untouched.  A
+        linear host's prefix rule lives in the memo, and ``check_flat``'s
+        later walk on a closure table reads it, so both keep it.
         """
         cl, whole = self._closure_mask, self._ground_mask
+        # Called positionally: binding ground= by a partial is slower than the memo.
+        rule = self.oracle.closure if isinstance(self.oracle, UniformOracle) else None
         closed: set[int] = set()
         # One flat T per edge (T, T + b) with cl(T + b) != E, and one
         # (T, cl(T + b)) per such edge whose T + b is not closed.
@@ -694,12 +708,12 @@ class Matroid:
         covers: list[tuple[int, int]] = []
         s = 0
         while True:
-            c = cl(s)
+            c = cl(s) if rule is None else rule(s, whole)
             if s & ~c or c & ~whole:
                 return False
             if c == s:
                 closed.add(s)
-            elif cl(c) != c:
+            elif (cl(c) if rule is None else rule(c, whole)) != c:
                 return False
             if c != whole:
                 # Inline rather than _low_bits: on a free host this loop
@@ -713,7 +727,7 @@ class Matroid:
                         nonspanning.append(t)
                         if c != s:
                             covers.append((t, c))
-                    elif cl(t) & ~c:
+                    elif (cl(t) if rule is None else rule(t, whole)) & ~c:
                         return False
             if s == whole:
                 break

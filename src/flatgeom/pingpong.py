@@ -12,12 +12,16 @@ geometry (no loops, no parallel pairs) as well as through a parallel pair
 of a flat pregeometry.
 The element choices are made explicit here: the "least" strategy always
 takes the smallest candidate id, "all-branches" explores the whole tree.
+
+A ``Matroid`` keeps this module's work between calls, one of each: the
+step table of the last net, keyed by paddle and then by start (``_steps``),
+and the last configuration that passed its check, with its masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import FlatgeomError, InvalidConfig, InvalidElement, InvalidSequence, check_int
 from .matroid import Matroid, Memo, canon, elements_of
@@ -57,7 +61,12 @@ class PPSConfig:
 
     def _masks(self, m: Matroid) -> tuple[int, int]:
         """``validate``, returning the masks of the net and of its span with
-        the paddles, cl(net + {a1, a2})."""
+        the paddles, cl(net + {a1, a2}).  ``m`` keeps the last configuration
+        that passed, with its masks, and answers an equal one from it; one
+        that fails is not kept, so it fails the same way every time."""
+        kept = m._pps_config
+        if kept is not None and (kept[0] is self or kept[0] == self):
+            return kept[1]
         if self.a1 == self.a2:
             raise InvalidConfig("paddles must be distinct")
         x, pair, t1 = m._check(self.net), m._check((self.a1, self.a2)), m._check((self.t1,))
@@ -66,6 +75,7 @@ class PPSConfig:
         span = m._closure_mask(x | pair)
         if span & t1:
             raise InvalidConfig("t1 lies in the closure of net and paddles")
+        m._pps_config = self, (x, span)
         return x, span
 
     def paddle(self, i: int) -> int:
@@ -143,25 +153,34 @@ class CycleSearch:
     configs_searched: int = 0
 
 
+class _PaddleRows(dict):
+    """The step rows of one paddle a over the net X: ``rows[t]`` is every
+    element of cl(X + {a, t}) outside cl(X + {a}), t excepted, ascending,
+    built when first read.  ``span`` is cl(X + {a}), closed once, when the
+    paddle is first asked for."""
+
+    def __init__(self, cl: Callable[[int], int], base: int):
+        self.cl, self.base, self.span = cl, base, cl(base)
+
+    def __missing__(self, t: int) -> tuple[int, ...]:
+        row = self[t] = elements_of(self.cl(self.base | 1 << t) & ~self.span & ~(1 << t))
+        return row
+
+
 def _steps(m: Matroid, net: int) -> Memo:
-    """The step rule over the net X (a mask), memoised: ``steps[a, t]`` is
-    every element of cl(X + {a, t}) outside cl(X + {a}), t excepted,
-    ascending, built when first read.
+    """The step rule over the net X (a mask), memoised by paddle:
+    ``steps[a]`` is the ``_PaddleRows`` of a, so ``steps[a][t]`` is the row
+    of the step from t with a, and ``steps[a].span`` is cl(X + {a}).
 
     ``m`` keeps the table of the one net asked for last, so ``pps_run``,
     ``pps_verify`` and ``pps_candidates`` on that net share its rows; asking
     for another net drops it.  A ``Matroid`` thus holds at most one step
-    table, however many nets ``pps_find_cycle`` walks."""
+    table, however many nets ``pps_find_cycle`` walks, next to the one
+    configuration ``PPSConfig._masks`` kept."""
     if m._net_steps is not None and m._net_steps[0] == net:
         return m._net_steps[1]
     cl = m._closure_mask
-
-    def row(key: tuple[int, int]) -> tuple[int, ...]:
-        a, t = key
-        base = net | 1 << a
-        return elements_of(cl(base | 1 << t) & ~cl(base) & ~(1 << t))
-
-    steps = Memo(row)
+    steps = Memo(lambda a: _PaddleRows(cl, net | 1 << a))
     m._net_steps = net, steps
     return steps
 
@@ -169,15 +188,16 @@ def _steps(m: Matroid, net: int) -> Memo:
 def _check_steps(steps: Memo, seq: PPSSequence) -> None:
     """Raise InvalidSequence at the first step of ``seq`` that breaks the
     step rule; its configuration must already be valid."""
-    ts, a1, a2 = seq.ts, seq.config.a1, seq.config.a2
+    ts = seq.ts
     if not ts:
         raise InvalidSequence("sequence must contain t1")
     if ts[0] != seq.config.t1:
         raise InvalidSequence("sequence does not start at the configured t1")
+    rows1, rows2 = steps[seq.config.a1], steps[seq.config.a2]
     for i in range(1, len(ts)):
         if ts[i] == ts[i - 1]:
             raise InvalidSequence(f"step {i} repeats its predecessor")
-        if ts[i] not in steps[a1 if i % 2 else a2, ts[i - 1]]:
+        if ts[i] not in (rows1 if i % 2 else rows2)[ts[i - 1]]:
             raise InvalidSequence(f"step {i} violates the ping-pong rule")
 
 
@@ -187,7 +207,7 @@ def pps_candidates(m: Matroid, seq: PPSSequence) -> list[int]:
     cfg, ts = seq.config, seq.ts
     steps = _steps(m, cfg._masks(m)[0])
     _check_steps(steps, seq)
-    return list(steps[cfg.paddle(len(ts)), ts[-1]])
+    return list(steps[cfg.paddle(len(ts))][ts[-1]])
 
 
 def iter_runs(m: Matroid, config: PPSConfig, strategy: str = "least", budget: int = DEFAULT_BUDGET):
@@ -205,7 +225,7 @@ def _runs(steps: Memo, config: PPSConfig, strategy: str, budget: int):
     prefixes from (t1,) on an explicit stack, children pushed in reverse so
     the least pops first.  A prefix whose last element repeats an earlier
     one is a cycle and is not extended."""
-    a1, a2, every = config.a1, config.a2, strategy == "all-branches"
+    rows1, rows2, every = steps[config.a1], steps[config.a2], strategy == "all-branches"
     stack = [(config.t1,)]
     while stack:
         ts = stack.pop()
@@ -214,7 +234,7 @@ def _runs(steps: Memo, config: PPSConfig, strategy: str, budget: int):
         if first < n - 1:
             yield PPSRun(PPSSequence(config, ts), "cycle", first + 1)
             continue
-        cands = steps[a1 if n % 2 else a2, t]
+        cands = (rows1 if n % 2 else rows2)[t]
         if not cands:
             yield PPSRun(PPSSequence(config, ts), "terminated")
         elif n >= budget:
@@ -267,10 +287,13 @@ def pps_find_cycle(m: Matroid, budget: int = DEFAULT_BUDGET) -> CycleSearch:
     equivalence.  The first cycle in this fixed order is returned as the
     least witness.
 
-    Each check is made once.  Whether the paddles are independent over the
-    net, and their span cl(net + {a1, a2}), do not depend on the paddles'
-    order, so each unordered pair is tested once per net, when first met.
-    A start t1 with no step from a1 (``steps[a1, t1]`` empty) is dead: its
+    Each check is made once.  The paddles a1, a2 are independent over the
+    net X iff a1 lies outside cl(X + {a2}) and a2 outside cl(X + {a1}); both
+    are read from the step table's paddle spans, ``steps[a].span``, the one
+    place cl(X + {a}) is closed.  Independence and the span cl(X + {a1, a2})
+    do not depend on the paddles' order, so each unordered pair is tested
+    once per net, when first met with a1 < a2, and read back for a2 < a1.
+    A start t1 with no step from a1 (``steps[a1][t1]`` empty) is dead: its
     one run terminates at t1 whatever a2 is, so it is counted as searched
     but not run again for the later a2 of that a1.
 
@@ -279,7 +302,8 @@ def pps_find_cycle(m: Matroid, budget: int = DEFAULT_BUDGET) -> CycleSearch:
     the "all-branches" runs of ``iter_runs``: children are pushed in reverse
     so the least pops first.  A popped t already in seen is a cycle; an
     empty step row ends its branch, and a nonempty one at depth ``budget``
-    leaves absence uncertified.  A run is built only for the witness: at
+    leaves absence uncertified.  Each pair's two paddle rows are taken once,
+    so a step is one dict lookup.  A run is built only for the witness: at
     the first cycle, the start's runs are generated and the first cycle
     among them is returned.
     """
@@ -289,22 +313,26 @@ def pps_find_cycle(m: Matroid, budget: int = DEFAULT_BUDGET) -> CycleSearch:
     cl, ground, whole = m._closure_mask, m.ground.elements, m._ground_mask
     for net in m._closed_sets(m.full_rank - 3):
         steps, net_elems = _steps(m, net), elements_of(net)
-        # The span of each independent pair.  A dependent one gets -1, which
-        # no mask equals and which leaves no start outside it: a table off
-        # the axioms may give an independent pair the span 0.
-        spans = Memo(lambda pair: cl(net | pair) if m._independent_over(pair, net) else -1)
+        # The span of each pair, by mask.  A dependent one gets -1, which no
+        # mask equals and which leaves no start outside it: a table off the
+        # axioms may give an independent pair the span 0.
+        spans: dict[int, int] = {}
         for a1 in ground:
-            dead = 0
+            rows1, dead = steps[a1], 0
             for a2 in ground:
                 if a1 == a2:
                     continue
-                outside = whole & ~spans[1 << a1 | 1 << a2]
+                rows2, pair = steps[a2], 1 << a1 | 1 << a2
+                if a1 < a2:
+                    dependent = rows2.span >> a1 & 1 or rows1.span >> a2 & 1
+                    spans[pair] = -1 if dependent else cl(net | pair)
+                outside = whole & ~spans[pair]
                 live = outside & ~dead
                 while live:
                     low = live & -live
                     live ^= low
                     t1 = low.bit_length() - 1
-                    if not steps[a1, t1]:
+                    if not rows1[t1]:
                         dead |= low
                         continue
                     stack = [(t1, 1, 0)]
@@ -316,7 +344,7 @@ def pps_find_cycle(m: Matroid, budget: int = DEFAULT_BUDGET) -> CycleSearch:
                             runs = _runs(steps, cfg, "all-branches", budget)
                             found = searched + (outside & (low << 1) - 1).bit_count()
                             return CycleSearch("found", next(r for r in runs if r.status == "cycle"), found)
-                        cands = steps[a1 if depth % 2 else a2, t]
+                        cands = (rows1 if depth % 2 else rows2)[t]
                         if cands and depth >= budget:
                             exhausted = False
                         elif cands:

@@ -426,6 +426,37 @@ class TestVerifyCriterion:
         assert report == PregeometryReport(True, None, 2**12, False)
         assert len(calls) <= 3 * 2**12
 
+    def test_pass_reads_at_most_three_sparse_paving_closures_per_subset(self, monkeypatch):
+        rule, calls = UniformOracle.closure, []
+
+        def counting(self, s: int, ground: int) -> int:
+            calls.append(s)
+            return rule(self, s, ground)
+
+        monkeypatch.setattr(UniformOracle, "closure", counting)
+        report = uniform_matroid(3, 12).verify_pregeometry(max_ground=12)
+        assert report == PregeometryReport(True, None, 2**12, False)
+        assert 2**12 <= len(calls) <= 3 * 2**12
+
+    def test_sparse_paving_pass_leaves_the_memo_as_it_was(self):
+        # Each subset is closed once, so the pass reads a sparse paving
+        # host's rule rather than fill the memo with 2**n masks.
+        m = corpus.pps_chain(12)
+        pps_find_cycle(m)
+        before = dict(m._closures)
+        assert before
+        assert m.verify_pregeometry(max_ground=14) == PregeometryReport(True, None, 2**14, False)
+        assert m._closures == before
+
+    def test_linear_and_table_passes_fill_the_memo(self):
+        # A linear host's prefix rule lives in its memo, and a later
+        # check_flat walk on a table reads the entries the pass left.
+        table = closure_table_matroid(5, table_from_matroid(uniform_matroid(3, 5)))
+        for m in (corpus.gf3_3(), table):
+            n = len(m.ground)
+            assert m.verify_pregeometry(max_ground=n) == PregeometryReport(True, None, 2**n, False)
+            assert len(m._closures) == 2**n, m.oracle
+
 
 class TestCircuits:
     def test_gf2_triangles(self, gf2):

@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import random
+import re
+import weakref
 from itertools import product
 
 import pytest
@@ -8,6 +11,7 @@ from conftest import powerset, ref_flats, seeded_nonbases
 from flatgeom import corpus, pingpong
 from flatgeom.errors import InvalidConfig, InvalidElement, InvalidSequence
 from flatgeom.matroid import (
+    Matroid,
     closure_table_matroid,
     linear_matroid,
     sparse_paving_matroid,
@@ -224,19 +228,73 @@ class TestRunOrder:
                             assert pps_verify(m, seq) == ref_verify(m, seq), (name, seq)
 
 
+def sparse_paving_12():
+    """A rank-4 sparse paving host on 12 elements with eight nonbases, on
+    which the cycle search finds no cycle."""
+    nonbases = [(0, 1, 2, 10), (0, 8, 9, 10), (1, 3, 5, 9), (2, 3, 5, 11),
+                (3, 7, 10, 11), (2, 4, 5, 7), (4, 5, 6, 10), (6, 7, 8, 11)]
+    return sparse_paving_matroid(12, 4, nonbases)
+
+
+def step_rows(steps) -> dict:
+    """The rows built in a step table, flattened to ``{(a, t): row}``."""
+    return {(a, t): row for a, rows in steps.items() for t, row in rows.items()}
+
+
 class TestSharedStepTable:
     def test_verifying_generated_runs_builds_no_step_row(self):
         m = corpus.gf3_3()
         cfg = PPSConfig.of((), 0, 1, 4)
         runs = pps_run(m, cfg, "all-branches", 8)
         net, steps = m._net_steps
-        built = dict(steps)
+        built = step_rows(steps)
         assert len(runs) == 56 and net == 0 and built
         for run in runs:
             assert pps_verify(m, run.sequence).steps_valid
             # The run was generated by extending this prefix.
             pps_candidates(m, PPSSequence(cfg, run.sequence.ts[:-1]))
-        assert m._net_steps[1] is steps and dict(steps) == built
+        assert m._net_steps[1] is steps and step_rows(steps) == built
+
+    def test_verifying_generated_runs_checks_their_config_once(self, monkeypatch):
+        # The runs come from another Matroid of the same host, so the first
+        # verify checks the config; the rest, and an equal config built
+        # anew, are answered from the one the Matroid kept.
+        gf3 = corpus.gf3_3()
+        cfg = PPSConfig.of((), 0, 1, 4)
+        runs = pps_run(gf3, cfg, "all-branches", 8)
+        m, calls = Matroid(gf3.ground, gf3.oracle), []
+        independent_over = Matroid._independent_over
+
+        def counting(self, s, base):
+            calls.append(s)
+            return independent_over(self, s, base)
+
+        monkeypatch.setattr(Matroid, "_independent_over", counting)
+        assert len(runs) == 56
+        assert all(pps_verify(m, run.sequence).steps_valid for run in runs)
+        assert pps_verify(m, PPSSequence(PPSConfig.of((), 0, 1, 4), runs[0].sequence.ts)).steps_valid
+        assert len(calls) == 1
+
+    def test_an_invalid_config_fails_the_same_way_every_time(self):
+        # A config that fails its check is not kept, so a valid one checked
+        # in between neither hides nor changes its failure.
+        m = corpus.gf3_3()
+        valid = PPSSequence(PPSConfig.of((), 0, 1, 4), (4,))
+        spanned = min(m.closure((0, 1)) - {0, 1})
+        invalid = [
+            PPSConfig.of((), 0, 0, 4),
+            PPSConfig.of((), 0, 1, 99),
+            PPSConfig.of((0,), 0, 1, 4),
+            PPSConfig.of((), 0, 1, spanned),
+        ]
+        for cfg in invalid:
+            seq = PPSSequence(cfg, (cfg.t1,))
+            first = pps_verify(m, seq)
+            assert not first.config_valid and first.detail, cfg
+            assert pps_verify(m, valid).ok
+            assert pps_verify(m, seq) == pps_verify(m, seq) == first, cfg
+            with pytest.raises((InvalidConfig, InvalidElement), match=re.escape(first.detail)):
+                pps_candidates(m, seq)
 
     def test_cycle_search_keeps_only_the_last_nets_table(self):
         m = uniform_matroid(5, 8)
@@ -247,6 +305,45 @@ class TestSharedStepTable:
         # A run on another net replaces the table instead of adding one.
         pps_run(m, PPSConfig.of((), 0, 1, 2), "least", 8)
         assert m._net_steps[0] == 0 and m._net_steps[1] is not steps
+
+    @pytest.mark.parametrize(
+        "make, searched, masks",
+        [(lambda: uniform_matroid(5, 10), 20880, 386), (sparse_paving_12, 13008, 299)],
+    )
+    def test_cold_search_closes_each_mask_once(self, make, searched, masks):
+        # The paddle spans cl(X + {a}) that the independence test reads are
+        # the step table's: no span is closed by a second owner, and the
+        # memo holds the masks of the closures the search needs, no more.
+        m = make()
+        assert answer(pps_find_cycle(m)) == ("none", searched, None)
+        assert len(m._closures) == masks
+
+
+class TestNoReferenceCycle:
+    def test_a_used_matroid_is_freed_without_the_collector(self):
+        # The step table, the kept config and the closure memo refer to no
+        # Matroid, so reference counting alone frees one after use.
+        hosts = [
+            corpus.gf3_3,
+            lambda: corpus.pps_chain(6),
+            lambda: closure_table_matroid(7, table_from_matroid(corpus.gf2_3())),
+        ]
+        gc.disable()
+        try:
+            for make in hosts:
+                m = make()
+                ground = m.ground.elements
+                pps_find_cycle(m, 8)
+                cfg = next(cfg for cfg in (PPSConfig.of((), *c) for c in product(ground, repeat=3))
+                           if outcome(cfg.validate, m) is None)
+                for run in pps_run(m, cfg, "all-branches", 8):
+                    pps_verify(m, run.sequence)
+                assert m.verify_pregeometry(max_ground=len(ground)).ok
+                ref = weakref.ref(m)
+                del m
+                assert ref() is None, make
+        finally:
+            gc.enable()
 
 
 def ref_find_cycle(m, budget) -> CycleSearch:
