@@ -454,12 +454,8 @@ class Matroid:
         closures = _PrefixClosures if isinstance(oracle, LinearOracle) else Memo
         self._closures: Memo = closures(lambda s: oracle.closure(s, whole))
         self._closure_mask: Callable[[int], int] = self._closures.__getitem__
-        #: pingpong's step table of the most recent net, as (net, table),
-        #: keyed by paddle and then by start.
-        self._net_steps: Optional[tuple[int, Memo]] = None
-        #: pingpong's last configuration that passed its check, with the
-        #: masks of its net and span, as (config, (net, span)).
-        self._pps_config: Optional[tuple[object, tuple[int, int]]] = None
+        #: What the pingpong module keeps between calls; it alone reads it.
+        self._pingpong: dict[str, object] = {}
         if isinstance(oracle, LinearOracle) and tuple(range(len(oracle.columns))) != ground.elements:
             raise InvalidStructure("linear oracle requires ids 0..n-1, one column per element")
         want = 1 << len(ground.elements)

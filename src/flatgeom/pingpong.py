@@ -13,9 +13,11 @@ of a flat pregeometry.
 The element choices are made explicit here: the "least" strategy always
 takes the smallest candidate id, "all-branches" explores the whole tree.
 
-A ``Matroid`` keeps this module's work between calls, one of each: the
-step table of the last net, keyed by paddle and then by start (``_steps``),
-and the last configuration that passed its check, with its masks.
+A ``Matroid`` keeps this module's work between calls in its ``_pingpong``
+dict, one of each: under "steps", the step table of the last net as
+(net, table), keyed by paddle and then by start (``_steps``); under
+"config", the last configuration that passed its check, as
+(config, (net, span)) (``PPSConfig._masks``).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class PPSConfig:
         the paddles, cl(net + {a1, a2}).  ``m`` keeps the last configuration
         that passed, with its masks, and answers an equal one from it; one
         that fails is not kept, so it fails the same way every time."""
-        kept = m._pps_config
+        kept = m._pingpong.get("config")
         if kept is not None and (kept[0] is self or kept[0] == self):
             return kept[1]
         if self.a1 == self.a2:
@@ -75,7 +77,7 @@ class PPSConfig:
         span = m._closure_mask(x | pair)
         if span & t1:
             raise InvalidConfig("t1 lies in the closure of net and paddles")
-        m._pps_config = self, (x, span)
+        m._pingpong["config"] = self, (x, span)
         return x, span
 
     def paddle(self, i: int) -> int:
@@ -177,11 +179,12 @@ def _steps(m: Matroid, net: int) -> Memo:
     for another net drops it.  A ``Matroid`` thus holds at most one step
     table, however many nets ``pps_find_cycle`` walks, next to the one
     configuration ``PPSConfig._masks`` kept."""
-    if m._net_steps is not None and m._net_steps[0] == net:
-        return m._net_steps[1]
+    kept = m._pingpong.get("steps")
+    if kept is not None and kept[0] == net:
+        return kept[1]
     cl = m._closure_mask
     steps = Memo(lambda a: _PaddleRows(cl, net | 1 << a))
-    m._net_steps = net, steps
+    m._pingpong["steps"] = net, steps
     return steps
 
 

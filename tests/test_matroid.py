@@ -426,6 +426,24 @@ class TestVerifyCriterion:
         assert report == PregeometryReport(True, None, 2**12, False)
         assert len(calls) <= 3 * 2**12
 
+    @pytest.mark.parametrize("host", ["gf3_3", "table"])
+    def test_memo_pass_looks_up_at_most_three_closures_per_subset(self, host):
+        # Linear and closure-table hosts still close through the memo.
+        if host == "gf3_3":
+            m = corpus.gf3_3()
+        else:
+            m = closure_table_matroid(6, table_from_matroid(uniform_matroid(3, 6)))
+        n, lookup, calls = len(m.ground), m._closure_mask, []
+
+        def counting(s: int) -> int:
+            calls.append(s)
+            return lookup(s)
+
+        m._closure_mask = counting
+        report = m.verify_pregeometry(max_ground=n)
+        assert report == PregeometryReport(True, None, 2**n, False)
+        assert 2**n <= len(calls) <= 3 * 2**n
+
     def test_pass_reads_at_most_three_sparse_paving_closures_per_subset(self, monkeypatch):
         rule, calls = UniformOracle.closure, []
 

@@ -246,14 +246,14 @@ class TestSharedStepTable:
         m = corpus.gf3_3()
         cfg = PPSConfig.of((), 0, 1, 4)
         runs = pps_run(m, cfg, "all-branches", 8)
-        net, steps = m._net_steps
+        net, steps = m._pingpong["steps"]
         built = step_rows(steps)
         assert len(runs) == 56 and net == 0 and built
         for run in runs:
             assert pps_verify(m, run.sequence).steps_valid
             # The run was generated by extending this prefix.
             pps_candidates(m, PPSSequence(cfg, run.sequence.ts[:-1]))
-        assert m._net_steps[1] is steps and step_rows(steps) == built
+        assert m._pingpong["steps"][1] is steps and step_rows(steps) == built
 
     def test_verifying_generated_runs_checks_their_config_once(self, monkeypatch):
         # The runs come from another Matroid of the same host, so the first
@@ -300,11 +300,11 @@ class TestSharedStepTable:
         m = uniform_matroid(5, 8)
         assert pps_find_cycle(m, 8).status == "none"
         *_, last = m._closed_sets(m.full_rank - 3)
-        net, steps = m._net_steps
+        net, steps = m._pingpong["steps"]
         assert net == last and steps
         # A run on another net replaces the table instead of adding one.
         pps_run(m, PPSConfig.of((), 0, 1, 2), "least", 8)
-        assert m._net_steps[0] == 0 and m._net_steps[1] is not steps
+        assert m._pingpong["steps"][0] == 0 and m._pingpong["steps"][1] is not steps
 
     @pytest.mark.parametrize(
         "make, searched, masks",
