@@ -15,6 +15,8 @@ reads.  Each row is one layer call on one input:
   GF(2), GF(3) and GF(5), up to PG(5,2), PG(4,3) and PG(3,5);
 * ``is_disintegrated/...``: the free matroid U(n,n) and U(1,n), n = 8..12,
   with ``max_ground=n``;
+* ``delta/PG(2,5)/lines=k``: ``delta`` of the first k lines of PG(2,5),
+  in the order of ``flats()``, for k in DELTA_LINES;
 * ``check_flat/...``: every job of perfbench's ``flat-search`` workload,
   keyed as there, with ``golden`` telling whether its digest is the one in
   ``perfbench/golden.json``.
@@ -50,6 +52,8 @@ PERFBENCH = ROOT / "perfbench"
 PG_SPACES = [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (5, 3), (3, 5), (4, 5)]
 #: Ground sizes of the disintegrated hosts.
 DISINTEGRATED_SIZES = range(8, 13)
+#: How many lines of PG(2,5) the delta rows take.
+DELTA_LINES = (8, 12, 16)
 #: Timed runs per row and side; the least time is kept.
 RUNS = 7
 #: Least length of one timing: a call shorter than this is repeated and
@@ -93,6 +97,10 @@ def cases(fg, jobs, inputs) -> dict:
         for name, m in ((f"free({n})", inputs.uniform(fg, n, n)), (f"U(1,{n})", inputs.uniform(fg, 1, n))):
             walk = lambda h, n=n: flatness.is_disintegrated(h, max_ground=n)  # noqa: E731
             out[f"is_disintegrated/{name}"] = fresh(m, walk), lambda v: v
+    plane = inputs.pg(fg, 3, 5)
+    lines = [f.elements for f in plane.flats() if f.dim == 2]
+    for k in DELTA_LINES:
+        out[f"delta/PG(2,5)/lines={k}"] = fresh(plane, lambda h, k=k: flatness.delta(h, lines[:k])), lambda v: v
     for job in jobs.FlatSearch(fg).universe():
         out[job.key] = job.call, job.summary
     return out

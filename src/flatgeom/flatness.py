@@ -7,19 +7,24 @@ result is reported as "flat up to the bound" unless every collection of
 every flat was enumerated, in which case it is "flat (exhaustive)".  A
 search that had to sample collections reports "flat-sampled".
 
+Delta is read from the signed meet terms of S: the pairs (X, c) where c
+is the sum of (-1)**(|T|+1) over the nonempty T in S whose meet is X, so
+that delta(S) = sum of c * r(X).  The terms of S + {F} are those of S,
+(F, +1) and (F & X, -c) for each term (X, c) of S; terms whose c sums to
+0 are dropped.  So ``delta`` ranks each distinct meet once, where the
+definition sums 2**k - 1 intersections.  The dimension of a union is its
+rank, dim cl(U) = r(U).
+
 The search works on the flat lattice, not on element sets.  The flats are
 indexed once, in canonical order, with a meet table (the intersection of
-two flats is a flat) and memoised joins (the closure of a union).
-Collections are visited depth first, in ``combinations`` order with sizes
-ascending, and each carries down its delta and its gain vector, which
-holds gains[H] = delta(S + {H}) - delta(S) for every flat H.  The gains
-come from the signed meet terms of S: the pairs (X, c) where c is the sum
-of (-1)**(|T|+1) over the nonempty T in S whose meet is X.  Then
+two flats is a flat).  Collections are visited depth first, in
+``combinations`` order with sizes ascending, and each carries down its
+delta and its gain vector, which holds gains[H] = delta(S + {H}) -
+delta(S) for every flat H.  By the signed meet terms,
 
     gains[H] = dim H - sum of c * dim(H & X) over the terms (X, c) of S,
 
-and the terms of S + {F} are those of S, (F, +1) and (F & X, -c) for each
-term (X, c) of S.  So adding F costs one pass over the meet row of F:
+so adding F costs one pass over the meet row of F:
 
     delta(S + {F}) = delta(S) + gains[F],
     gains'[H] = gains[H] - gains[F & H].
@@ -33,8 +38,8 @@ flat F prices every H from the gain vector of S alone,
     delta(S + {F, H}) = delta(S) + gains[F] + gains[H] - gains[F & H],
 
 and gain vectors are built only for collections that have two or more
-flats still to add.  A join is taken only for a collection whose delta is
-below the rank of the ground set, as no union can have more.
+flats still to add.  A union is ranked only for a collection whose delta
+is below the rank of the ground set, as no union can have more.
 
 Delta depends only on the set of distinct flats and is unchanged by
 dropping a flat contained in another: the terms holding A cancel in pairs
@@ -59,6 +64,7 @@ import random
 from dataclasses import dataclass
 from functools import partial, reduce
 from math import comb
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import EmptyCollection, GroundTooLarge, MatroidContractError, check_int
@@ -146,25 +152,27 @@ class FlatnessVerdict:
 def delta(m: Matroid, sigma: Iterable) -> int:
     """Alternating inclusion-exclusion sum of dimensions over ``sigma``.
 
-    Duplicates are removed first (a collection is a set of flats); the
-    result is permutation invariant by construction.
+    Duplicates are removed first (a collection is a set of flats), and the
+    sets are added in canonical order to the signed meet terms of the
+    module docstring; the result is permutation invariant.  The first set
+    that holds an id off the ground raises InvalidElement.
     """
     sets = _as_flat_sets(m, sigma)
     if not sets:
         raise EmptyCollection("delta needs at least one flat")
-    k = len(sets)
-    total = 0
+    terms: dict[int, int] = {}
+    for f in map(m._check, sets):
+        step = dict(terms)
+        step[f] = step.get(f, 0) + 1
+        for x, c in terms.items():
+            step[f & x] = step.get(f & x, 0) - c
+        terms = {x: c for x, c in step.items() if c}
+    return sum(c * m._rank_mask(x) for x, c in terms.items())
 
-    def rec(start: int, inter: Optional[frozenset[int]], size: int):
-        nonlocal total
-        for i in range(start, k):
-            nxt = sets[i] if inter is None else inter & sets[i]
-            sign = 1 if (size + 1) % 2 == 1 else -1
-            total += sign * m.rank(nxt)
-            rec(i + 1, nxt, size + 1)
 
-    rec(0, None, 0)
-    return total
+def _union_rank(m: Matroid, masks: Iterable[int]) -> int:
+    """dim cl(U) = r(U) for U the union of ``masks``."""
+    return m._rank_mask(reduce(or_, masks))
 
 
 def _meet_row(sets: list[int], index: dict[int, int], i: int) -> list[int]:
@@ -180,9 +188,8 @@ class _MeetTable:
 
     ``sets[i]`` is the mask of flat i, ``dims[i]`` its dimension and
     ``meet[i][j]`` the index of ``sets[i] & sets[j]``, each row built when
-    first read.  The matroid must be a pregeometry, so that meets and joins
-    of flats are flats again; MatroidContractError is raised where one read
-    is not.
+    first read.  The matroid must be a pregeometry, so that meets of flats
+    are flats again; MatroidContractError is raised where one read is not.
     """
 
     def __init__(self, m: Matroid, flats: Sequence[Flat]):
@@ -192,35 +199,11 @@ class _MeetTable:
         self.index = {s: i for i, s in enumerate(self.sets)}
         # Not a bound method, which would make the table cyclic garbage.
         self.meet = Memo(partial(_meet_row, self.sets, self.index))
-        self._joins: dict[tuple[int, int], int] = {}
-
-    def join(self, a: int, b: int) -> int:
-        """Index of the closure of ``sets[a] | sets[b]``."""
-        key = (a, b) if a < b else (b, a)
-        j = self._joins.get(key)
-        if j is None:
-            cl = self.m._closure_mask(self.sets[a] | self.sets[b])
-            j = self.index.get(cl)
-            if j is None:
-                raise MatroidContractError(f"closure {list(elements_of(cl))} is not among the flats")
-            self._joins[key] = j
-        return j
 
     def after(self, gains: list[int], f: int) -> list[int]:
         """The gain vector of S + F, from the gain vector ``gains`` of S
         (see the module docstring)."""
         return [g - gains[x] for g, x in zip(gains, self.meet[f])]
-
-    def delta(self, indices: Iterable[int]) -> int:
-        """``delta`` of the flats at ``indices``; repeats and comparable
-        flats are allowed."""
-        indices = list(indices)
-        if not indices:
-            raise EmptyCollection("delta needs at least one flat")
-        d, gains = 0, self.dims
-        for f in indices:
-            d, gains = d + gains[f], self.after(gains, f)
-        return d
 
     def least_violation(self, top: int) -> Optional[tuple[tuple[int, ...], int, int]]:
         """The least (size, lex) collection of at most ``top`` flats with
@@ -228,9 +211,8 @@ class _MeetTable:
 
         Collections are antichains in (size, lex) order.  The penultimate
         flat prices each last flat from its parent's gain vector (see the
-        module docstring), and the union's closure, a reduce over the
-        memoised pairwise ``join``, is taken only when delta is below the
-        rank of the ground set."""
+        module docstring), and the union is ranked only when delta is
+        below the rank of the ground set."""
         n, dims, meet, after = len(self.sets), self.dims, self.meet, self.after
         # No union has a larger dimension than the whole ground set.
         full = max(dims)
@@ -257,7 +239,7 @@ class _MeetTable:
                         dh = df + gains[h] - gains[x]
                         if dh < full:
                             picked = prefix + (f, h)
-                            u = dims[reduce(self.join, picked)]
+                            u = _union_rank(self.m, map(self.sets.__getitem__, picked))
                             if dh < u:
                                 return picked, dh, u
             return None
@@ -424,11 +406,12 @@ def check_flat(
         )
     hit = None
     if sampled:
-        table, rng = _MeetTable(m, flats), random.Random(seed)
+        rng = random.Random(seed)
         for _ in range(sample):
             size = rng.randint(1, top)
             picked = rng.sample(range(nflats), size)
-            d, u = table.delta(picked), table.dims[reduce(table.join, picked)]
+            d = delta(m, [flats[i] for i in picked])
+            u = _union_rank(m, (mask_of(flats[i].elements) for i in picked))
             if d < u:
                 hit = picked, d, u
                 break

@@ -62,6 +62,17 @@ def powerset(iterable, min_size=0, max_size=None):
         yield from combinations(items, size)
 
 
+def brute_delta(m, sets) -> int:
+    """delta by plain inclusion-exclusion: over every nonempty subset T of
+    the distinct ``sets``, (-1)**(|T|+1) times the rank of their
+    intersection."""
+    sets = list({frozenset(s) for s in sets})
+    return sum(
+        (-1) ** (len(t) + 1) * m.rank(frozenset.intersection(*(sets[i] for i in t)))
+        for t in powerset(range(len(sets)), min_size=1)
+    )
+
+
 GF2_COLS = [
     (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
 ]

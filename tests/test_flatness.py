@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     GF2_COLS,
+    brute_delta,
     brute_rank,
     brute_span,
     powerset,
@@ -20,7 +21,7 @@ from conftest import (
     sparse_paving_rank,
 )
 from flatgeom import corpus, flatness
-from flatgeom.errors import EmptyCollection, GroundTooLarge, MatroidContractError
+from flatgeom.errors import EmptyCollection, GroundTooLarge, InvalidElement, MatroidContractError
 from flatgeom.flatness import _MeetTable, check_flat, delta, is_disintegrated
 from flatgeom.matroid import (
     closure_table_matroid,
@@ -67,6 +68,11 @@ class TestDelta:
         with pytest.raises(EmptyCollection):
             delta(gf2, [])
 
+    def test_off_ground_ids_are_named_from_the_first_set_holding_one(self, gf2):
+        # Sets are read in canonical order, (size, elements): {5, 9} first.
+        with pytest.raises(InvalidElement, match=r"ids \[9\] not"):
+            delta(gf2, [{3, 8, 11}, {0, 1, 2}, {5, 9}])
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_permutation_and_duplicate_invariant(self, data, gf2):
@@ -77,37 +83,38 @@ class TestDelta:
         assert delta(gf2, shuffled) == base
         assert delta(gf2, list(chosen) + [chosen[0]]) == base
 
-    def test_matches_brute_inclusion_exclusion(self, gf2):
-        # Independent oracle: sum over index subsets without the recursive
-        # intersection sharing.
-        flats = [f.as_set() for f in gf2.flats() if f.dim == 2][:4]
-        expected = 0
-        for subset in powerset(range(len(flats)), min_size=1):
-            inter = flats[subset[0]]
-            for i in subset[1:]:
-                inter = inter & flats[i]
-            expected += (-1) ** (len(subset) + 1) * gf2.rank(inter)
-        assert delta(gf2, flats) == expected
+    def test_matches_brute_inclusion_exclusion(self, small_corpus, gf3):
+        # Seeded lists of one to seven flats, drawn with replacement, so
+        # they hold repeats and, through the bottom and top flats and points
+        # on lines, comparable pairs.
+        rng = random.Random("delta/brute")
+        hosts = [*small_corpus.values(), gf3, corpus.pps_chain(10)]
+        seen = Counter()
+        for m in hosts:
+            flats = [f.as_set() for f in m.flats()]
+            for _ in range(80):
+                sets = rng.choices(flats, k=rng.randint(1, 7))
+                assert delta(m, sets) == brute_delta(m, sets), sets
+                seen["repeat"] += len(set(sets)) < len(sets)
+                seen["comparable"] += any(a < b for a in sets for b in sets)
+        assert 80 * len(hosts) >= 1000 and min(seen.values()) >= 200, seen
 
+    @pytest.mark.parametrize("k, lookups, expected", [(16, 45, -33), (31, 63, -93)])
+    def test_ranks_each_distinct_meet_once(self, k, lookups, expected):
+        # The first k lines of PG(2,5): the terms are the lines, the points
+        # on two or more of them and the empty set, each ranked once; the
+        # 2**k - 1 intersections of the definition repeat most of them.
+        m = pg(3, 5)
+        lines = [f.as_set() for f in m.flats() if f.dim == 2][:k]
+        lookup, calls = m._rank_mask, []
 
-class TestMeetTableDelta:
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_index_delta_matches_recursive_delta(self, data, small_corpus):
-        # Lists are drawn with replacement, so they hold repeats and, through
-        # the bottom and top flats and points on lines, comparable pairs.
-        m = small_corpus[data.draw(st.sampled_from(sorted(small_corpus)))]
-        flats = m.flats()
-        table = _MeetTable(m, flats)
-        picked = data.draw(
-            st.lists(st.integers(0, len(flats) - 1), min_size=1, max_size=6)
-        )
-        sets = [flats[i].as_set() for i in picked]
-        assert table.delta(picked) == delta(m, sets)
+        def counting(s: int) -> int:
+            calls.append(s)
+            return lookup(s)
 
-    def test_empty_collection_rejected(self, gf2):
-        with pytest.raises(EmptyCollection):
-            _MeetTable(gf2, gf2.flats()).delta([])
+        m._rank_mask = counting
+        assert delta(m, lines) == expected
+        assert len(calls) == len(set(calls)) == lookups
 
 
 def pg(d, q):
@@ -127,14 +134,14 @@ def seeded_sparse_paving(size, rank, seed):
 def least_witness(m, top):
     """Reference flatness search: every collection of the canonically
     sorted flats, in combinations order with sizes ascending, scored with
-    the recursive ``delta`` and ``rank``; no pruning."""
+    ``brute_delta`` and ``rank``; no pruning."""
     if is_disintegrated(m, max_ground=len(m.ground)):
         return "disintegrated", None, None, None, None
     flats = sorted((f.as_set() for f in m.flats()), key=lambda s: tuple(sorted(s)))
     top = min(top, len(flats))
     for size in range(1, top + 1):
         for sigma in combinations(flats, size):
-            d = delta(m, sigma)
+            d = brute_delta(m, sigma)
             u = m.rank(frozenset().union(*sigma))
             if d < u:
                 return "not-flat", top, set(sigma), d, u
@@ -385,20 +392,21 @@ class TestCheckFlat:
     @pytest.mark.parametrize("make", [lambda: pg(3, 3), corpus.gf2_3], ids=["PG(2,3)", "gf2_3"])
     def test_sigma3_builds_at_most_one_gain_vector_per_flat(self, monkeypatch, make):
         # The last flat is priced from its parent's gain vector, so at sigma
-        # 3 only one-flat prefixes get one.  A union is closed only where
+        # 3 only one-flat prefixes get one.  A union is ranked only where
         # delta is below the ground rank, which no three flats here reach.
         m = make()
         work = search_work(monkeypatch)
         assert check_flat(m, 3, max_ground=len(m.ground)).kind == "flat-up-to"
         assert 0 < work["after"] <= len(m.flats())
-        assert work["join"] == 0
+        assert work["union"] == 0
 
     def test_only_the_witness_union_is_closed_on_gf2_3(self, monkeypatch):
-        # Three joins close the union of the four-flat witness, and no
-        # other collection of gf2_3 has delta below the ground rank.
+        # One rank gives the dimension of the closure of the four-flat
+        # witness's union, and no other collection of gf2_3 has delta below
+        # the ground rank.
         work = search_work(monkeypatch)
         assert check_flat(corpus.gf2_3(), 4).kind == "not-flat"
-        assert work["join"] == 3
+        assert work["union"] == 1
 
     @pytest.mark.parametrize(
         "m, expected",
@@ -441,14 +449,16 @@ class TestCheckFlat:
         assert (v.kind, v.bound, v.samples, v.seed) == ("flat-sampled", 4, 20, 0)
 
     def test_sampled_search_builds_only_the_rows_it_reads(self, monkeypatch):
-        # PG(3,2) has 67 flats; 20 samples of at most 4 flats read fewer rows.
+        # It reads none: each sample of PG(3,2)'s 67 flats is scored by
+        # delta and the rank of its union.
         pg32 = linear_matroid(2, [v for v in product((0, 1), repeat=4) if any(v)])
         built = []
         make = flatness._meet_row
         monkeypatch.setattr(flatness, "_meet_row", lambda *a: built.append(a[-1]) or make(*a))
-        check_flat(pg32, 4, max_ground=15, sample=20)
+        v = check_flat(pg32, 4, max_ground=15, sample=20)
+        assert (v.kind, v.samples) == ("flat-sampled", 20)
         assert len(pg32.flats()) == 67
-        assert len(built) == len(set(built)) < 67
+        assert built == []
 
     def test_finished_search_frees_its_matroid_without_the_cyclic_collector(self):
         m = corpus.gf2_3()
@@ -520,17 +530,19 @@ def search_sizes(monkeypatch) -> list[int]:
 
 
 def search_work(monkeypatch) -> dict[str, int]:
-    """How many gain vectors (``_MeetTable.after``) and joins
-    (``_MeetTable.join``) later searches build."""
-    work = dict.fromkeys(("after", "join"), 0)
-    for name in work:
-        method = getattr(_MeetTable, name)
+    """How many gain vectors (``_MeetTable.after``) and union rankings
+    (``_union_rank``) later searches make."""
+    work = dict.fromkeys(("after", "union"), 0)
 
-        def counted(self, *args, name=name, method=method):
+    def counted(name, method):
+        def wrapper(*args):
             work[name] += 1
-            return method(self, *args)
+            return method(*args)
 
-        monkeypatch.setattr(_MeetTable, name, counted)
+        return wrapper
+
+    monkeypatch.setattr(_MeetTable, "after", counted("after", _MeetTable.after))
+    monkeypatch.setattr(flatness, "_union_rank", counted("union", flatness._union_rank))
     return work
 
 

@@ -413,19 +413,6 @@ class TestVerifyCriterion:
         report = closure_table_matroid(3, table).verify_pregeometry()
         assert report == PregeometryReport(False, Violation("exchange", 1, 0, ()), 1, False)
 
-    def test_pass_looks_up_at_most_three_closures_per_subset(self):
-        m = uniform_matroid(3, 12)
-        lookup, calls = m._closure_mask, []
-
-        def counting(s: int) -> int:
-            calls.append(s)
-            return lookup(s)
-
-        m._closure_mask = counting
-        report = m.verify_pregeometry(max_ground=12)
-        assert report == PregeometryReport(True, None, 2**12, False)
-        assert len(calls) <= 3 * 2**12
-
     @pytest.mark.parametrize("host", ["gf3_3", "table"])
     def test_memo_pass_looks_up_at_most_three_closures_per_subset(self, host):
         # Linear and closure-table hosts still close through the memo.
