@@ -117,6 +117,45 @@ class TestDelta:
         assert len(calls) == len(set(calls)) == lookups
 
 
+def index_delta(table, picked):
+    """Delta of the flats ``picked`` (indices into ``table``), folded from
+    the empty collection's gain vector as the search folds it."""
+    d, gains = 0, list(table.dims)
+    for f in picked:
+        d, gains = d + gains[f], table.after(gains, f)
+    return d
+
+
+class TestMeetTableDelta:
+    """The search's incremental form of delta, its gain vectors, against
+    ``delta``'s signed meet terms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_index_delta_matches_recursive_delta(self, data, small_corpus):
+        # Lists are drawn with replacement, so they hold repeats and, through
+        # the bottom and top flats and points on lines, comparable pairs.
+        m = small_corpus[data.draw(st.sampled_from(sorted(small_corpus)))]
+        flats = m.flats()
+        table = _MeetTable(m, flats)
+        picked = data.draw(
+            st.lists(st.integers(0, len(flats) - 1), min_size=1, max_size=6)
+        )
+        sets = [flats[i].as_set() for i in picked]
+        assert index_delta(table, picked) == delta(m, sets)
+
+    def test_empty_collection_rejected(self, gf2):
+        # The gain vectors start from the empty collection, delta 0 and
+        # gains[H] = dim H, but delta itself refuses it.
+        flats = gf2.flats()
+        table = _MeetTable(gf2, flats)
+        assert index_delta(table, []) == 0
+        assert [index_delta(table, [i]) for i in range(len(flats))] == table.dims
+        assert table.dims == [delta(gf2, [f]) for f in flats]
+        with pytest.raises(EmptyCollection):
+            delta(gf2, [flats[i] for i in ()])
+
+
 def pg(d, q):
     """PG(d-1, q): the nonzero vectors of GF(q)^d whose first nonzero entry
     is 1."""
