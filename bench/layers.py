@@ -19,10 +19,17 @@ reads.  Each row is one layer call on one input:
   in the order of ``flats()``, for k in DELTA_LINES;
 * ``check_flat/...``: every job of perfbench's ``flat-search`` workload,
   keyed as there, with ``golden`` telling whether its digest is the one in
-  ``perfbench/golden.json``.
+  ``perfbench/golden.json``;
+* ``acl_enumerate_via_lambda/sigma1_chain(n)``, n = 6, 9, 12, 15, from the
+  base (0, 1), and ``ild_estimate/ild_pps(n)``, n = 8, 12, 16, as
+  perfbench's ``staged-closure`` workload calls them;
+* ``going_down_run/scenario#i``: the copy construction on each of the
+  ``staged-closure`` workload's 32 seeded scenarios.
 
 A row gives the least wall time of one call over RUNS runs (``min_ms``),
-each call on a freshly built ``Matroid`` so that no cache is warm; a run
+each call on a freshly built ``Matroid`` so that no cache is warm (each
+closure call on a freshly built ``EnumeratedStructure``, so that no stage
+view is warm; its structure and matroid are shared); a run
 of a call shorter than SAMPLE_S is the mean of ``calls_per_run`` calls,
 the same number on both sides.  It also gives the oracle calls of one
 more, counted, call (``ops``) and a digest of the answer.
@@ -35,6 +42,7 @@ exit code is 1 on any mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import os
@@ -54,6 +62,11 @@ PG_SPACES = [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (5, 3), (3, 5), (4,
 DISINTEGRATED_SIZES = range(8, 13)
 #: How many lines of PG(2,5) the delta rows take.
 DELTA_LINES = (8, 12, 16)
+#: Lengths of the staged scenarios whose closures are timed, as perfbench's
+#: ``staged-closure`` workload builds them.
+STAGED_LENGTHS = {"sigma1_chain": (6, 9, 12, 15), "ild_pps": (8, 12, 16)}
+#: The ``staged-closure`` workload's seeded going-down scenarios.
+GOING_DOWN_SCENARIOS = 32
 #: Timed runs per row and side; the least time is kept.
 RUNS = 7
 #: Least length of one timing: a call shorter than this is repeated and
@@ -103,7 +116,32 @@ def cases(fg, jobs, inputs) -> dict:
         out[f"delta/PG(2,5)/lines={k}"] = fresh(plane, lambda h, k=k: flatness.delta(h, lines[:k])), lambda v: v
     for job in jobs.FlatSearch(fg).universe():
         out[job.key] = job.call, job.summary
+    fc, eff = fg.formula_closure, fg.effective
+    acl = lambda e: fc.acl_enumerate_via_lambda(e, (0, 1), e.final_stage)  # noqa: E731
+    for n in STAGED_LENGTHS["sigma1_chain"]:
+        out[f"acl_enumerate_via_lambda/sigma1_chain({n})"] = (
+            fresh_stages(inputs.sigma1_chain(fg, n), acl), lambda r: [r.emitted, r.status])
+    for n in STAGED_LENGTHS["ild_pps"]:
+        out[f"ild_estimate/ild_pps({n})"] = (
+            fresh_stages(inputs.ild_pps(fg, n), fc.ild_estimate), lambda r: [r.value, r.certainty])
+    for i in range(GOING_DOWN_SCENARIOS):
+        scenario = inputs.going_down_scenario(fg, i)
+        out[f"going_down_run/scenario#{i}"] = lambda s=scenario: eff.going_down_run(*s), trace_summary
     return out
+
+
+def fresh_stages(enum, method):
+    """``method`` on a new copy of ``enum``, whose stage views are not yet
+    built."""
+    return lambda: method(dataclasses.replace(enum))
+
+
+def trace_summary(trace) -> list:
+    return [
+        [dataclasses.astuple(r) for r in trace.records],
+        [[sym, tup, value] for (sym, tup), value in trace.facts.items()],
+        trace.limit_map, trace.stabilization, trace.longest_wait, trace.status, trace.stuck_stage,
+    ]
 
 
 def counted(fg, tracer, call):

@@ -15,8 +15,13 @@ images be remapped while preserving every atomic fact committed so far
 
 Committed facts are permanent: they are pulled back from N when an element
 or symbol is added, and any later remap must respect them.  That is what
-makes the limit map an isomorphism onto the substructure on M.  One
-function, ``_broken_fact``, checks them, for a remap and for the limit map.
+makes the limit map an isomorphism onto the substructure on M.  Both read
+only the tuples through the preimages that changed: an extension commits
+the tuples through the new preimage (all tuples of a newly revealed
+symbol), and since every fact holds under the current images, a remap can
+break only a fact whose tuple holds a dropped preimage, so an outcome-2
+check reads just those, generated in the order of the full product.
+``trace_verify`` checks every fact under the limit map.
 
 An element counts as a member at stage s when it has entered A_s or M_s
 says so.  That one rule gives ``ConstructionTrace.corrected_member``, and
@@ -277,16 +282,22 @@ def going_down_run(
         at an earlier extension misses only the tuples through the newest
         preimage, and one revealed now misses them all."""
         rel = structure.relations[sym]
-        earlier = sym in symbols
-        newest = len(images) - 1
-        for tup in product(range(len(images)), repeat=rel.arity):
-            if not earlier or newest in tup:
-                facts[(sym, tup)] = rel.holds(tuple(images[b] for b in tup))
+        n = len(images)
+        tuples = _through(n, rel.arity, {n - 1}) if sym in symbols else product(range(n), repeat=rel.arity)
+        for tup in tuples:
+            facts[(sym, tup)] = tuple(map(images.__getitem__, tup)) in rel.tuples
 
     def try_outcome2(stage: int, dropped: list[int]) -> Optional[tuple[int, tuple[int, ...]]]:
         """The first A-element for the least dropped image, with images for
-        the other dropped preimages, that keeps every committed fact."""
+        the other dropped preimages, that keeps every committed fact.  Each
+        fact holds under the current images, so a candidate can break only
+        those whose tuple holds a dropped preimage."""
         kept = {y for b, y in enumerate(images) if b not in dropped}
+        watched = [
+            (structure.relations[sym].tuples, tup, facts[(sym, tup)])
+            for sym in symbols
+            for tup in _through(len(images), structure.relations[sym].arity, set(dropped))
+        ]
         for a in enumeration.at(stage):
             if a in kept:
                 continue
@@ -294,8 +305,9 @@ def going_down_run(
                 candidate = list(images)
                 for b, y in zip(dropped, (a, *repl)):
                     candidate[b] = y
-                injective = len(set(candidate)) == len(candidate)
-                if injective and not _broken_fact(structure, facts, candidate):
+                if len(set(candidate)) == len(candidate) and all(
+                    (tuple(map(candidate.__getitem__, tup)) in tuples) == val for tuples, tup, val in watched
+                ):
                     return a, repl
         return None
 
@@ -360,6 +372,16 @@ def going_down_run(
     )
 
 
+def _through(n: int, arity: int, held: set[int]) -> list[tuple[int, ...]]:
+    """The tuples of ``range(n)`` of the arity that hold an element of
+    ``held``, in lexicographic order."""
+    if arity == 0:
+        return []
+    inner = _through(n, arity - 1, held)
+    every = list(product(range(n), repeat=arity - 1))
+    return [(first, *rest) for first in range(n) for rest in (every if first in held else inner)]
+
+
 def _broken_fact(
     structure: RelationalStructure,
     facts: Mapping[tuple[str, tuple[int, ...]], bool],
@@ -367,7 +389,7 @@ def _broken_fact(
 ) -> Optional[tuple[str, tuple[int, ...]]]:
     """The first committed fact that ``images`` breaks, or None."""
     for (sym, tup), val in facts.items():
-        if structure.relations[sym].holds(tuple(images[b] for b in tup)) != val:
+        if (tuple(map(images.__getitem__, tup)) in structure.relations[sym].tuples) != val:
             return sym, tup
     return None
 

@@ -15,9 +15,19 @@ elements completing it to a phi-tuple at that position.  One step adds the
 completions of every fiber whose rest lies in the current set, and one
 loop, ``_iterate``, repeats a step until a fixpoint, a blocking fiber or
 the budget, by default |universe| + 1 steps, which always reach the
-fixpoint.  A structure indexes phi once.  A staged structure builds once,
-per stage, its fiber index and the sorted keys of the fibers not yet
-fully revealed.
+fixpoint.  A structure indexes phi once.
+
+The staged closures step semi-naively.  Each set of the chain is the step
+of the one before, so every fiber whose rest lay in the previous set has
+already fired; a step that reads only the fibers whose rest meets the
+elements the last step added (on the first step, all of the start, and
+the fibers with an empty rest) adds the same elements as one that reads
+them all.  Likewise a key that did not block the previous set blocks the
+current one only if its rest meets those elements.  A staged structure
+builds once per stage, when a closure first reads the stage, a *watch
+index* of its fibers by each element of their rest, the sorted keys of
+the fibers not yet fully revealed, and a watch index of those keys, so a
+closure call adds no set-up.
 
 ``EnumeratedStructure`` is the staged view: phi-tuples are revealed
 monotonically stage by stage, and an exact count oracle says how many
@@ -39,13 +49,17 @@ from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InvalidStructure, NotIndependent, check_int
-from .matroid import Matroid, elements_of, mask_of, subsets
+from .matroid import Matroid, Memo, elements_of, mask_of, subsets
 
 FiberKey = tuple[int, tuple[int, ...]]
 #: Each fiber key's rest mask and completions mask.
 Fibers = dict[FiberKey, tuple[int, int]]
-#: A stage's fiber index and its blocking keys, each with its rest mask.
-StageView = tuple[Fibers, tuple[tuple[FiberKey, int], ...]]
+#: Pairs ``(rest mask, mask)`` keyed by the bit of each element of the
+#: rest, and by 0 when the rest is empty.
+Watch = dict[int, list[tuple[int, int]]]
+#: A stage's fibers as a watch index, its blocking keys with their rest
+#: masks, and the watch index of those rest masks, each with the mask 1.
+StageView = tuple[Watch, tuple[tuple[FiberKey, int], ...], Watch]
 
 
 def _fibers(tuples: Iterable[tuple[int, ...]], arity: int) -> Fibers:
@@ -68,26 +82,68 @@ def _step(index: Fibers, cur: int) -> int:
     return out
 
 
+def _watch(items: Iterable[tuple[FiberKey, tuple[int, int]]]) -> Watch:
+    """Watch index of ``(fiber key, (rest mask, mask))`` pairs."""
+    watch: Watch = {}
+    for (_, rest), item in items:
+        for e in rest:
+            watch.setdefault(1 << e, []).append(item)
+        if not rest:
+            watch.setdefault(0, []).append(item)
+    return watch
+
+
+def _fired(watch: Watch, cur: int, new: int) -> int:
+    """The union of the masks of ``watch`` whose rest lies in ``cur`` and
+    meets ``new``, and of those with an empty rest when ``new`` is all of
+    ``cur``: on the first step, and from an empty start on the second
+    too, where they add nothing."""
+    out, outside = 0, ~cur
+    if new == cur:
+        for _, mask in watch.get(0, ()):
+            out |= mask
+    while new:
+        low = new & -new
+        for rest, mask in watch.get(low, ()):
+            if not rest & outside:
+                out |= mask
+        new ^= low
+    return out
+
+
+def _watch_step(watch: Watch, cur: int, new: int) -> int:
+    """``_step`` read from the fibers whose rest meets ``new``."""
+    return cur | _fired(watch, cur, new)
+
+
 def _iterate(
-    step: Callable[[int], int],
+    step: Callable[[int, int], int],
     x: int,
     budget: int,
     incomplete: Sequence[tuple[FiberKey, int]] = (),
+    blockers: Optional[Watch] = None,
 ) -> tuple[tuple[int, ...], str, tuple[FiberKey, ...]]:
     """The one fixpoint loop: at most ``budget`` steps from the mask ``x``,
-    giving ``(masks, status, blocking)``, the chain as masks.  Status is
-    "pending" when keys of ``incomplete`` (the blocking ones) have their
-    rest mask in the current set, "fixpoint" when a step adds nothing, and
-    "budget" otherwise."""
+    giving ``(masks, status, blocking)``, the chain as masks.  Each step
+    gets the current set and the elements the last step added (all of
+    ``x`` on the first).  Status is "pending" when keys of ``incomplete``
+    (the blocking ones; ``blockers`` is the watch index of their rest
+    masks) have their rest mask in the current set, "fixpoint" when a step
+    adds nothing, and "budget" otherwise.  A key did not block on the last
+    set, so it can block only if its rest meets the new elements."""
     chain, status, blocking = [x], "budget", ()
+    cur = new = x
     for _ in range(budget):
-        cur = chain[-1]
-        blocking = tuple(key for key, rest in incomplete if not rest & ~cur)
-        nxt = cur if blocking else step(cur)
+        if blockers and _fired(blockers, cur, new):
+            blocking = tuple(key for key, rest in incomplete if not rest & ~cur)
+            status = "pending"
+            break
+        nxt = step(cur, new)
         if nxt == cur:
-            status = "pending" if blocking else "fixpoint"
+            status = "fixpoint"
             break
         chain.append(nxt)
+        cur, new = nxt, nxt & ~cur
     return tuple(chain), status, blocking
 
 
@@ -212,7 +268,7 @@ def lambda_closure(
     budget = _budget(g) if budget is None else budget
     check_int("budget", budget, least=1, error=InvalidStructure)
     # lambda_step is looked up per step, so a wrapper on it sees every step.
-    step = lambda cur: mask_of(lambda_step(g, elements_of(cur)))
+    step = lambda cur, new: mask_of(lambda_step(g, elements_of(cur)))
     masks, status, _ = _iterate(step, g.matroid._check(x), budget)
     if status == "fixpoint":
         return LambdaResult(masks, status, fixpoint_index=len(masks) - 1)
@@ -305,21 +361,25 @@ class EnumeratedStructure:
         return self.stages[stage - 1]
 
     @cached_property
-    def _stage_views(self) -> tuple[StageView, ...]:
-        """Per stage: its fiber index and the sorted keys, with their rest
-        masks, whose revealed count is below the count oracle's limit (only
-        keys of phi or ``counts`` can be)."""
+    def _stage_views(self) -> Memo:
+        """Per stage, built when first read: the watch index of its fibers,
+        the sorted keys, with their rest masks, whose revealed count is
+        below the count oracle's limit (only keys of phi or ``counts`` can
+        be), and the watch index of those keys."""
         limit = {**self.structure.fiber_sizes(), **self.counts}
         keys = [(k, mask_of(k[1]), n) for k, n in sorted(limit.items())]
-        earlier = (_fibers(s, self.structure.arity) for s in self.stages[:-1])
-        return tuple(
-            (index, tuple((k, r) for k, r, n in keys if index.get(k, (r, 0))[1].bit_count() < n))
-            for index in (*earlier, self.structure.fibers)
-        )
+
+        def view(stage: int) -> StageView:
+            g = self.structure
+            index = g.fibers if stage == self.final_stage else _fibers(self.stages[stage - 1], g.arity)
+            incomplete = tuple((k, r) for k, r, n in keys if index.get(k, (r, 0))[1].bit_count() < n)
+            return _watch(index.items()), incomplete, _watch((k, (r, 1)) for k, r in incomplete)
+
+        return Memo(view)
 
     def _stage_view(self, stage: int) -> StageView:
         self.revealed(stage)  # rejects a stage that is no integer or out of range
-        return self._stage_views[stage - 1]
+        return self._stage_views[stage]
 
     def declared_infinite(self, x: Iterable[int]) -> bool:
         if not self.infinite_seeds:
@@ -333,7 +393,7 @@ def revealed_closure(
 ) -> frozenset[int]:
     """Plain fixpoint over the tuples revealed by the stage, with no
     completeness certification."""
-    step = partial(_step, enum._stage_view(stage)[0])
+    step = partial(_watch_step, enum._stage_view(stage)[0])
     masks = _iterate(step, enum.structure.matroid._check(x), _budget(enum.structure))[0]
     return frozenset(elements_of(masks[-1]))
 
@@ -360,9 +420,9 @@ def certified_lambda(
     enum: EnumeratedStructure, x: Iterable[int], stage: int, budget: int
 ) -> CertifiedLambda:
     check_int("budget", budget, least=1, error=InvalidStructure)
-    index, incomplete = enum._stage_view(stage)
+    watch, incomplete, blockers = enum._stage_view(stage)
     start = enum.structure.matroid._check(x)
-    masks, status, blocking = _iterate(partial(_step, index), start, budget, incomplete)
+    masks, status, blocking = _iterate(partial(_watch_step, watch), start, budget, incomplete, blockers)
     return CertifiedLambda("finite" if status == "fixpoint" else status, masks, blocking)
 
 
@@ -439,8 +499,9 @@ def ild_estimate(enum: EnumeratedStructure, budget: Optional[int] = None) -> Ild
     check_int("budget", budget, least=1, error=InvalidStructure)
 
     buckets: dict[int, list[tuple[int, ...]]] = {}
+    bit, rank = g.matroid._bit, g.matroid._rank_mask
     for combo in subsets(g.universe, g.arity):
-        buckets.setdefault(g.matroid.rank(combo), []).append(combo)
+        buckets.setdefault(rank(sum(bit[e] for e in combo)), []).append(combo)
 
     for dim in sorted(buckets):
         saw_budget = False

@@ -252,3 +252,104 @@ def ref_certified_lambda(enum, x, stage, budget):
             return "finite", tuple(chain), ()
         chain.append(nxt)
     return "budget", tuple(chain), ()
+
+
+# -- copy-construction reference ---------------------------------------------
+
+
+def ref_going_down(presentation, membership, enumeration, horizon) -> dict:
+    """The copy construction run stage by stage from its definition, with
+    none of the simulator's shortcuts: membership is read at every stage,
+    each extension commits every tuple of the full product over the copy
+    that holds no fact yet (the new symbol first, then the earlier ones in
+    reveal order), and each outcome-2 candidate is checked against every
+    committed fact.  Gives the run's observables, and under ``freezes``
+    the dropped preimages of each freeze."""
+    from flatgeom.effective import StageRecord
+
+    relations = presentation.structure.relations
+    universe = presentation.structure.universe
+
+    def member(e, stage):
+        if any(x == e and s <= stage for x, s in enumeration.entries):
+            return True
+        events = sorted((ev.stage, ev.value) for ev in membership.flips if ev.elem == e)
+        if not events:
+            return e in membership.target
+        passed = [value for s, value in events if s <= stage]
+        return passed[-1] if passed else not events[0][1]
+
+    def remap(dropped, moved):
+        """The images with each dropped preimage sent to its moved image,
+        when they stay injective and keep every committed fact."""
+        to = dict(zip(dropped, moved))
+        candidate = [to.get(b, y) for b, y in enumerate(images)]
+        injective = len(set(candidate)) == len(candidate)
+        return injective and all(
+            (tuple(candidate[b] for b in tup) in relations[sym].tuples) == value
+            for (sym, tup), value in facts.items()
+        )
+
+    images, settled, symbols, facts, records, freezes = [], [], [], {}, [], []
+    frozen, longest = None, 0
+    for stage in range(1, horizon + 1):
+        members = {e for e in universe if member(e, stage)}
+
+        def record(event, **extra):
+            records.append(StageRecord(stage, event, len(images), tuple(symbols), tuple(images), **extra))
+
+        if frozen is None:
+            if set(images) <= members:
+                fresh = members - set(images)
+                if not fresh:
+                    record("wait")
+                    continue
+                images.append(min(fresh))
+                settled.append(stage)
+                revealed = list(presentation.signature_order[len(symbols) : len(symbols) + 1])
+                for sym in revealed + symbols:
+                    for tup in product(range(len(images)), repeat=relations[sym].arity):
+                        if (sym, tup) not in facts:
+                            facts[(sym, tup)] = tuple(images[b] for b in tup) in relations[sym].tuples
+                symbols += revealed
+                record("extend", copied=images[-1])
+                continue
+            dropped = sorted((b for b, y in enumerate(images) if y not in members), key=images.__getitem__)
+            frozen = (stage, dropped, set(images) & members)
+            freezes.append(dropped)
+        since, dropped, held = frozen
+        if set(images) & members == held:
+            kept = {y for b, y in enumerate(images) if b not in dropped}
+            entered = [e for e, s in enumeration.entries if s <= stage]
+            hit = next(
+                (
+                    (a, repl)
+                    for a in entered
+                    if a not in kept
+                    for repl in product(universe, repeat=len(dropped) - 1)
+                    if remap(dropped, (a, *repl))
+                ),
+                None,
+            )
+            if hit is None:
+                record("wait")
+                continue
+            a, repl = hit
+            for b, y in zip(dropped, (a, *repl)):
+                images[b] = y
+                settled[b] = stage
+            record("outcome2", witness=a, replacements=repl)
+        else:
+            record("outcome1")
+        longest = max(longest, stage - since)
+        frozen = None
+    return {
+        "records": tuple(records),
+        "facts": list(facts.items()),
+        "limit_map": tuple(images),
+        "stabilization": tuple(settled),
+        "longest_wait": longest,
+        "status": "stuck" if frozen else "completed",
+        "stuck_stage": frozen[0] if frozen else None,
+        "freezes": freezes,
+    }

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
+from conftest import ref_going_down
 from flatgeom import corpus
 from flatgeom.effective import (
     Delta2Schedule,
@@ -242,6 +244,72 @@ class TestRandomScenarios:
             outcome1 = sum(1 for r in trace.records if r.event == "outcome1")
             budget = len(membership.flips) + len(enumeration.entries)
             assert outcome1 <= budget
+
+
+def random_copy_scenario(rng: random.Random):
+    """A small coherent construction scenario whose symbols have arity 0 to
+    3, class-determined on the round-robin classes so that a remap inside
+    the classes can keep every fact, and where two or three target
+    elements leave the approximation at one stage, so that one freeze can
+    drop several images at once."""
+    n = rng.randint(6, 8)
+    classes = rng.randint(2, 3)
+    cls = [i % classes for i in range(n)]
+    relations = {}
+    for i in range(rng.randint(1, 3)):
+        arity = rng.randint(0, 3)
+        truth = {c: rng.random() < 0.5 for c in product(range(classes), repeat=arity)}
+        tuples = [t for t in product(range(n), repeat=arity) if truth[tuple(cls[x] for x in t)]]
+        relations[f"r{i}"] = (arity, tuples)
+    structure = RelationalStructure.of(range(n), relations)
+    out = set(rng.sample(range(n - classes), rng.randint(0, 2)))
+    target = frozenset(range(n)) - out
+    flips = []
+    for e in sorted(out):
+        if rng.random() < 0.5:
+            s_in = rng.randint(1, 4)
+            flips += [FlipEvent(e, s_in, True), FlipEvent(e, rng.randint(s_in + 1, 6), False)]
+    s_out = rng.randint(2, 6)
+    for e in rng.sample(sorted(target), rng.randint(2, 3)):
+        flips += [FlipEvent(e, s_out, False), FlipEvent(e, rng.randint(s_out + 1, 9), True)]
+    flips.sort(key=lambda ev: (ev.stage, ev.elem))
+    entries = {e: rng.randint(1, 8) for e in rng.sample(sorted(target), rng.randint(1, len(target)))}
+    horizon = 10 + rng.randint(0, 4)
+    order = tuple(rng.sample(sorted(relations), len(relations)))
+    return (
+        StagewisePresentation(structure, order),
+        Delta2Schedule(target, tuple(flips)),
+        Sigma1Schedule.of(entries),
+        horizon,
+    )
+
+
+class TestAgainstReference:
+    """The simulator against ``ref_going_down``, which commits by the full
+    product and checks each remap against every fact."""
+
+    def test_seeded_scenarios(self):
+        rng = random.Random(3535)
+        cases = ("arity 0", "arity 3", "multi-drop freeze", "multi-drop outcome2", "stuck")
+        reached = dict.fromkeys(cases, 0)
+        scenarios = [random_copy_scenario(rng) for _ in range(300)]
+        scenarios += [corpus.random_going_down_scenario(rng) for _ in range(20)]
+        for pres, membership, enumeration, horizon in scenarios:
+            trace = going_down_run(pres, membership, enumeration, horizon)
+            want = ref_going_down(pres, membership, enumeration, horizon)
+            got = (trace.records, list(trace.facts.items()), trace.limit_map, trace.stabilization,
+                   trace.longest_wait, trace.status, trace.stuck_stage)
+            assert got == tuple(want[k] for k in (
+                "records", "facts", "limit_map", "stabilization", "longest_wait", "status", "stuck_stage"))
+            arities = {pres.structure.relations[sym].arity for sym in trace.records[-1].symbols}
+            reached["arity 0"] += 0 in arities
+            reached["arity 3"] += 3 in arities
+            reached["multi-drop freeze"] += any(len(d) > 1 for d in want["freezes"])
+            reached["multi-drop outcome2"] += any(r.replacements for r in trace.records)
+            reached["stuck"] += trace.status == "stuck"
+        # The cases that the faster commit and remap checks treat apart
+        # occur often enough to be compared.
+        assert min(reached.values()) >= 20, reached
 
 
 def _pinned_scenarios():

@@ -344,6 +344,21 @@ class TestEngineAgainstReference:
                     want = ref_certified_lambda(enum, x, stage, budget)
                     assert (res.status, res.chain, res.blocking) == want, (x, stage)
 
+    @pytest.mark.parametrize(
+        "enum", [corpus.sigma1_chain(15), corpus.ild_pps(16)], ids=["sigma1_chain(15)", "ild_pps(16)"]
+    )
+    def test_benchmark_sizes(self, enum):
+        # The staged-closure benchmark's largest scenarios, where a chain
+        # walks many steps and a watch bucket holds many fibers.
+        g = enum.structure
+        for x in (c for size in range(3) for c in combinations(g.universe, size)):
+            for stage in range(1, enum.final_stage + 1):
+                assert revealed_closure(enum, x, stage) == ref_revealed_closure(enum, x, stage)
+                for budget in (1, len(g.universe) + 1):
+                    res = certified_lambda(enum, x, stage, budget)
+                    want = ref_certified_lambda(enum, x, stage, budget)
+                    assert (res.status, res.chain, res.blocking) == want, (x, stage, budget)
+
 
 class TestChainsStayMasks:
     """Results keep their chains as masks and build frozensets only for
