@@ -13,6 +13,8 @@ reads.  Each row is one layer call on one input:
 
 * ``flats/PG(d-1,q)``: ``Matroid.flats()`` on the projective spaces over
   GF(2), GF(3) and GF(5), up to PG(5,2), PG(4,3) and PG(3,5);
+* ``flats/pps_chain(n)``: ``Matroid.flats()`` on the sparse paving chains
+  of ``corpus.pps_chain``, for n in PPS_CHAINS;
 * ``is_disintegrated/...``: the free matroid U(n,n) and U(1,n), n = 8..12,
   with ``max_ground=n``;
 * ``delta/PG(2,5)/lines=k``: ``delta`` of the first k lines of PG(2,5),
@@ -58,6 +60,8 @@ PERFBENCH = ROOT / "perfbench"
 
 #: (d, q) of the projective spaces PG(d-1, q) whose flats are timed.
 PG_SPACES = [(3, 2), (4, 2), (5, 2), (6, 2), (3, 3), (4, 3), (5, 3), (3, 5), (4, 5)]
+#: Lengths of the sparse paving chains whose flats are timed.
+PPS_CHAINS = (8, 16, 24, 40, 60)
 #: Ground sizes of the disintegrated hosts.
 DISINTEGRATED_SIZES = range(8, 13)
 #: How many lines of PG(2,5) the delta rows take.
@@ -106,6 +110,8 @@ def cases(fg, jobs, inputs) -> dict:
 
     for d, q in PG_SPACES:
         out[f"flats/PG({d - 1},{q})"] = fresh(inputs.pg(fg, d, q), Matroid.flats), flats_summary
+    for n in PPS_CHAINS:
+        out[f"flats/pps_chain({n})"] = fresh(inputs.pps_chain(fg, n), Matroid.flats), flats_summary
     for n in DISINTEGRATED_SIZES:
         for name, m in ((f"free({n})", inputs.uniform(fg, n, n)), (f"U(1,{n})", inputs.uniform(fg, 1, n))):
             walk = lambda h, n=n: flatness.is_disintegrated(h, max_ground=n)  # noqa: E731

@@ -44,12 +44,11 @@ On a linear host these covers are the parallel classes of the contraction
 M/F (Oxley, Matroid Theory, 2nd ed., 2011): the walk reduces each column
 outside F once against an echelon basis of F, and the columns whose
 residuals agree up to a scalar give one cover, whose basis is F's plus
-one row.  It writes each cl(F + e) so found into the closure memo, so no
-cover candidate is closed from scratch.  On linear and sparse paving
+one row, so no cover candidate is closed.  On linear and sparse paving
 hosts, pregeometries by construction, the walk stops at the hyperplanes:
-E is the one cover of each, so the top level needs no covers (a linear
-host still writes cl(H + e) = E into the memo).  A closure table is walked
-to its top level, since it may break the axioms.
+E is the one cover of each, so the top level needs no covers.  A closure
+table is walked to its top level, since it may break the axioms.  Only a
+query's miss writes the closure memo.
 
 The exhaustive axiom check decides a pass from the closed sets and their
 covers (the flat axioms; Oxley, 1.4).  Once cl is extensive, idempotent
@@ -458,6 +457,10 @@ class Matroid:
         self._pingpong: dict[str, object] = {}
         if isinstance(oracle, LinearOracle) and tuple(range(len(oracle.columns))) != ground.elements:
             raise InvalidStructure("linear oracle requires ids 0..n-1, one column per element")
+        if isinstance(oracle, UniformOracle):
+            off = min((elements_of(n) for n in oracle.nonbases if n & ~whole), default=None)
+            if off is not None:
+                raise InvalidStructure(f"nonbasis {list(off)} leaves the ground set")
         want = 1 << len(ground.elements)
         if isinstance(oracle, ClosureTableOracle) and len(oracle.table) != want:
             raise InvalidStructure(
@@ -515,16 +518,12 @@ class Matroid:
         On linear and sparse paving hosts the walk stops at the hyperplanes
         and adds E at rank r (see the module docstring); any other oracle,
         a closure table in particular, is walked to the top level."""
-        r, whole = self.full_rank, self._ground_mask
+        r = self.full_rank
         if r == 0 or not isinstance(self.oracle, (LinearOracle, UniformOracle)):
             found = self._closed_sets(r)
         else:
             found = self._closed_sets(r - 1)
-            if isinstance(self.oracle, LinearOracle):
-                self._closures.update(
-                    (h | b, whole) for h, k in found.items() if k == r - 1 for b in _low_bits(whole & ~h)
-                )
-            found[whole] = r  # the largest set, so (size, lex) order holds
+            found[self._ground_mask] = r  # the largest set, so (size, lex) order holds
         return [Flat(elements_of(s), k) for s, k in found.items()]
 
     def _closed_sets(self, max_rank: int) -> dict[int, int]:
@@ -535,39 +534,23 @@ class Matroid:
         that breaks the axioms no set above the table's rank counts as a
         flat; ``flats`` walks to r - 1 on a host that is a pregeometry as
         built.  A linear host carries an echelon basis with each flat of
-        the level and takes its covers from the contraction
-        (``_residual_covers``); any other host closes F + e for each e not
-        in F (``_closure_covers``)."""
-        cl = self._closure_mask
+        the level and takes its covers F | g, g a parallel class of the
+        contraction M/F, from ``LinearOracle.covers``; any other host
+        closes F + e for each e not in F."""
+        cl, whole = self._closure_mask, self._ground_mask
+        linear = isinstance(self.oracle, LinearOracle)
         found = {cl(0): 0} if max_rank >= 0 else {}
-        if isinstance(self.oracle, LinearOracle):
-            covers, level = self._residual_covers, dict.fromkeys(found, ())
-        else:
-            covers, level = self._closure_covers, dict.fromkeys(found)
+        level = dict.fromkeys(found, ())
         for k in range(1, max_rank + 1):
             met: dict = {}
             for f, basis in level.items():
-                met.update(covers(f, basis))
+                if linear:
+                    met.update((f | g, (*basis, row)) for g, row in self.oracle.covers(basis, whole & ~f))
+                else:
+                    met.update((cl(f | b), ()) for b in _low_bits(whole & ~f))
             level = {s: basis for s, basis in met.items() if s not in found}
             found.update(dict.fromkeys(level, k))
         return {s: found[s] for s in sorted(found, key=lambda s: (s.bit_count(), elements_of(s)))}
-
-    def _closure_covers(self, f: int, _) -> Iterator[tuple[int, None]]:
-        """The sets cl(F + e), e not in F, the covers of the flat F."""
-        cl = self._closure_mask
-        return ((cl(f | b), None) for b in _low_bits(self._ground_mask & ~f))
-
-    def _residual_covers(self, f: int, basis: tuple) -> Iterator[tuple[int, tuple]]:
-        """The covers F | g of the linear flat F, g a parallel class of the
-        contraction M/F, each with its echelon basis, ``basis`` plus one
-        row; cl(F + e) = F | g goes into the closure memo for each e in g,
-        so later closures of F + e are hits."""
-        memo = self._closures
-        for g, row in self.oracle.covers(basis, self._ground_mask & ~f):
-            cover = f | g
-            for b in _low_bits(g):
-                memo[f | b] = cover
-            yield cover, (*basis, row)
 
     def _circuits(self, min_size: int, max_size: int) -> Iterator[Circuit]:
         """Circuits with ``min_size`` to ``max_size`` elements, lazily, in

@@ -32,6 +32,7 @@ from flatgeom.errors import (
 )
 from flatgeom.matroid import (
     PRIME_TEST_BOUND,
+    GroundSet,
     LinearOracle,
     Matroid,
     PregeometryReport,
@@ -515,15 +516,21 @@ class TestFlats:
             assert len(of_rank) == gaussian_binomial(d, k, q), k
             assert {len(f.elements) for f in of_rank} == {(q**k - 1) // (q - 1)}, k
 
-    def test_linear_walk_leaves_every_cover_closure_in_the_memo(self):
+    def test_linear_walk_leaves_only_the_bottom_closure_in_the_memo(self):
         hosts = [*seeded_linear_hosts(), (5, GF5_COLS), (2, pg_columns(4, 2))]
         for q, cols in hosts:
             m = linear_matroid(q, cols)
             ground = m._ground_mask
-            for f in map(mask_of, (flat.elements for flat in m.flats())):
+            walked = linear_matroid(q, cols)
+            walked._closed_sets(walked.full_rank)
+            assert walked._closures == {0: m.oracle.closure(0, ground)}, (q, cols)
+            flats = m.flats()
+            assert m._closures == {0: m.oracle.closure(0, ground)}, (q, cols)
+            # Each cl(F + e) read afterwards is a miss that the prefix rule
+            # or the oracle answers, and equals the oracle's closure.
+            for f in map(mask_of, (flat.elements for flat in flats)):
                 for e in elements_of(ground & ~f):
                     s = f | 1 << e
-                    assert s in m._closures, (q, cols, s)
                     assert m._closure_mask(s) == m.oracle.closure(s, ground), (q, cols, s)
 
     def test_linear_walk_asks_no_closure_of_a_cover_candidate(self):
@@ -730,6 +737,12 @@ class TestSparsePaving:
     def test_rejects_degenerate_shapes(self, size, rank, nonbases):
         with pytest.raises(InvalidStructure):
             sparse_paving_matroid(size, rank, nonbases)
+
+    def test_matroid_refuses_a_nonbasis_off_its_ground(self):
+        with pytest.raises(InvalidStructure, match=r"nonbasis \[0, 3\] leaves the ground set"):
+            Matroid(GroundSet((0, 1, 2)), UniformOracle(2, [0b1001]))
+        m = Matroid(GroundSet((0, 1, 3)), UniformOracle(2, [0b1001]))
+        assert m.closure({0}) == {0, 3}
 
     @pytest.mark.parametrize("nonbasis", [0b11, 0b1111], ids=["short", "long"])
     def test_oracle_refuses_nonbases_of_another_size(self, nonbasis):
