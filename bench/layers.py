@@ -22,9 +22,10 @@ reads.  Each row is one layer call on one input:
 * ``check_flat/...``: every job of perfbench's ``flat-search`` workload,
   keyed as there, with ``golden`` telling whether its digest is the one in
   ``perfbench/golden.json``;
-* ``acl_enumerate_via_lambda/sigma1_chain(n)``, n = 6, 9, 12, 15, from the
-  base (0, 1), and ``ild_estimate/ild_pps(n)``, n = 8, 12, 16, as
-  perfbench's ``staged-closure`` workload calls them;
+* ``acl_enumerate_via_lambda/sigma1_chain(n)``, n = 6, 9, 12, 15, 30, from
+  the base (0, 1), and ``ild_estimate/ild_pps(n)``, n = 8, 12, 16, 24, as
+  perfbench's ``staged-closure`` workload calls them (it stops at 15 and
+  16);
 * ``going_down_run/scenario#i``: the copy construction on each of the
   ``staged-closure`` workload's 32 seeded scenarios.
 
@@ -67,8 +68,8 @@ DISINTEGRATED_SIZES = range(8, 13)
 #: How many lines of PG(2,5) the delta rows take.
 DELTA_LINES = (8, 12, 16)
 #: Lengths of the staged scenarios whose closures are timed, as perfbench's
-#: ``staged-closure`` workload builds them.
-STAGED_LENGTHS = {"sigma1_chain": (6, 9, 12, 15), "ild_pps": (8, 12, 16)}
+#: ``staged-closure`` workload builds them, and one longer chain of each.
+STAGED_LENGTHS = {"sigma1_chain": (6, 9, 12, 15, 30), "ild_pps": (8, 12, 16, 24)}
 #: The ``staged-closure`` workload's seeded going-down scenarios.
 GOING_DOWN_SCENARIOS = 32
 #: Timed runs per row and side; the least time is kept.

@@ -29,6 +29,20 @@ index* of its fibers by each element of their rest, the sorted keys of
 the fibers not yet fully revealed, and a watch index of those keys, so a
 closure call adds no set-up.
 
+acl and ild read only a status, and at the default budget that status
+reads only the least fixpoint lfp_s(X) of the closure step over the
+tuples revealed by stage s: ``_iterate`` tests for a blocking key before
+every step, the last one included, so X is "finite" iff no key not yet
+fully revealed has its rest inside lfp_s(X), and "pending" otherwise.
+lfp_s is monotone in X, so for any element top of X, lfp_s(X) =
+lfp_s(lfp_s(X - top) + top).  One acl or ild call keeps each stage's
+fixpoints by start mask and extends each from the fixpoint of its prefix,
+X without its highest element, semi-naively with top as the first step's
+new elements; X blocks iff its prefix does or a blocking key fires on what
+the extension adds.  Below the default budget a chain may stop short of
+its fixpoint, and then its length decides the status, so ild with a
+smaller budget runs ``certified_lambda`` on every combination.
+
 ``EnumeratedStructure`` is the staged view: phi-tuples are revealed
 monotonically stage by stage, and an exact count oracle says how many
 members each fiber has in the limit.  A closure is *certified finite* at a
@@ -120,22 +134,21 @@ def _iterate(
     step: Callable[[int, int], int],
     x: int,
     budget: int,
-    incomplete: Sequence[tuple[FiberKey, int]] = (),
     blockers: Optional[Watch] = None,
-) -> tuple[tuple[int, ...], str, tuple[FiberKey, ...]]:
+    new: Optional[int] = None,
+) -> tuple[tuple[int, ...], str]:
     """The one fixpoint loop: at most ``budget`` steps from the mask ``x``,
-    giving ``(masks, status, blocking)``, the chain as masks.  Each step
-    gets the current set and the elements the last step added (all of
-    ``x`` on the first).  Status is "pending" when keys of ``incomplete``
-    (the blocking ones; ``blockers`` is the watch index of their rest
-    masks) have their rest mask in the current set, "fixpoint" when a step
-    adds nothing, and "budget" otherwise.  A key did not block on the last
-    set, so it can block only if its rest meets the new elements."""
-    chain, status, blocking = [x], "budget", ()
-    cur = new = x
+    giving ``(masks, status)``, the chain as masks.  Each step gets the
+    current set and the elements the last step added (on the first,
+    ``new``, by default all of ``x``).  Status is "pending" when a rest
+    mask of ``blockers`` (the watch index of the blocking keys) lies in
+    the current set, "fixpoint" when a step adds nothing, and "budget"
+    otherwise.  A key did not block on the last set, so it can block only
+    if its rest meets the new elements."""
+    chain, status = [x], "budget"
+    cur, new = x, x if new is None else new
     for _ in range(budget):
         if blockers and _fired(blockers, cur, new):
-            blocking = tuple(key for key, rest in incomplete if not rest & ~cur)
             status = "pending"
             break
         nxt = step(cur, new)
@@ -144,7 +157,7 @@ def _iterate(
             break
         chain.append(nxt)
         cur, new = nxt, nxt & ~cur
-    return tuple(chain), status, blocking
+    return tuple(chain), status
 
 
 def _frozensets(result) -> tuple[frozenset[int], ...]:
@@ -269,7 +282,7 @@ def lambda_closure(
     check_int("budget", budget, least=1, error=InvalidStructure)
     # lambda_step is looked up per step, so a wrapper on it sees every step.
     step = lambda cur, new: mask_of(lambda_step(g, elements_of(cur)))
-    masks, status, _ = _iterate(step, g.matroid._check(x), budget)
+    masks, status = _iterate(step, g.matroid._check(x), budget)
     if status == "fixpoint":
         return LambdaResult(masks, status, fixpoint_index=len(masks) - 1)
     return LambdaResult(masks, "diverging", budget=budget)
@@ -422,8 +435,37 @@ def certified_lambda(
     check_int("budget", budget, least=1, error=InvalidStructure)
     watch, incomplete, blockers = enum._stage_view(stage)
     start = enum.structure.matroid._check(x)
-    masks, status, blocking = _iterate(partial(_watch_step, watch), start, budget, incomplete, blockers)
-    return CertifiedLambda("finite" if status == "fixpoint" else status, masks, blocking)
+    masks, status = _iterate(partial(_watch_step, watch), start, budget, blockers)
+    if status == "pending":
+        blocking = tuple(key for key, rest in incomplete if not rest & ~masks[-1])
+        return CertifiedLambda(status, masks, blocking)
+    return CertifiedLambda("finite" if status == "fixpoint" else status, masks)
+
+
+class _Fixpoints(dict):
+    """The least fixpoints of one stage, for one acl or ild call: each
+    start mask X maps to ``(lfp_s(X), blocked)``, extended from the entry
+    of its prefix X - top, where top is X's highest element (see the
+    module docstring).  The fixpoint of a blocked entry is not read."""
+
+    def __init__(self, enum: EnumeratedStructure, stage: int):
+        watch, _, self.blockers = enum._stage_view(stage)
+        self.step = partial(_watch_step, watch)
+        self.budget = _budget(enum.structure)
+
+    def __missing__(self, x: int) -> tuple[int, bool]:
+        top = 1 << x.bit_length() - 1 if x else 0
+        lfp, blocked = self[x ^ top] if x else (0, False)
+        if not (blocked or top & lfp):
+            masks, status = _iterate(self.step, lfp | top, self.budget, self.blockers, top)
+            lfp, blocked = masks[-1], status == "pending"
+        self[x] = lfp, blocked
+        return lfp, blocked
+
+    def status(self, x: int) -> str:
+        """What ``certified_lambda`` says of the mask ``x`` at the default
+        budget: "pending" or "finite"."""
+        return "pending" if self[x][1] else "finite"
 
 
 @dataclass(frozen=True)
@@ -461,12 +503,11 @@ def acl_enumerate_via_lambda(
 
     last = min(enum.final_stage, budget)
     emitted: dict[int, int] = {}  # element -> stage, in emission order
+    x, bit = g.matroid._check(base), g.matroid._bit
     for stage in range(1, last + 1):
+        fixpoints = _Fixpoints(enum, stage)
         for a in g.universe:
-            if a in emitted:
-                continue
-            res = certified_lambda(enum, base | {a}, stage, _budget(g))
-            if res.status == "finite":
+            if a not in emitted and fixpoints.status(x | bit[a]) == "finite":
                 emitted[a] = stage
     status = "complete" if last == enum.final_stage else "budget-exceeded"
     return AclEnumeration(tuple(emitted.items()), status)
@@ -498,18 +539,24 @@ def ild_estimate(enum: EnumeratedStructure, budget: Optional[int] = None) -> Ild
     budget = _budget(g) if budget is None else budget
     check_int("budget", budget, least=1, error=InvalidStructure)
 
-    buckets: dict[int, list[tuple[int, ...]]] = {}
+    buckets: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     bit, rank = g.matroid._bit, g.matroid._rank_mask
     for combo in subsets(g.universe, g.arity):
-        buckets.setdefault(rank(sum(bit[e] for e in combo)), []).append(combo)
+        x = sum(bit[e] for e in combo)
+        buckets.setdefault(rank(x), []).append((combo, x))
 
+    # Below the default budget the chain's length decides the status.
+    fixpoints = _Fixpoints(enum, enum.final_stage) if budget >= _budget(g) else None
     for dim in sorted(buckets):
         saw_budget = False
-        for combo in buckets[dim]:
-            res = certified_lambda(enum, combo, enum.final_stage, budget)
-            if res.status == "pending" and enum.declared_infinite(combo):
+        for combo, x in buckets[dim]:
+            if fixpoints is None:
+                status = certified_lambda(enum, combo, enum.final_stage, budget).status
+            else:
+                status = fixpoints.status(x)
+            if status == "pending" and enum.declared_infinite(combo):
                 return IldEstimate(dim, "certified")
-            if res.status == "budget":
+            if status == "budget":
                 saw_budget = True
         if saw_budget:
             return IldEstimate(dim, "lower-bound-only")

@@ -254,6 +254,45 @@ def ref_certified_lambda(enum, x, stage, budget):
     return "budget", tuple(chain), ()
 
 
+def ref_acl(enum, bbar, budget=None):
+    """(emitted, status) of acl: one ``ref_certified_lambda`` at the
+    default budget per (element, stage) pair, over the stages up to
+    ``budget``, for each element not yet emitted."""
+    universe = enum.structure.universe
+    last = min(enum.final_stage, budget or enum.final_stage)
+    emitted = []
+    for stage in range(1, last + 1):
+        done = {a for a, _ in emitted}
+        for a in universe:
+            x = {*bbar, a}
+            if a not in done and ref_certified_lambda(enum, x, stage, len(universe) + 1)[0] == "finite":
+                emitted.append((a, stage))
+    return tuple(emitted), "complete" if last == enum.final_stage else "budget-exceeded"
+
+
+def ref_ild(enum, budget=None):
+    """(value, certainty) of ild: one ``ref_certified_lambda`` at the final
+    stage per combination of up to ``arity`` elements, by increasing rank
+    and then in (size, lex) order; a pending combination whose revealed
+    closure covers a declared seed is certified infinite."""
+    g = enum.structure
+    final = enum.final_stage
+    budget = budget or len(g.universe) + 1
+    combos = [c for size in range(g.arity + 1) for c in combinations(g.universe, size)]
+    for dim in sorted({g.matroid.rank(c) for c in combos}):
+        saw_budget = False
+        for c in (c for c in combos if g.matroid.rank(c) == dim):
+            status = ref_certified_lambda(enum, c, final, budget)[0]
+            if status == "pending":
+                reach = ref_revealed_closure(enum, c, final)
+                if any(seed <= reach for seed in enum.infinite_seeds):
+                    return dim, "certified"
+            saw_budget = saw_budget or status == "budget"
+        if saw_budget:
+            return dim, "lower-bound-only"
+    return None, "certified"
+
+
 # -- copy-construction reference ---------------------------------------------
 
 

@@ -5,7 +5,9 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    ref_acl,
     ref_certified_lambda,
+    ref_ild,
     ref_lambda_closure,
     ref_revealed_closure,
     ref_step,
@@ -358,6 +360,78 @@ class TestEngineAgainstReference:
                     res = certified_lambda(enum, x, stage, budget)
                     want = ref_certified_lambda(enum, x, stage, budget)
                     assert (res.status, res.chain, res.blocking) == want, (x, stage, budget)
+
+
+def staged_query_cases():
+    """(scenario, base) pairs for acl and ild: the benchmark's chains, one
+    longer chain of each kind, and 210 random scenarios, a third of each
+    arity 1, 2 and 3, with a random independent base and zero to two
+    declared seeds."""
+    for n in (6, 9, 12, 15, 30):
+        yield pytest.param(corpus.sigma1_chain(n), (0, 1), id=f"sigma1_chain({n})")
+    for n in (8, 12, 16, 24):
+        yield pytest.param(corpus.ild_pps(n), (0, 1), id=f"ild_pps({n})")
+    rng = random.Random(3737)
+    for i in range(210):
+        arity = 1 + i % 3
+        enum = random_staged_scenario(rng, arity=arity)
+        g = enum.structure
+        bases = [c for c in combinations(g.universe, arity - 1) if g.matroid.is_independent(c)]
+        seeds = [rng.sample(g.universe, rng.randint(1, 2)) for _ in range(rng.randint(0, 2))]
+        enum = EnumeratedStructure.of(g, enum.stages, enum.counts, seeds)
+        yield pytest.param(enum, rng.choice(bases), id=f"arity{arity}#{i}")
+
+
+class TestStagedQueriesAgainstReference:
+    """acl and ild, which read statuses off the fixpoints of prefixes,
+    against one reference chain per query."""
+
+    @pytest.mark.parametrize("enum, bbar", staged_query_cases())
+    def test_acl_and_ild(self, enum, bbar):
+        for budget in (1, None):
+            res = acl_enumerate_via_lambda(enum, bbar, budget)
+            assert (res.emitted, res.status) == ref_acl(enum, bbar, budget), budget
+        # Budgets 1, 2 and |U| run certified_lambda; the default reads the
+        # fixpoints.
+        for budget in (1, 2, len(enum.structure.universe), None):
+            res = ild_estimate(enum, budget)
+            assert (res.value, res.certainty) == ref_ild(enum, budget), budget
+
+
+class TestQueryCounts:
+    """acl asks one status per (element, stage) pair not yet emitted, and
+    ild one per combination it scans: 540 and 530 queries, 1 070 per
+    ``staged-closure`` round and 3 210 over its three traced rounds."""
+
+    @pytest.fixture
+    def queries(self, monkeypatch):
+        calls = []
+        status = formula_closure._Fixpoints.status
+
+        def counted(fixpoints, x):
+            calls.append(x)
+            return status(fixpoints, x)
+
+        monkeypatch.setattr(formula_closure._Fixpoints, "status", counted)
+        monkeypatch.setattr(formula_closure, "certified_lambda", None)  # no query goes through it
+        return calls
+
+    def test_acl_queries(self, queries):
+        counts = []
+        for n in (6, 9, 12, 15):
+            enum = corpus.sigma1_chain(n)
+            acl_enumerate_via_lambda(enum, (0, 1), enum.final_stage)
+            counts.append(len(queries))
+            queries.clear()
+        assert counts == [45, 93, 159, 243]
+
+    def test_ild_queries(self, queries):
+        counts = []
+        for n in (8, 12, 16):
+            ild_estimate(corpus.ild_pps(n))
+            counts.append(len(queries))
+            queries.clear()
+        assert counts == [72, 158, 300]
 
 
 class TestChainsStayMasks:
