@@ -27,7 +27,17 @@ reads.  Each row is one layer call on one input:
   perfbench's ``staged-closure`` workload calls them (it stops at 15 and
   16);
 * ``going_down_run/scenario#i``: the copy construction on each of the
-  ``staged-closure`` workload's 32 seeded scenarios.
+  ``staged-closure`` workload's 32 seeded scenarios;
+* ``pps_find_cycle/host``, ``pps_run+verify/host/budget=b`` and
+  ``verify_pregeometry/host``: on every host of perfbench's ``pps-cycle``
+  workload, the cycle search, the all-branches runs and their verification
+  over the host's whole 12-config pool at its budget, and the axiom check
+  where that workload runs it (14 elements or fewer);
+* ``closure/...``: the closure of every subset of gf3_3, in (size, lex)
+  order and shuffled, and of CLOSURE_DRAWS seeded random subsets of
+  PG(3,3) and PG(4,3), drawn two ways: ``k-sets`` of 1 to rank + 1
+  elements, which mostly close to flats met once, and ``halves``, which
+  hold each element with probability 1/2 and mostly span.
 
 A row gives the least wall time of one call over RUNS runs (``min_ms``),
 each call on a freshly built ``Matroid`` so that no cache is warm (each
@@ -50,6 +60,7 @@ import gc
 import json
 import os
 import platform
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -72,6 +83,8 @@ DELTA_LINES = (8, 12, 16)
 STAGED_LENGTHS = {"sigma1_chain": (6, 9, 12, 15, 30), "ild_pps": (8, 12, 16, 24)}
 #: The ``staged-closure`` workload's seeded going-down scenarios.
 GOING_DOWN_SCENARIOS = 32
+#: Random subsets per closure row of PG(3,3) and PG(4,3).
+CLOSURE_DRAWS = 1000
 #: Timed runs per row and side; the least time is kept.
 RUNS = 7
 #: Least length of one timing: a call shorter than this is repeated and
@@ -79,7 +92,8 @@ RUNS = 7
 #: the minimum.
 SAMPLE_S = 0.01
 #: Oracle methods whose calls are counted, per oracle class.
-COUNTED = {"LinearOracle": ("rank", "closure", "covers"), "UniformOracle": ("rank", "closure"),
+#: A method that one side's oracle class lacks is not counted there.
+COUNTED = {"LinearOracle": ("rank", "closure", "covers", "extend"), "UniformOracle": ("rank", "closure"),
            "ClosureTableOracle": ("rank", "closure")}
 
 
@@ -134,6 +148,49 @@ def cases(fg, jobs, inputs) -> dict:
     for i in range(GOING_DOWN_SCENARIOS):
         scenario = inputs.going_down_scenario(fg, i)
         out[f"going_down_run/scenario#{i}"] = lambda s=scenario: eff.going_down_run(*s), trace_summary
+    pp = fg.pingpong
+    for host, m, budget in pps_hosts(fg, jobs):
+        pool = inputs.pps_config_pool(fg, m, jobs.PPSCycle.config_pool, host)
+        runs = lambda h, pool=pool, b=budget: [p for c in pool for p in jobs._run_and_verify(pp, h, c, b)]  # noqa: E731
+        out[f"pps_find_cycle/{host}"] = fresh(m, pp.pps_find_cycle), jobs._cycle
+        out[f"pps_run+verify/{host}/budget={budget}"] = fresh(m, runs), jobs._runs
+        if len(m.ground) <= 14:
+            check = lambda h: h.verify_pregeometry(max_ground=len(h.ground))  # noqa: E731
+            out[f"verify_pregeometry/{host}"] = fresh(m, check), jobs._pregeometry
+    for name, m, draws in closure_inputs(fg, inputs):
+        for order, masks in draws.items():
+            out[f"closure/{name}/{order}"] = fresh(m, lambda h, s=masks: list(map(h._closure_mask, s))), lambda v: v
+    return out
+
+
+def pps_hosts(fg, jobs) -> list:
+    """(name, matroid, budget) of every host of perfbench's ``pps-cycle``
+    workload, in its order, read off the workload as it is built."""
+
+    class Hosts(jobs.PPSCycle):
+        def __init__(self, fg):
+            self.hosts = []
+            super().__init__(fg)
+
+        def _host(self, host, m, budget, flat):
+            self.hosts.append((host, m, budget))
+            return []
+
+    return Hosts(fg).hosts
+
+
+def closure_inputs(fg, inputs) -> list:
+    """(name, matroid, {order: masks}) of the closure rows."""
+    mask_of, rng = fg.matroid.mask_of, random.Random("closure/gf3_3")
+    gf3 = fg.corpus.gf3_3()
+    every = [mask_of(s) for s in fg.matroid.subsets(gf3.ground.elements)]
+    out = [("gf3_3", gf3, {"size-lex": every, "shuffled": rng.sample(every, len(every))})]
+    for d in (4, 5):
+        m, name = inputs.pg(fg, d, 3), f"PG({d - 1},3)"
+        rng, ground, r = random.Random(f"closure/{name}"), m.ground.elements, m.full_rank
+        k_sets = [mask_of(rng.sample(ground, rng.randint(1, r + 1))) for _ in range(CLOSURE_DRAWS)]
+        halves = [mask_of(e for e in ground if rng.random() < 0.5) for _ in range(CLOSURE_DRAWS)]
+        out.append((name, m, {"k-sets": k_sets, "halves": halves}))
     return out
 
 
@@ -159,6 +216,8 @@ def counted(fg, tracer, call):
     for cls_name, methods in COUNTED.items():
         cls = getattr(fg.matroid, cls_name)
         for name in methods:
+            if name not in cls.__dict__:
+                continue
             inner = cls.__dict__[name]
 
             def wrapped(*args, _inner=inner, _name=name, **kwargs):

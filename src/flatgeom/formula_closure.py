@@ -542,7 +542,7 @@ def ild_estimate(enum: EnumeratedStructure, budget: Optional[int] = None) -> Ild
     buckets: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     bit, rank = g.matroid._bit, g.matroid._rank_mask
     for combo in subsets(g.universe, g.arity):
-        x = sum(bit[e] for e in combo)
+        x = sum(map(bit.__getitem__, combo))
         buckets.setdefault(rank(x), []).append((combo, x))
 
     # Below the default budget the chain's length decides the status.

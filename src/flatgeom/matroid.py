@@ -30,13 +30,26 @@ public methods take any iterable of ids and return frozensets and sorted
 tuples, so masks never cross the package boundary.  All set-valued results
 are canonical; "least" always means least element id.
 
-Over a ``LinearOracle`` the closure cache answers a miss on s from the
-prefixes of s by the rule cl(s) = cl(s - top) when top, the highest element
-of s, lies in cl(s - top): from the longest cached prefix p it gives
-cl(s) = cl(p) if s lies inside cl(p), and only otherwise asks the oracle.
-Linear spans obey the rule by construction.  A ``ClosureTableOracle``
-never uses it: the rule holds only in a pregeometry, and
-``verify_pregeometry`` must read a table's own entries to check the axioms.
+Over a ``LinearOracle`` the closure memo answers a miss on s by the cover
+rule.  From F, the closure of the longest cached prefix p of s (cl(empty)
+at worst), it steps once per element e of s outside F, lowest first, to
+the cover cl(F + e); the last flat met is cl(s), since span(s) =
+span(cl(p) + (s - p)).  F's cover table, which maps each element outside
+F to its cover, comes from one ``LinearOracle.covers`` call on F's echelon
+basis (the covers of F are the parallel classes of M/F; see below).  A
+table costs about one closure and saves a whole one only on a miss that
+ends at a cover of F, so F gets its table once a miss has ended at one of
+its covers; until then a miss that reaches F is closed from F's basis by
+``LinearOracle.extend``, which reduces only the columns outside F + s.  So
+in the axiom check, whose misses step out of one element at a time, each
+flat's columns are reduced at most twice per ``Matroid``, not once per
+subset that closes to it.  The memo writes only the masks asked for;
+beside it sit one basis per flat met and at most one table of n entries
+per flat.  Linear spans obey the rule by construction.  A
+``ClosureTableOracle`` never uses it: the rule holds only in a
+pregeometry, and ``verify_pregeometry`` must read a table's own entries
+to check the axioms.  A sparse paving host answers a miss from its
+nonbases in a few dict lookups, which no table would beat.
 
 Flats are built by covering: the flats that cover a flat F are the sets
 cl(F + e), e not in F, so a flat's rank is the level at which it is met.
@@ -165,22 +178,70 @@ class Memo(dict):
         return value
 
 
-class _PrefixClosures(Memo):
-    """The closure memo of a linear oracle, which tries the prefix rule (see
-    the module docstring) before ``make`` asks the oracle; the walk down
-    the prefixes is a loop, so no recursion limit bounds its depth."""
+class _CoverClosures(dict):
+    """The closure memo of a linear oracle, which answers a miss by the
+    cover rule (see the module docstring).  Beside the memo it keeps the
+    echelon basis of every flat it has met (``bases``), the flats due a
+    cover table (``due``) and the cover tables built (``tables``).  The
+    walk down the prefixes and the steps are loops, so no recursion limit
+    bounds them."""
+
+    def __init__(self, oracle: LinearOracle, whole: int):
+        self.oracle, self.whole = oracle, whole
+        self.bottom: Optional[int] = None  # cl(empty), closed when first needed
+        self.bases: dict[int, tuple] = {}
+        self.due: set[int] = set()
+        self.tables: dict[int, dict[int, int]] = {}
 
     def __missing__(self, s: int) -> int:
         p = s
         while p:
             p ^= 1 << p.bit_length() - 1
-            cl_p = self.get(p)
-            if cl_p is not None:
-                if s & ~cl_p:  # and no shorter prefix spans more
+            f = self.get(p)
+            if f is not None:
+                break
+        else:
+            f = self.bottom
+            if f is None:
+                f = self.bottom = self.oracle.closure(0, self.whole)
+                self.bases[f] = ()
+        rest, tables = s & ~f, self.tables
+        while rest:
+            table = tables.get(f)
+            if table is None:
+                if f not in self.due:
+                    f = self._close(f, rest)
                     break
-                self[s] = cl_p
-                return cl_p
-        return super().__missing__(s)
+                table = self.covers(f)
+            f = table[rest & -rest]
+            rest &= ~f
+        self[s] = f
+        return f
+
+    def _close(self, f: int, rest: int) -> int:
+        """cl(f + rest), reducing only the columns outside both against the
+        basis of the flat ``f``, its own basis kept.  If it is a cover of
+        ``f``, ``f`` is due a table."""
+        start = self.bases[f]
+        cl, basis = self.oracle.extend(start, f, rest, self.whole)
+        if len(basis) == len(start) + 1:
+            self.due.add(f)
+        self.bases.setdefault(cl, tuple(basis))
+        return cl
+
+    def covers(self, f: int) -> dict[int, int]:
+        """The cover table of the flat ``f``, built on first use: each
+        element outside ``f``, as a one-bit mask, maps to the cover of
+        ``f`` through it."""
+        table = self.tables.get(f)
+        if table is None:
+            table, basis, bases = {}, self.bases[f], self.bases
+            for g, row in self.oracle.covers(basis, self.whole & ~f):
+                cover = f | g
+                bases.setdefault(cover, (*basis, row))
+                table.update(dict.fromkeys(_low_bits(g), cover))
+            self.tables[f] = table
+        return table
 
 
 def _low_bits(mask: int) -> Iterator[int]:
@@ -258,6 +319,8 @@ class LinearOracle:
         if cols and len({len(c) for c in cols}) != 1:
             raise InvalidStructure("all columns must have the same length")
         object.__setattr__(self, "columns", cols)
+        #: The length of a column: a basis this long spans the space.
+        object.__setattr__(self, "_dim", len(cols[0]) if cols else 0)
 
     def _reduce(self, basis: Sequence[tuple[int, Sequence[int]]], vec: Sequence[int]) -> list[int]:
         """``vec`` minus its combination of the basis rows: all zero iff
@@ -270,12 +333,18 @@ class LinearOracle:
                 v = [(a - c * b) % q for a, b in zip(v, row)]
         return v
 
-    def _basis(self, subset: int) -> list[tuple[int, list[int]]]:
-        """Echelon basis of the columns of ``subset``, as (pivot, row) pairs:
-        each row is 1 at its pivot and 0 at the pivots of the rows before it."""
+    def _basis(
+        self, subset: int, start: Sequence[tuple[int, Sequence[int]]] = ()
+    ) -> list[tuple[int, Sequence[int]]]:
+        """Echelon basis of the columns of ``subset``, extending the echelon
+        basis ``start``, as (pivot, row) pairs: each row is 1 at its pivot
+        and 0 at the pivots of the rows before it.  It stops once it spans
+        the space."""
         q = self.field
-        basis: list[tuple[int, list[int]]] = []
+        basis = list(start)
         for e in elements_of(subset):
+            if len(basis) == self._dim:
+                break
             v = self._reduce(basis, self.columns[e])
             pivot = next((i for i, x in enumerate(v) if x), None)
             if pivot is not None:
@@ -287,14 +356,22 @@ class LinearOracle:
         return len(self._basis(subset))
 
     def closure(self, subset: int, ground: int) -> int:
-        basis = self._basis(subset)
-        if len(basis) == (len(self.columns[0]) if self.columns else 0):
-            return ground
-        cl = subset
-        for e in elements_of(ground & ~subset):
+        return self.extend((), 0, subset, ground)[0]
+
+    def extend(
+        self, start: Sequence[tuple[int, Sequence[int]]], spanned: int, subset: int, ground: int
+    ) -> tuple[int, list[tuple[int, Sequence[int]]]]:
+        """The closure of ``spanned`` + ``subset``, with its echelon basis
+        extending ``start``, an echelon basis whose span holds the columns
+        of ``spanned``: only the columns outside both are reduced."""
+        basis = self._basis(subset & ~spanned, start)
+        if len(basis) == self._dim:
+            return ground, basis
+        cl = spanned | subset
+        for e in elements_of(ground & ~cl):
             if not any(self._reduce(basis, self.columns[e])):
                 cl |= 1 << e
-        return cl
+        return cl, basis
 
     def covers(
         self, basis: Sequence[tuple[int, Sequence[int]]], outside: int
@@ -447,11 +524,13 @@ class Matroid:
         self._ground_mask = whole = sum(self._bit.values())
         #: Rank and closure of a mask, each memoised in one dict keyed by
         #: mask; a miss asks the oracle at most once (a linear closure miss
-        #: tries the prefix rule first); the axiom check leaves the
+        #: steps through cover tables instead); the axiom check leaves the
         #: closure memo of a sparse paving host untouched.
         self._rank_mask: Callable[[int], int] = Memo(lambda s: oracle.rank(s, whole)).__getitem__
-        closures = _PrefixClosures if isinstance(oracle, LinearOracle) else Memo
-        self._closures: Memo = closures(lambda s: oracle.closure(s, whole))
+        self._closures: dict[int, int] = (
+            _CoverClosures(oracle, whole) if isinstance(oracle, LinearOracle)
+            else Memo(lambda s: oracle.closure(s, whole))
+        )
         self._closure_mask: Callable[[int], int] = self._closures.__getitem__
         #: What the pingpong module keeps between calls; it alone reads it.
         self._pingpong: dict[str, object] = {}
@@ -557,7 +636,7 @@ class Matroid:
         (size, lex) order."""
         bit, rk = self._bit, self._rank_mask
         for combo in subsets(self.ground.elements, max_size, min_size):
-            s = sum(bit[e] for e in combo)
+            s = sum(map(bit.__getitem__, combo))
             k = len(combo)
             if rk(s) < k and all(rk(s ^ bit[e]) == k - 1 for e in combo):
                 yield Circuit(combo)
@@ -674,8 +753,9 @@ class Matroid:
 
         Each subset is closed once, so on a sparse paving host the closures
         come from the oracle's rule and the memo is left untouched.  A
-        linear host's prefix rule lives in the memo, and ``check_flat``'s
-        later walk on a closure table reads it, so both keep it.
+        linear host's cover rule starts from the memo's prefixes, and
+        ``check_flat``'s later walk on a closure table reads it, so both
+        keep it.
         """
         cl, whole = self._closure_mask, self._ground_mask
         # Called positionally: binding ground= by a partial is slower than the memo.

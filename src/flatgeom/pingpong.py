@@ -17,7 +17,10 @@ A ``Matroid`` keeps this module's work between calls in its ``_pingpong``
 dict, one of each: under "steps", the step table of the last net as
 (net, table), keyed by paddle and then by start (``_steps``); under
 "config", the last configuration that passed its check, as
-(config, (net, span)) (``PPSConfig._masks``).
+(config, (net, span)) (``PPSConfig._masks``).  A step row reads
+cl(X + {a, t}): on a linear host it is the cover of the paddle span
+cl(X + {a}) through t, from the cover table that the closure memo keeps
+for that span, and on any other host it is closed through the memo.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .errors import FlatgeomError, InvalidConfig, InvalidElement, InvalidSequence, check_int
-from .matroid import Matroid, Memo, canon, elements_of
+from .matroid import Matroid, Memo, _CoverClosures, canon, elements_of
 
 #: The longest sequence, t1 included, that a run follows unless told otherwise.
 DEFAULT_BUDGET = 64
@@ -159,13 +162,22 @@ class _PaddleRows(dict):
     """The step rows of one paddle a over the net X: ``rows[t]`` is every
     element of cl(X + {a, t}) outside cl(X + {a}), t excepted, ascending,
     built when first read.  ``span`` is cl(X + {a}), closed once, when the
-    paddle is first asked for."""
+    paddle is first asked for.
 
-    def __init__(self, cl: Callable[[int], int], base: int):
-        self.cl, self.base, self.span = cl, base, cl(base)
+    On a linear host cl(X + {a, t}) is the cover of the span through t,
+    one lookup in the span's cover table (``_CoverClosures.covers``), and t
+    inside the span gives the span itself.  Any other host closes
+    X + {a, t} through its memo, so a closure table is read verbatim."""
+
+    def __init__(self, closures: dict[int, int], base: int):
+        self.span = span = closures[base]
+        if isinstance(closures, _CoverClosures):
+            self.cover: Callable[[int], int] = lambda b: closures.covers(span).get(b, span)
+        else:
+            self.cover = lambda b: closures[base | b]
 
     def __missing__(self, t: int) -> tuple[int, ...]:
-        row = self[t] = elements_of(self.cl(self.base | 1 << t) & ~self.span & ~(1 << t))
+        row = self[t] = elements_of(self.cover(1 << t) & ~self.span & ~(1 << t))
         return row
 
 
@@ -178,12 +190,15 @@ def _steps(m: Matroid, net: int) -> Memo:
     ``pps_verify`` and ``pps_candidates`` on that net share its rows; asking
     for another net drops it.  A ``Matroid`` thus holds at most one step
     table, however many nets ``pps_find_cycle`` walks, next to the one
-    configuration ``PPSConfig._masks`` kept."""
+    configuration ``PPSConfig._masks`` kept.  The rows of a linear host
+    come from the cover tables of its closure memo, which outlive the step
+    table, so a net asked for again reads them back without reducing a
+    column."""
     kept = m._pingpong.get("steps")
     if kept is not None and kept[0] == net:
         return kept[1]
-    cl = m._closure_mask
-    steps = Memo(lambda a: _PaddleRows(cl, net | 1 << a))
+    closures = m._closures
+    steps = Memo(lambda a: _PaddleRows(closures, net | 1 << a))
     m._pingpong["steps"] = net, steps
     return steps
 

@@ -199,23 +199,67 @@ class TestMaskQueries:
                 assert m._closure_mask(s) == mask_of(brute_span(q, cols, subset)), (name, subset)
 
 
-class TestPrefixRule:
-    """Linear closure-cache misses answered from a cached prefix, against
-    the oracle asked cold; closure tables read verbatim."""
+def linear_host(name: str) -> Matroid:
+    """A corpus member, PG(3,2), or ``seeded#i``, host i of
+    ``seeded_linear_hosts()``."""
+    if name == "PG(3,2)":
+        return linear_matroid(2, pg_columns(4, 2))
+    if name.startswith("seeded#"):
+        return linear_matroid(*seeded_linear_hosts()[int(name[7:])])
+    return corpus.MATROIDS[name]()
 
-    @pytest.mark.parametrize("name", ["gf2_3", "gf3_3", "PG(3,2)"])
+
+class TestPrefixRule:
+    """Linear closure-memo misses answered by the cover rule from the
+    longest cached prefix, against the oracle asked cold; closure tables
+    read verbatim."""
+
+    @pytest.mark.parametrize("name", ["gf2_3", "gf3_3", "PG(3,2)", *(f"seeded#{i}" for i in range(24))])
     def test_linear_closure_equals_the_cold_oracle(self, name):
-        m = linear_matroid(2, pg_columns(4, 2)) if name == "PG(3,2)" else corpus.MATROIDS[name]()
+        m = linear_host(name)
         whole, oracle = m._ground_mask, m.oracle
         masks = [mask_of(s) for s in powerset(m.ground.elements)]
-        # (size, lex) order meets every prefix first, so most answers are
-        # derived; a shuffled order also walks down to shorter prefixes.
+        want = {s: oracle.closure(s, whole) for s in masks}
+        # (size, lex) order meets every prefix first, so each miss steps
+        # at most once; a decreasing order meets no prefix first, so each
+        # steps up from cl(empty); a shuffled order mixes the two.
         shuffled = masks[:] if name != "PG(3,2)" else []
         random.Random(0).shuffle(shuffled)
-        for order in (masks, shuffled):
+        for order in (masks, sorted(masks, reverse=True), shuffled):
             live = Matroid(m.ground, oracle)
             for s in order:
-                assert live._closure_mask(s) == oracle.closure(s, whole), (name, elements_of(s))
+                assert live._closure_mask(s) == want[s], (name, elements_of(s))
+
+    def test_cold_axiom_check_reduces_each_flat_at_most_twice(self):
+        covered, extended, closed = [], [], []
+
+        class CountingLinearOracle(LinearOracle):
+            def covers(self, basis, outside):
+                covered.append(outside)
+                return super().covers(basis, outside)
+
+            def extend(self, start, spanned, subset, ground):
+                extended.append(spanned)
+                return super().extend(start, spanned, subset, ground)
+
+            def closure(self, subset, ground):
+                closed.append(subset)
+                return super().closure(subset, ground)
+
+        gf3 = corpus.gf3_3()
+        m = Matroid(gf3.ground, CountingLinearOracle(3, gf3.oracle.columns))
+        n = len(m.ground)
+        assert m.verify_pregeometry(max_ground=n) == PregeometryReport(True, None, 2**n, False)
+        # Each flat but E is reduced at most twice: by one closure from its
+        # basis, and then, once that closure is a cover of it, for its
+        # cover table.  The oracle closes only the empty set, which is the
+        # first extension.
+        flats = {mask_of(f.elements) for f in gf3.flats()}
+        assert len(covered) == len(set(covered)) <= len(flats) - 1
+        assert {m._ground_mask & ~o for o in covered} <= flats
+        assert closed == [0] and extended[0] == 0
+        assert len(extended[1:]) == len(set(extended[1:])) <= len(flats) - 1
+        assert set(extended) <= flats
 
     def test_linear_closure_equals_the_brute_span(self):
         m = corpus.gf2_3()

@@ -3,11 +3,12 @@ import hashlib
 import random
 import re
 import weakref
+from functools import cache
 from itertools import product
 
 import pytest
 
-from conftest import powerset, ref_flats, seeded_nonbases
+from conftest import brute_span, powerset, ref_flats, seeded_nonbases
 from flatgeom import corpus, pingpong
 from flatgeom.errors import InvalidConfig, InvalidElement, InvalidSequence
 from flatgeom.matroid import (
@@ -295,6 +296,31 @@ class TestSharedStepTable:
             assert pps_verify(m, seq) == pps_verify(m, seq) == first, cfg
             with pytest.raises((InvalidConfig, InvalidElement), match=re.escape(first.detail)):
                 pps_candidates(m, seq)
+
+    @pytest.mark.parametrize("name", ["gf2_3", "gf3_3", "PG(3,2)"])
+    def test_linear_step_rows_equal_the_brute_span_rows(self, name):
+        # A linear host's row is one lookup in the paddle span's cover
+        # table.  Every net is the brute span of a set g of at most
+        # rank - 1 elements, so spans over it are taken from g; every
+        # paddle and start is tried, spanned ones too.
+        if name == "PG(3,2)":
+            points = [v for v in product(range(2), repeat=4) if next((x for x in v if x), 0) == 1]
+            m = linear_matroid(2, points)
+        else:
+            m = getattr(corpus, name)()
+        q, cols, ground = m.oracle.field, m.oracle.columns, m.ground.elements
+        span = cache(lambda s: brute_span(q, cols, s))
+        nets: dict = {}
+        for g in map(frozenset, powerset(ground, max_size=m.full_rank - 1)):
+            nets.setdefault(span(g), g)
+        assert len(nets) == {"gf2_3": 15, "gf3_3": 27, "PG(3,2)": 66}[name]
+        for net, g in nets.items():
+            steps = pingpong._steps(m, sum(1 << e for e in net))
+            for a in ground:
+                base = span(g | {a})
+                for t in ground:
+                    want = tuple(sorted(span(g | {a, t}) - base - {t}))
+                    assert steps[a][t] == want, (name, sorted(net), a, t)
 
     def test_cycle_search_keeps_only_the_last_nets_table(self):
         m = uniform_matroid(5, 8)
